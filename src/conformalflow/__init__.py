@@ -5,7 +5,7 @@ Modules
 kernel       layered pair-sum tables behind the fast energy and vector field
 state        states, gauges, ground-state family, serialization
 observables  conserved quantities H, Q, E, the gap, the Hankel identity
-flow         vector field (naive and fast) and adaptive RK integration
+flow         vector field (naive and fast) and DOP853 integration
 linearized   operators L+-, spectra, stability, ladders, coercivity
 modulation   four-parameter decomposition and orbit-distance tracking
 lab          seeded experiments, persistence, and the CLI entry point
@@ -14,14 +14,13 @@ lab          seeded experiments, persistence, and the CLI entry point
 from .flow import (
     FlowError,
     IntegratorConfig,
-    StepSizeUnderflow,
     TrajectoryRecord,
     integrate,
     linearized_rhs,
     vector_field_fast,
     vector_field_naive,
 )
-from .kernel import layer_prefix_sums, layered_pair_sums, min_plus_one
+from .kernel import layer_prefix_sums, layered_pair_sums
 from .linearized import (
     OperatorPair,
     appendix_identities,

@@ -1,22 +1,24 @@
-"""Conformal-flow vector field and adaptive embedded Runge-Kutta integration.
+"""Conformal-flow vector field and adaptive DOP853 integration.
 
 The evolution equation is d alpha / dt = -i F(alpha) with
 
     [F(alpha)]_n = (1/(n+1)) sum_{j,k} S(n,j,k,n+j-k) conj(alpha_j) alpha_k alpha_{n+j-k}.
 
 ``vector_field_fast`` evaluates F in O(N^2) through the layered pair-sum
-table; ``vector_field_naive`` is the cubic oracle.  The integrator is a
-Dormand-Prince 5(4) pair with proportional step control; steps are capped at
-the next sample time so samples are exact integrator states.
+table; ``vector_field_naive`` is the cubic oracle.  The integrator is scipy's
+DOP853 (Hairer-Norsett-Wanner, Solving ODEs I, II.10), stepped one sample
+interval at a time, so samples are step ends: exact integrator states, not
+dense-output interpolants.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.integrate import DOP853
 
 from .kernel import layer_prefix_sums, layered_pair_sums
 from .observables import charge, energy_fast, higher_charge
@@ -30,20 +32,11 @@ __all__ = [
     "integrate",
     "linearized_rhs",
     "FlowError",
-    "StepSizeUnderflow",
 ]
 
 
 class FlowError(RuntimeError):
-    """Numerical failure during integration (NaN state, oracle mismatch)."""
-
-
-class StepSizeUnderflow(FlowError):
-    """Adaptive step size collapsed; carries the time reached."""
-
-    def __init__(self, t_reached: float):
-        super().__init__(f"step size underflow at t = {t_reached:.6g}")
-        self.t_reached = t_reached
+    """Numerical failure during integration (NaN state, failed step, oracle mismatch)."""
 
 
 def vector_field_naive(alpha: np.ndarray) -> np.ndarray:
@@ -90,17 +83,17 @@ class IntegratorConfig:
     max_step: float = 1.0
     t_end: float = 10.0
     sample_dt: float = 0.1
-    renormalize_Q: bool = False
     #: cross-check the fast field against the cubic oracle every this many
     #: accepted steps; applied only at N <= 48, disabled when None
-    oracle_check_stride: int | None = 1000
+    oracle_check_stride: int | None = 100
     oracle_check_tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.sample_dt <= 0 or self.t_end <= 0 or self.max_step <= 0:
-            raise ValueError("time parameters must be positive")
+        for name in ("rel_tol", "abs_tol", "max_step", "t_end", "sample_dt"):
+            value = getattr(self, name)
+            # NaN fails both comparisons; a NaN tolerance would stall the step control
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass
@@ -112,7 +105,6 @@ class TrajectoryRecord:
     E: np.ndarray
     accepted: int = 0
     rejected: int = 0
-    renormalized: bool = False
 
     def max_relative_drift(self) -> dict[str, float]:
         out = {}
@@ -121,30 +113,6 @@ class TrajectoryRecord:
             scale = max(abs(ref), 1e-300)
             out[name] = float(np.max(np.abs(series - ref)) / scale)
         return out
-
-
-# Dormand-Prince 5(4) tableau; the 5th-order solution is propagated.
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
-)
-
-
-def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray, cfg: IntegratorConfig) -> float:
-    scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y0), np.abs(y1))
-    with np.errstate(over="ignore"):
-        norm = float(np.sqrt(np.mean(np.abs(err / scale) ** 2)))
-    return norm
 
 
 def integrate(
@@ -162,75 +130,56 @@ def integrate(
     n_modes = y.size
     sign = 1.0 if not backward else -1.0
 
-    def rhs(state: np.ndarray) -> np.ndarray:
+    def rhs(t: float, state: np.ndarray) -> np.ndarray:
         return sign * (-1j) * vector_field_fast(state)
 
-    q0 = charge(y)
-    sample_times = [0.0]
     n_samples = int(round(cfg.t_end / cfg.sample_dt))
     targets = [min((i + 1) * cfg.sample_dt, cfg.t_end) for i in range(n_samples)]
     if not targets or targets[-1] < cfg.t_end:
         targets.append(cfg.t_end)
 
-    states = [y.copy()]
-    cons = [(energy_fast(y), charge(y), higher_charge(y))]
+    states = [y]
     t = 0.0
-    h = min(cfg.max_step, cfg.sample_dt, 0.1)
+    h = None  # DOP853 picks the first step; later intervals start from the last one
     accepted = rejected = 0
-    k = np.empty((7, n_modes), dtype=np.complex128)
-    k[0] = rhs(y)
-
-    for target in targets:
-        while t < target - 1e-14 * max(1.0, target):
-            h = min(h, cfg.max_step, target - t)
-            if h < 1e-14 * max(1.0, abs(t)):
-                raise StepSizeUnderflow(t)
-            with np.errstate(over="ignore", invalid="ignore"):
-                for i in range(1, 7):
-                    yi = y + h * (_DP_A[i] @ k[:i])
-                    k[i] = rhs(yi)
-                y5 = y + h * (_DP_B5 @ k)
-                err = h * ((_DP_B5 - _DP_B4) @ k)
-            if not np.all(np.isfinite(y5.view(np.float64))):
-                # overflow in a trial step: reject and retry with a smaller one
-                rejected += 1
-                h *= 0.2
-                k[1:] = 0.0
-                continue
-            enorm = _error_norm(err, y, y5, cfg)
-            if enorm <= 1.0:
-                t += h
-                y = y5
+    with np.errstate(over="ignore", invalid="ignore"):
+        for target in targets:
+            solver = DOP853(
+                rhs,
+                t,
+                y,
+                target,
+                max_step=cfg.max_step,
+                rtol=cfg.rel_tol,
+                atol=cfg.abs_tol,
+                first_step=None if h is None else min(h, target - t),
+            )
+            while solver.status == "running":
+                nfev = solver.nfev
+                message = solver.step()
+                if solver.status == "failed":
+                    raise FlowError(f"DOP853 failed at t = {solver.t:.6g}: {message}")
                 accepted += 1
-                if cfg.renormalize_Q:
-                    y *= math.sqrt(q0 / charge(y))
-                    k[0] = rhs(y)
-                else:
-                    k[0] = k[6]  # FSAL
+                # every attempt, accepted or not, costs n_stages (12) evaluations
+                rejected += (solver.nfev - nfev) // solver.n_stages - 1
                 if (
                     cfg.oracle_check_stride
                     and n_modes <= 48
                     and accepted % cfg.oracle_check_stride == 0
                 ):
-                    _oracle_check(y, cfg.oracle_check_tol)
-            else:
-                rejected += 1
-            factor = 0.9 * enorm ** (-0.2) if enorm > 0 else 5.0
-            h *= min(5.0, max(0.2, factor))
-        sample_times.append(target)
-        states.append(y.copy())
-        cons.append((energy_fast(y), charge(y), higher_charge(y)))
+                    _oracle_check(solver.y, cfg.oracle_check_tol)
+            t, y, h = target, solver.y, solver.h_abs
+            states.append(y)
 
-    cons_arr = np.array(cons)
+    cons = np.array([(energy_fast(s), charge(s), higher_charge(s)) for s in states])
     return TrajectoryRecord(
-        times=np.array(sample_times),
+        times=np.array([0.0] + targets),
         states=np.array(states),
-        H=cons_arr[:, 0],
-        Q=cons_arr[:, 1],
-        E=cons_arr[:, 2],
+        H=cons[:, 0],
+        Q=cons[:, 1],
+        E=cons[:, 2],
         accepted=accepted,
         rejected=rejected,
-        renormalized=cfg.renormalize_Q,
     )
 
 

@@ -17,43 +17,28 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["min_plus_one", "layered_pair_sums", "layer_prefix_sums"]
+__all__ = ["layered_pair_sums", "layer_prefix_sums"]
 
 
-def min_plus_one(n: int, j: int, k: int, m: int) -> int:
-    """Interaction coefficient of the resonant quartet (n, j, k, m).
-
-    Callers pass m = n + j - k; the resonance condition n + j = k + m is
-    checked with a debug assertion only.
-    """
-    assert n + j == k + m, "non-resonant quartet"
-    return min(n, j, k, m) + 1
-
-
-def layered_pair_sums(alpha: np.ndarray, max_layer: int | None = None) -> np.ndarray:
+def layered_pair_sums(alpha: np.ndarray) -> np.ndarray:
     """Table C[l, s] = sum_{k=l}^{s-l} alpha_k alpha_{s-k}.
 
     Parameters
     ----------
     alpha : complex array of length N (truncated mode vector)
-    max_layer : highest layer l to fill; defaults to N - 1.
 
     Returns
     -------
-    C : complex array of shape (max_layer + 1, 2N - 1); entries outside the
-        triangular index set s >= 2l are zero.
+    C : complex array of shape (N, 2N - 1); entries outside the triangular
+        index set s >= 2l are zero.
     """
     alpha = np.asarray(alpha, dtype=np.complex128)
     n = alpha.size
-    if max_layer is None:
-        max_layer = n - 1
-    if not 0 <= max_layer <= n - 1:
-        raise ValueError(f"max_layer must lie in [0, {n - 1}], got {max_layer}")
     width = 2 * n - 1
-    table = np.zeros((max_layer + 1, width), dtype=np.complex128)
+    table = np.zeros((n, width), dtype=np.complex128)
     table[0] = np.convolve(alpha, alpha)
     s = np.arange(width)
-    for l in range(max_layer):
+    for l in range(n - 1):
         row = table[l].copy()
         lo = 2 * (l + 1)
         # endpoint pair alpha_l alpha_{s-l}; alpha is zero above n - 1

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -40,6 +41,11 @@ __all__ = [
 ]
 
 
+def _check_delta(delta: float) -> None:
+    if not 0 <= delta < math.inf:
+        raise ValueError(f"delta must be nonnegative and finite, got {delta}")
+
+
 @dataclass
 class PerturbationSpec:
     """Seeded random perturbation with exact h^1 norm delta."""
@@ -50,8 +56,7 @@ class PerturbationSpec:
     zero_mode0: bool = False
 
     def __post_init__(self) -> None:
-        if self.delta < 0:
-            raise ValueError("delta must be nonnegative")
+        _check_delta(self.delta)
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -106,8 +111,14 @@ class ExperimentConfig:
             raise ValueError("truncation must be at least 8")
         if not 0.0 <= self.p0 < 1.0:
             raise ValueError("p0 must lie in [0, 1)")
-        if self.delta < 0:
-            raise ValueError("delta must be nonnegative")
+        _check_delta(self.delta)
+        if self.ensemble < 1:
+            raise ValueError(f"ensemble must be at least 1, got {self.ensemble}")
+        # member m draws from Philox key seed + m; keys are unsigned 128-bit
+        if not 0 <= self.seed <= 2**128 - self.ensemble:
+            raise ValueError(
+                f"seeds {self.seed}..{self.seed + self.ensemble - 1} must lie in [0, 2**128)"
+            )
 
 
 # ---------------------------------------------------------------- experiments
@@ -274,40 +285,40 @@ def run_drift_study(cfg: ExperimentConfig) -> dict:
 # ---------------------------------------------------------------- persistence
 
 
+def _write_columns(path: Path, columns: dict[str, np.ndarray]) -> None:
+    """CSV with one named column per series, 17 significant digits (round-trips)."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(columns)
+        for row in zip(*columns.values()):
+            writer.writerow([f"{value:.17g}" for value in row])
+
+
 def write_trajectory_csv(
     path: Path, traj: TrajectoryRecord, mode_subset: tuple[int, ...] = ()
 ) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        header = ["t", "H", "Q", "E"]
-        for n in mode_subset:
-            header += [f"re{n}", f"im{n}"]
-        writer.writerow(header)
-        for i, t in enumerate(traj.times):
-            row = [f"{t:.17g}", f"{traj.H[i]:.17g}", f"{traj.Q[i]:.17g}", f"{traj.E[i]:.17g}"]
-            for n in mode_subset:
-                z = traj.states[i][n]
-                row += [f"{z.real:.17g}", f"{z.imag:.17g}"]
-            writer.writerow(row)
+    columns = {"t": traj.times, "H": traj.H, "Q": traj.Q, "E": traj.E}
+    for n in mode_subset:
+        columns[f"re{n}"] = traj.states[:, n].real
+        columns[f"im{n}"] = traj.states[:, n].imag
+    _write_columns(path, columns)
 
 
 def write_track_csv(path: Path, track: modulation.ModulationTrack) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["t", "c", "p", "theta", "mu", "dist_h12", "dist_h1", "residual"])
-        for i, t in enumerate(track.times):
-            writer.writerow(
-                [
-                    f"{t:.17g}",
-                    f"{track.c[i]:.17g}",
-                    f"{track.p[i]:.17g}",
-                    f"{track.theta[i]:.17g}",
-                    f"{track.mu[i]:.17g}",
-                    f"{track.dist_h12[i]:.17g}",
-                    f"{track.dist_h1[i]:.17g}",
-                    f"{track.constraint_residual[i]:.17g}",
-                ]
-            )
+    _write_columns(
+        path,
+        {
+            "t": track.times,
+            "c": track.c,
+            "p": track.p,
+            "theta": track.theta,
+            "mu": track.mu,
+            "dist_h12": track.dist_h12,
+            "dist_h1": track.dist_h1,
+            "residual": track.constraint_residual,
+            "energy_budget_error": track.energy_budget_error,
+        },
+    )
 
 
 def _config_dict(cfg: ExperimentConfig) -> dict:
@@ -367,16 +378,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DEFAULTS = {
-    "n": 64,
-    "p0": 0.5,
-    "delta": 1e-3,
-    "seed": 12345,
-    "t_end": 10.0,
-    "out": None,
-    "rel_tol": 1e-10,
-    "ensemble": 32,
-}
+def _cli_defaults() -> dict:
+    """Option defaults, read off the config dataclasses."""
+    cfg = ExperimentConfig()
+    return {
+        "n": cfg.n_modes,
+        "p0": cfg.p0,
+        "delta": cfg.delta,
+        "seed": cfg.seed,
+        "t_end": cfg.integrator.t_end,
+        "out": None,
+        "rel_tol": cfg.integrator.rel_tol,
+        "ensemble": cfg.ensemble,
+    }
+
+
+_DEFAULTS = _cli_defaults()
 
 
 def _resolve_options(args: argparse.Namespace) -> dict:
@@ -386,12 +403,7 @@ def _resolve_options(args: argparse.Namespace) -> dict:
         for key, raw in file_values.items():
             if key not in values:
                 raise ValueError(f"unknown config key: {key}")
-            if key == "out":
-                values[key] = raw
-            elif key in ("n", "seed", "ensemble"):
-                values[key] = int(raw)
-            else:
-                values[key] = float(raw)
+            values[key] = raw if key == "out" else type(_DEFAULTS[key])(raw)
     for key in values:
         cli_val = getattr(args, key, None)
         if cli_val is not None:

@@ -8,8 +8,6 @@ that every fast-path bug shows up as a disagreement.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .kernel import layered_pair_sums
@@ -23,10 +21,6 @@ __all__ = [
     "functional_K",
     "hankel_identity_check",
 ]
-
-#: accumulate with math.fsum above this truncation (quartic sums amplify rounding)
-_COMPENSATED_N = 256
-
 
 def charge(alpha: np.ndarray) -> float:
     """Q(alpha) = sum (n+1) |alpha_n|^2."""
@@ -72,11 +66,7 @@ def energy_naive(alpha: np.ndarray, imag_tol: float = 1e-12) -> float:
 def energy_fast(alpha: np.ndarray) -> float:
     """Quartic energy via the layered representation H = sum_{l,s} |C_l(s)|^2."""
     alpha = np.asarray(alpha, dtype=np.complex128)
-    table = layered_pair_sums(alpha)
-    sq = np.abs(table) ** 2
-    if alpha.size > _COMPENSATED_N:
-        return math.fsum(sq.ravel())
-    return float(np.sum(sq))
+    return float(np.sum(np.abs(layered_pair_sums(alpha)) ** 2))
 
 
 def gap(alpha: np.ndarray) -> float:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conformalflow import flow
 from conformalflow.flow import (
     FlowError,
     IntegratorConfig,
@@ -62,10 +63,17 @@ def test_field_scaling_cubic():
 
 
 def test_integrator_config_validation():
-    with pytest.raises(ValueError):
-        IntegratorConfig(rel_tol=-1.0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(t_end=0.0)
+    for override in (
+        {"rel_tol": -1.0},
+        {"t_end": 0.0},
+        {"rel_tol": np.nan},
+        {"abs_tol": np.inf},
+        {"max_step": np.nan},
+        {"t_end": np.inf},
+        {"sample_dt": -np.inf},
+    ):
+        with pytest.raises(ValueError):
+            IntegratorConfig(**override)
 
 
 def test_integrate_rejects_nan_input():
@@ -105,20 +113,44 @@ def test_backward_integration_returns():
     np.testing.assert_allclose(back.states[-1], alpha0, atol=1e-9)
 
 
-def test_renormalize_Q_holds_charge_exactly():
-    alpha0 = random_state(23, 16)
-    cfg = IntegratorConfig(t_end=5.0, sample_dt=1.0, renormalize_Q=True)
-    traj = integrate(alpha0, cfg)
-    assert traj.renormalized
-    q0 = charge(alpha0)
-    assert np.max(np.abs(traj.Q - q0)) <= 1e-12 * q0
-
-
 def test_oracle_check_runs_inline():
     alpha0 = random_state(24, 12)
     cfg = IntegratorConfig(t_end=1.0, sample_dt=0.5, oracle_check_stride=5)
     traj = integrate(alpha0, cfg)  # raises FlowError on any fast/naive mismatch
     assert traj.accepted >= 5
+
+
+def test_oracle_check_catches_wrong_field(monkeypatch):
+    correct = flow.vector_field_fast
+    monkeypatch.setattr(flow, "vector_field_fast", lambda a: 1.001 * correct(a))
+    cfg = IntegratorConfig(t_end=1.0, sample_dt=0.5, oracle_check_stride=1)
+    with pytest.raises(FlowError, match="mismatch"):
+        integrate(0.3 * random_state(26, 12), cfg)
+
+
+def test_nan_mid_run_raises(monkeypatch):
+    correct = flow.vector_field_fast
+    calls = []
+
+    def poisoned(alpha):
+        calls.append(None)
+        return correct(alpha) * (np.nan if len(calls) > 40 else 1.0)
+
+    monkeypatch.setattr(flow, "vector_field_fast", poisoned)
+    with pytest.raises(FlowError, match="DOP853 failed"):
+        integrate(0.3 * random_state(27, 12), IntegratorConfig(t_end=2.0, sample_dt=0.5))
+
+
+def test_step_counts_are_exact(monkeypatch):
+    correct = flow.vector_field_fast
+    calls = []
+    monkeypatch.setattr(flow, "vector_field_fast", lambda a: calls.append(None) or correct(a))
+    cfg = IntegratorConfig(t_end=0.5, sample_dt=0.25, oracle_check_stride=None)
+    traj = integrate(random_state(29, 16), cfg)
+    assert traj.rejected > 0
+    # per interval: one evaluation at its start, 12 per attempted step; one
+    # more to choose the first step
+    assert len(calls) == 1 + 2 + 12 * (traj.accepted + traj.rejected)
 
 
 def test_samples_hit_t_end_exactly():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conformalflow.kernel import layer_prefix_sums, layered_pair_sums, min_plus_one
+from conformalflow.kernel import layer_prefix_sums, layered_pair_sums
 
 
 def pair_sums_oracle(alpha: np.ndarray) -> np.ndarray:
@@ -23,18 +23,6 @@ def pair_sums_oracle(alpha: np.ndarray) -> np.ndarray:
 def random_state(seed: int, n: int) -> np.ndarray:
     rng = np.random.Generator(np.random.Philox(key=seed))
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
-
-
-def test_min_plus_one_values():
-    assert min_plus_one(0, 0, 0, 0) == 1
-    assert min_plus_one(3, 5, 4, 4) == 4
-    assert min_plus_one(2, 7, 9, 0) == 1
-
-
-def test_min_plus_one_symmetry():
-    # S is invariant under n <-> j, k <-> m and (n,j) <-> (k,m)
-    assert min_plus_one(3, 6, 2, 7) == min_plus_one(6, 3, 7, 2)
-    assert min_plus_one(3, 6, 2, 7) == min_plus_one(2, 7, 3, 6)
 
 
 @pytest.mark.parametrize("seed,n", [(0, 1), (1, 2), (2, 5), (3, 12)])
@@ -56,15 +44,6 @@ def test_triangular_support():
     table = layered_pair_sums(random_state(11, 8))
     for l in range(table.shape[0]):
         assert np.all(table[l, : 2 * l] == 0.0)
-
-
-def test_max_layer_truncates_rows():
-    alpha = random_state(4, 10)
-    full = layered_pair_sums(alpha)
-    part = layered_pair_sums(alpha, max_layer=3)
-    np.testing.assert_array_equal(part, full[:4])
-    with pytest.raises(ValueError):
-        layered_pair_sums(alpha, max_layer=10)
 
 
 def test_prefix_sums_are_cumulative():

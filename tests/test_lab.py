@@ -48,6 +48,8 @@ def test_perturbation_validation():
     with pytest.raises(ValueError):
         PerturbationSpec(delta=-1.0)
     with pytest.raises(ValueError):
+        PerturbationSpec(delta=np.nan)
+    with pytest.raises(ValueError):
         generate_perturbation(PerturbationSpec(delta=1e-3, support_lo=5, support_hi=5), 0, 8)
 
 
@@ -62,6 +64,15 @@ def test_experiment_config_validation():
         ExperimentConfig(n_modes=4)
     with pytest.raises(ValueError):
         ExperimentConfig(p0=1.0)
+    for bad in (
+        {"delta": np.inf},
+        {"ensemble": 0},
+        {"seed": -1},
+        {"seed": 2**128 - 1, "ensemble": 2},  # member 1 would need key 2**128
+    ):
+        with pytest.raises(ValueError):
+            ExperimentConfig(**bad)
+    ExperimentConfig(seed=2**128 - 2, ensemble=2)  # the largest keys Philox takes
 
 
 def test_inequality_scan_bounds():
@@ -104,8 +115,11 @@ def test_trajectory_and_track_csv(tmp_path):
     tpath = tmp_path / "track.csv"
     write_track_csv(tpath, track)
     trows = list(csv.reader(tpath.open()))
+    assert trows[0][-1] == "energy_budget_error"
     assert len(trows) == 1 + track.times.size
     assert float(trows[1][2]) == pytest.approx(0.4, abs=1e-10)
+    budget = [float(row[-1]) for row in trows[1:]]
+    assert budget == track.energy_budget_error.tolist()  # 17 digits round-trip
 
 
 def test_cli_verify_identities_exit_zero(capsys):
@@ -115,8 +129,17 @@ def test_cli_verify_identities_exit_zero(capsys):
 
 
 def test_cli_validation_exit_two(capsys):
-    assert main(["simulate", "--p0", "1.5"]) == 2
-    assert main(["simulate", "--n", "4"]) == 2
+    for argv in (
+        ["simulate", "--p0", "1.5"],
+        ["simulate", "--n", "4"],
+        ["simulate", "--rel-tol", "nan"],
+        ["simulate", "--seed", "-1"],
+        ["simulate", "--delta", "nan"],
+        ["simulate", "--t-end", "inf"],
+        ["drift-study", "--ensemble", "0"],
+    ):
+        assert main(argv) == 2, argv
+        assert "invalid configuration" in capsys.readouterr().err, argv
 
 
 def test_cli_simulate_writes_outputs(tmp_path, capsys):
