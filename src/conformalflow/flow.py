@@ -5,10 +5,10 @@ The evolution equation is d alpha / dt = -i F(alpha) with
     [F(alpha)]_n = (1/(n+1)) sum_{j,k} S(n,j,k,n+j-k) conj(alpha_j) alpha_k alpha_{n+j-k}.
 
 ``vector_field_fast`` evaluates F in O(N^2) through the layered pair-sum
-table; ``vector_field_naive`` is the cubic oracle.  The integrator is scipy's
-DOP853 (Hairer-Norsett-Wanner, Solving ODEs I, II.10), stepped one sample
-interval at a time, so samples are step ends: exact integrator states, not
-dense-output interpolants.
+table; ``vector_field_naive`` is the cubic oracle.  The integrator is one
+scipy DOP853 solver per run (Hairer-Norsett-Wanner, Solving ODEs I, II.10)
+whose steps stop at every sample time, so samples are step ends: exact
+integrator states, not dense-output interpolants.
 """
 
 from __future__ import annotations
@@ -76,6 +76,10 @@ def vector_field_fast(alpha: np.ndarray) -> np.ndarray:
     return gathered @ np.conj(alpha) / weights
 
 
+#: most samples one run may record (t_end / sample_dt); each keeps a full state
+MAX_SAMPLES = 10**6
+
+
 @dataclass
 class IntegratorConfig:
     rel_tol: float = 1e-10
@@ -89,11 +93,20 @@ class IntegratorConfig:
     oracle_check_tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        for name in ("rel_tol", "abs_tol", "max_step", "t_end", "sample_dt"):
+        for name in ("rel_tol", "abs_tol", "max_step", "t_end", "sample_dt", "oracle_check_tol"):
             value = getattr(self, name)
-            # NaN fails both comparisons; a NaN tolerance would stall the step control
+            # NaN fails both comparisons; a NaN tolerance would stall the step
+            # control, and a NaN oracle tolerance would never fire
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
+        stride = self.oracle_check_stride
+        if stride is not None and not (isinstance(stride, (int, np.integer)) and stride >= 1):
+            raise ValueError(f"oracle_check_stride must be None or an integer >= 1, got {stride}")
+        # every sample state is kept, so the sample count bounds the memory
+        if round(self.t_end / self.sample_dt) > MAX_SAMPLES:
+            raise ValueError(
+                f"t_end / sample_dt = {self.t_end / self.sample_dt:.3g} samples; at most {MAX_SAMPLES}"
+            )
 
 
 @dataclass
@@ -139,21 +152,17 @@ def integrate(
         targets.append(cfg.t_end)
 
     states = [y]
-    t = 0.0
-    h = None  # DOP853 picks the first step; later intervals start from the last one
     accepted = rejected = 0
     with np.errstate(over="ignore", invalid="ignore"):
+        solver = DOP853(
+            rhs, 0.0, y, targets[0], max_step=cfg.max_step, rtol=cfg.rel_tol, atol=cfg.abs_tol
+        )
         for target in targets:
-            solver = DOP853(
-                rhs,
-                t,
-                y,
-                target,
-                max_step=cfg.max_step,
-                rtol=cfg.rel_tol,
-                atol=cfg.abs_tol,
-                first_step=None if h is None else min(h, target - t),
-            )
+            # one solver per run, moved to each sample through its documented
+            # t_bound and status attributes: a fresh solver would re-evaluate
+            # f(t_i, y_i), which its predecessor's last stage already holds
+            solver.t_bound = target
+            solver.status = "running"
             while solver.status == "running":
                 nfev = solver.nfev
                 message = solver.step()
@@ -168,8 +177,7 @@ def integrate(
                     and accepted % cfg.oracle_check_stride == 0
                 ):
                     _oracle_check(solver.y, cfg.oracle_check_tol)
-            t, y, h = target, solver.y, solver.h_abs
-            states.append(y)
+            states.append(solver.y)
 
     cons = np.array([(energy_fast(s), charge(s), higher_charge(s)) for s in states])
     return TrajectoryRecord(

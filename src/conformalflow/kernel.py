@@ -37,17 +37,12 @@ def layered_pair_sums(alpha: np.ndarray) -> np.ndarray:
     width = 2 * n - 1
     table = np.zeros((n, width), dtype=np.complex128)
     table[0] = np.convolve(alpha, alpha)
-    s = np.arange(width)
     for l in range(n - 1):
-        row = table[l].copy()
+        # row l + 1 starts at s = 2(l + 1); the table is zero below that
         lo = 2 * (l + 1)
-        # endpoint pair alpha_l alpha_{s-l}; alpha is zero above n - 1
-        hi = min(width - 1, n - 1 + l)
-        if hi >= lo:
-            sel = s[lo : hi + 1]
-            row[sel] -= 2.0 * alpha[l] * alpha[sel - l]
-        row[:lo] = 0.0
-        table[l + 1] = row
+        table[l + 1, lo:] = table[l, lo:]
+        # endpoint pair alpha_l alpha_{s-l}; alpha is zero above n - 1, so s <= n - 1 + l
+        table[l + 1, lo : n + l] -= 2.0 * alpha[l] * alpha[lo - l :]
     return table
 
 

@@ -216,12 +216,22 @@ def decompose(
     return frame
 
 
+def _coarse_scan(coeffs: np.ndarray) -> np.ndarray:
+    """|h(mu_k)| / (8N) on the grid mu_k = 2 pi k / (8N), k = 0 .. 8N - 1.
+
+    h(mu_k) = sum_n coeffs_n e^{2 pi i k n / (8N)} = 8N ifft(coeffs, 8N)[k]: one
+    zero-padded FFT, O(N log N).  The factor 8N does not move the argmax.
+    """
+    return np.abs(np.fft.ifft(coeffs, 8 * coeffs.size))
+
+
 def orbit_distance(alpha: np.ndarray, p: float, s: float) -> OrbitDistanceResult:
     """Gauge-minimized distance inf_{theta,mu} ||alpha - e^{i theta + i mu n} A(p)||_{h^s}.
 
     The cross term reduces the problem to maximizing |h(mu)| with h(mu) =
     sum (n+1)^{2s} conj(alpha_n) A_n(p) e^{i mu n}, a trigonometric polynomial
-    of degree < N: scan a uniform grid of 8N points, then refine locally.
+    of degree < N: scan a uniform grid of 8N points, which is one zero-padded
+    FFT, then refine locally.
     """
     alpha = np.asarray(alpha, dtype=np.complex128)
     n_modes = alpha.size
@@ -234,9 +244,7 @@ def orbit_distance(alpha: np.ndarray, p: float, s: float) -> OrbitDistanceResult
         return abs(np.sum(coeffs * np.exp(1j * mu * n)))
 
     grid = np.linspace(0.0, 2.0 * np.pi, 8 * n_modes, endpoint=False)
-    phases = np.exp(1j * np.outer(grid, n))
-    values = np.abs(phases @ coeffs)
-    best = int(np.argmax(values))
+    best = int(np.argmax(_coarse_scan(coeffs)))
     span = grid[1] - grid[0]
     refined = minimize_scalar(
         lambda mu: -h_abs(mu),

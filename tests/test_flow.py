@@ -71,9 +71,20 @@ def test_integrator_config_validation():
         {"max_step": np.nan},
         {"t_end": np.inf},
         {"sample_dt": -np.inf},
+        {"oracle_check_tol": np.nan},
+        {"oracle_check_tol": 0.0},
+        {"oracle_check_tol": np.inf},
+        {"oracle_check_stride": 0},
+        {"oracle_check_stride": -5},
+        {"oracle_check_stride": 2.5},
+        {"t_end": 1e9, "sample_dt": 0.5},
     ):
         with pytest.raises(ValueError):
             IntegratorConfig(**override)
+    # the edges that stay valid
+    IntegratorConfig(oracle_check_stride=None)
+    IntegratorConfig(oracle_check_stride=1)
+    IntegratorConfig(t_end=flow.MAX_SAMPLES * 0.5, sample_dt=0.5)
 
 
 def test_integrate_rejects_nan_input():
@@ -148,9 +159,9 @@ def test_step_counts_are_exact(monkeypatch):
     cfg = IntegratorConfig(t_end=0.5, sample_dt=0.25, oracle_check_stride=None)
     traj = integrate(random_state(29, 16), cfg)
     assert traj.rejected > 0
-    # per interval: one evaluation at its start, 12 per attempted step; one
-    # more to choose the first step
-    assert len(calls) == 1 + 2 + 12 * (traj.accepted + traj.rejected)
+    # one solver for the whole run: the initial field, one probe to choose the
+    # first step, then 12 per attempted step; no re-evaluation at sample times
+    assert len(calls) == 2 + 12 * (traj.accepted + traj.rejected)
 
 
 def test_samples_hit_t_end_exactly():

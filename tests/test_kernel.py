@@ -20,6 +20,25 @@ def pair_sums_oracle(alpha: np.ndarray) -> np.ndarray:
     return table
 
 
+def row_copy_build(alpha: np.ndarray) -> np.ndarray:
+    """The earlier table build: copy each row, update a fancy-indexed range, zero its head."""
+    n = alpha.size
+    width = 2 * n - 1
+    table = np.zeros((n, width), dtype=np.complex128)
+    table[0] = np.convolve(alpha, alpha)
+    s = np.arange(width)
+    for l in range(n - 1):
+        row = table[l].copy()
+        lo = 2 * (l + 1)
+        hi = min(width - 1, n - 1 + l)
+        if hi >= lo:
+            sel = s[lo : hi + 1]
+            row[sel] -= 2.0 * alpha[l] * alpha[sel - l]
+        row[:lo] = 0.0
+        table[l + 1] = row
+    return table
+
+
 def random_state(seed: int, n: int) -> np.ndarray:
     rng = np.random.Generator(np.random.Philox(key=seed))
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -32,6 +51,13 @@ def test_table_matches_oracle(seed, n):
     want = pair_sums_oracle(alpha)
     assert got.shape == want.shape == (n, 2 * n - 1)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * max(1.0, np.max(np.abs(want))))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 48, 512])
+def test_table_equals_row_copy_build(n):
+    # the slice build does the same arithmetic in the same order: bitwise equal
+    alpha = random_state(40 + n, n)
+    assert np.array_equal(layered_pair_sums(alpha), row_copy_build(alpha))
 
 
 def test_row_zero_is_self_convolution():

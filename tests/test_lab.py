@@ -136,6 +136,7 @@ def test_cli_validation_exit_two(capsys):
         ["simulate", "--seed", "-1"],
         ["simulate", "--delta", "nan"],
         ["simulate", "--t-end", "inf"],
+        ["simulate", "--t-end", "1e9"],
         ["drift-study", "--ensemble", "0"],
     ):
         assert main(argv) == 2, argv

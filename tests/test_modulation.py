@@ -6,6 +6,7 @@ import pytest
 from conformalflow.flow import IntegratorConfig, integrate
 from conformalflow.modulation import (
     NoConvergence,
+    _coarse_scan,
     decompose,
     decompose_p0,
     orbit_distance,
@@ -82,14 +83,31 @@ def test_decompose_rejects_far_state():
 
 
 def test_orbit_distance_zero_on_orbit():
-    n_modes = 96
     p = 0.45
-    alpha = gauge_apply(ground_amplitudes(p, n_modes), 1.1, 0.7)
-    for s in (0.5, 1.0):
-        result = orbit_distance(alpha, p, s)
-        assert result.distance <= 1e-10
-        assert result.theta == pytest.approx(1.1, abs=1e-6)
-        assert result.mu == pytest.approx(0.7, abs=1e-6)
+    for n_modes in (96, 512):
+        alpha = gauge_apply(ground_amplitudes(p, n_modes), 1.1, 0.7)
+        for s in (0.5, 1.0):
+            result = orbit_distance(alpha, p, s)
+            assert result.distance <= 1e-10
+            assert result.theta == pytest.approx(1.1, abs=1e-6)
+            assert result.mu == pytest.approx(0.7, abs=1e-6)
+
+
+@pytest.mark.parametrize("n_modes", [16, 48, 512])
+def test_coarse_scan_matches_dense_phase_matrix(n_modes):
+    # reference: h on the 8N-point grid from the dense 8N x N phase matrix
+    p = 0.45
+    alpha = gauge_apply(ground_amplitudes(p, n_modes), 0.3, 2.1)
+    alpha += perturbation(70 + n_modes, n_modes, 1e-2)
+    n = np.arange(n_modes)
+    grid = np.linspace(0.0, 2.0 * np.pi, 8 * n_modes, endpoint=False)
+    for s in (0.0, 0.5, 1.0):
+        coeffs = (n + 1.0) ** (2.0 * s) * np.conj(alpha) * ground_amplitudes(p, n_modes)
+        dense = np.abs(np.exp(1j * np.outer(grid, n)) @ coeffs)
+        scan = 8 * n_modes * _coarse_scan(coeffs)
+        assert scan.shape == dense.shape
+        assert np.max(np.abs(scan - dense)) <= 1e-12 * np.max(dense)
+        assert np.argmax(scan) == np.argmax(dense)
 
 
 def test_orbit_distance_matches_brute_force():
