@@ -2,8 +2,8 @@
 
 Modules
 -------
-kernel       layered pair-sum tables behind the fast energy and vector field
-state        states, gauges, ground-state family, serialization
+kernel       layer-cumulative pair-sum table behind the fast vector field and energy
+state        states, gauges, ground-state family
 observables  conserved quantities H, Q, E, the gap, the Hankel identity
 flow         vector field (naive and fast) and DOP853 integration
 linearized   operators L+-, spectra, stability, ladders, coercivity
@@ -20,7 +20,7 @@ from .flow import (
     vector_field_fast,
     vector_field_naive,
 )
-from .kernel import layer_prefix_sums, layered_pair_sums
+from .kernel import layer_cumulative_sums, weighted_field
 from .linearized import (
     OperatorPair,
     appendix_identities,
@@ -64,10 +64,6 @@ from .state import (
     ground_second_derivative,
     ground_tail_mass,
     make_reference,
-    mode_vector_from_csv,
-    mode_vector_from_json,
-    mode_vector_to_csv,
-    mode_vector_to_json,
     scaling_apply,
     weighted_norm,
 )

@@ -4,23 +4,23 @@ The evolution equation is d alpha / dt = -i F(alpha) with
 
     [F(alpha)]_n = (1/(n+1)) sum_{j,k} S(n,j,k,n+j-k) conj(alpha_j) alpha_k alpha_{n+j-k}.
 
-``vector_field_fast`` evaluates F in O(N^2) through the layered pair-sum
-table; ``vector_field_naive`` is the cubic oracle.  The integrator is one
-scipy DOP853 solver per run (Hairer-Norsett-Wanner, Solving ODEs I, II.10)
-whose steps stop at every sample time, so samples are step ends: exact
-integrator states, not dense-output interpolants.
+``vector_field_fast`` evaluates F in O(N^2): it divides
+``kernel.weighted_field``, the contraction of the layer-cumulative pair-sum
+table D, by n + 1.  ``vector_field_naive`` is the cubic oracle.  The
+integrator is one scipy DOP853 solver per run (Hairer-Norsett-Wanner,
+Solving ODEs I, II.10) whose steps stop at every sample time, so samples
+are step ends: exact integrator states, not dense-output interpolants.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import DOP853
 
-from .kernel import layer_prefix_sums, layered_pair_sums
+from .kernel import weighted_field
 from .observables import charge, energy_fast, higher_charge
 from .state import weighted_norm
 
@@ -56,24 +56,10 @@ def vector_field_naive(alpha: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=8)
-def _gather_indices(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
-    idx = np.arange(n_modes)
-    return np.minimum.outer(idx, idx), np.add.outer(idx, idx)
-
-
 def vector_field_fast(alpha: np.ndarray) -> np.ndarray:
-    """O(N^2) evaluation: (n+1) F_n = sum_j conj(alpha_j) D[min(n,j), n+j]
-
-    where D is the layer-cumulative pair-sum table.
-    """
+    """O(N^2) evaluation: F_n = weighted_field(alpha)_n / (n+1)."""
     alpha = np.asarray(alpha, dtype=np.complex128)
-    n_modes = alpha.size
-    prefix = layer_prefix_sums(layered_pair_sums(alpha))
-    layer_ix, degree_ix = _gather_indices(n_modes)
-    gathered = prefix[layer_ix, degree_ix]
-    weights = np.arange(1, n_modes + 1, dtype=np.float64)
-    return gathered @ np.conj(alpha) / weights
+    return weighted_field(alpha) / np.arange(1, alpha.size + 1, dtype=np.float64)
 
 
 #: most samples one run may record (t_end / sample_dt); each keeps a full state

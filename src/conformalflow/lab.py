@@ -436,7 +436,12 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         return _dispatch(cfg)
-    except (FlowError, modulation.NoConvergence, ArithmeticError) as exc:
+    except (
+        FlowError,
+        modulation.NoConvergence,
+        modulation.DegenerateJacobian,
+        ArithmeticError,
+    ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

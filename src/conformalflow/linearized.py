@@ -170,19 +170,17 @@ def stability_spectrum(ops: OperatorPair, tol: float = 1e-8) -> StabilityReport:
             (np.zeros(n_modes), ops.M * ground),  # local phase
             (dground, np.zeros(n_modes)),  # parameter direction
         ]
-        big = np.block(
-            [[np.zeros((n_modes, n_modes)), ops.Lminus], [-ops.Lplus, np.zeros((n_modes, n_modes))]]
-        )
+        # residuals under the generator (a, b) -> (L- b, -L+ a) of the linearized flow
         residuals = []
         for a_part, b_part in kernel_vecs:
+            image = np.concatenate([ops.Lminus @ b_part, -(ops.Lplus @ a_part)])
             vec = np.concatenate([a_part, b_part])
-            residuals.append(np.linalg.norm(big @ vec) / max(np.linalg.norm(vec), 1e-300))
+            residuals.append(np.linalg.norm(image) / max(np.linalg.norm(vec), 1e-300))
         kernel_residuals = np.array(residuals)
         zero_geometric = int(np.sum(kernel_residuals < 1e-7))
-        # Jordan partner of (0, A): big @ (-A/2, 0) = M (0, A)
-        partner = np.concatenate([-0.5 * ground, np.zeros(n_modes)])
-        target = np.concatenate([np.zeros(n_modes), ops.M * ground])
-        jres = np.linalg.norm(big @ partner - target) / np.linalg.norm(target)
+        # Jordan partner of (0, A): (-A/2, 0) -> (0, L+ A / 2) = M (0, A)
+        target = ops.M * ground
+        jres = np.linalg.norm(0.5 * (ops.Lplus @ ground) - target) / np.linalg.norm(target)
         if jres < 1e-7:
             jordan = 1
     return StabilityReport(omegas, vals, zero_geometric, jordan, unstable, kernel_residuals)
@@ -196,16 +194,14 @@ def commutators(ops: OperatorPair, inner: int) -> tuple[float, float]:
     """
     if inner > ops.n_modes // 2:
         raise ValueError("inner block must not exceed N/2")
+
+    def block(x: np.ndarray, y: np.ndarray) -> float:
+        # only the leading inner x inner block of [x, y] is formed
+        return float(np.max(np.abs(x[:inner] @ y[:, :inner] - y[:inner] @ x[:, :inner])))
+
     lp, lm = ops.Lplus, ops.Lminus
-    comm = lp @ lm - lm @ lp
     minv = 1.0 / ops.M
-    tlp = minv[:, None] * lp
-    tlm = minv[:, None] * lm
-    comm_tilde = tlp @ tlm - tlm @ tlp
-    return (
-        float(np.max(np.abs(comm[:inner, :inner]))),
-        float(np.max(np.abs(comm_tilde[:inner, :inner]))),
-    )
+    return block(lp, lm), block(minv[:, None] * lp, minv[:, None] * lm)
 
 
 def toeplitz_core(p: float, n_modes: int) -> np.ndarray:

@@ -2,15 +2,18 @@
 
 ``energy_naive`` is the trusted cubic-cost oracle taken straight from the
 quadruple-sum definition; ``energy_fast`` is the quadratic-cost production
-path built on the layered pair-sum table.  The two are kept independent so
-that every fast-path bug shows up as a disagreement.
+path.  H is homogeneous of degree 2 in conj(alpha), so by Euler's identity
+H = sum_n conj(alpha_n) (n+1) F_n: the fast energy is one inner product with
+``kernel.weighted_field``, the same contraction of the layer-cumulative
+pair-sum table that gives the vector field.  The two paths are kept
+independent so that every fast-path bug shows up as a disagreement.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .kernel import layered_pair_sums
+from .kernel import weighted_field
 
 __all__ = [
     "charge",
@@ -64,9 +67,9 @@ def energy_naive(alpha: np.ndarray, imag_tol: float = 1e-12) -> float:
 
 
 def energy_fast(alpha: np.ndarray) -> float:
-    """Quartic energy via the layered representation H = sum_{l,s} |C_l(s)|^2."""
+    """Quartic energy H = Re <alpha, weighted_field(alpha)> (Euler's identity)."""
     alpha = np.asarray(alpha, dtype=np.complex128)
-    return float(np.sum(np.abs(layered_pair_sums(alpha)) ** 2))
+    return float(np.vdot(alpha, weighted_field(alpha)).real)
 
 
 def gap(alpha: np.ndarray) -> float:

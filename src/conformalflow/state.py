@@ -6,9 +6,6 @@ truncation of an infinite sequence with ``alpha[n] = 0`` for ``n >= N``.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,10 +21,6 @@ __all__ = [
     "ground_derivative",
     "ground_second_derivative",
     "ground_tail_mass",
-    "mode_vector_to_csv",
-    "mode_vector_from_csv",
-    "mode_vector_to_json",
-    "mode_vector_from_json",
 ]
 
 
@@ -144,35 +137,3 @@ class SingleMode:
 def make_reference(kind: GroundState | SingleMode, n_modes: int) -> tuple[np.ndarray, float]:
     """Truncated amplitudes of a reference state and its discarded tail mass."""
     return kind.amplitudes(n_modes), kind.tail_mass(n_modes)
-
-
-# -- serialization: CSV columns (n, re, im) and JSON [[re, im], ...] ---------
-
-def mode_vector_to_csv(alpha: np.ndarray, stream: io.TextIOBase | None = None) -> str:
-    out = stream if stream is not None else io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["n", "re", "im"])
-    for n, z in enumerate(np.asarray(alpha, dtype=np.complex128)):
-        writer.writerow([n, format(z.real, ".17g"), format(z.imag, ".17g")])
-    return out.getvalue() if stream is None else ""
-
-
-def mode_vector_from_csv(text: str | io.TextIOBase) -> np.ndarray:
-    if isinstance(text, str):
-        text = io.StringIO(text)
-    rows = list(csv.reader(text))
-    body = rows[1:]  # header
-    alpha = np.zeros(len(body), dtype=np.complex128)
-    for n_str, re_str, im_str in body:
-        alpha[int(n_str)] = complex(float(re_str), float(im_str))
-    return alpha
-
-
-def mode_vector_to_json(alpha: np.ndarray) -> str:
-    pairs = [[z.real, z.imag] for z in np.asarray(alpha, dtype=np.complex128)]
-    return json.dumps(pairs)
-
-
-def mode_vector_from_json(text: str) -> np.ndarray:
-    pairs = json.loads(text)
-    return np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)

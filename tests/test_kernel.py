@@ -1,11 +1,14 @@
-"""Layered pair-sum table against the brute-force definition."""
+"""Layer-cumulative pair-sum table against the brute-force definitions and the
+earlier formulation (layered table C, then a cumsum and a gather)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conformalflow.kernel import layer_prefix_sums, layered_pair_sums
+from conformalflow.flow import vector_field_fast
+from conformalflow.kernel import layer_cumulative_sums
+from conformalflow.observables import energy_fast
 
 
 def pair_sums_oracle(alpha: np.ndarray) -> np.ndarray:
@@ -20,8 +23,20 @@ def pair_sums_oracle(alpha: np.ndarray) -> np.ndarray:
     return table
 
 
+def cumulative_oracle(alpha: np.ndarray) -> np.ndarray:
+    """D[a, s] = sum_k (min(a, k, s-k) + 1) alpha_k alpha_{s-k} for s >= 2a, term by term;
+    zero below s = 2a."""
+    n = alpha.size
+    table = np.zeros((n, 2 * n - 1), dtype=np.complex128)
+    for a in range(n):
+        for s in range(2 * a, 2 * n - 1):
+            for k in range(max(0, s - n + 1), min(s, n - 1) + 1):
+                table[a, s] += (min(a, k, s - k) + 1) * alpha[k] * alpha[s - k]
+    return table
+
+
 def row_copy_build(alpha: np.ndarray) -> np.ndarray:
-    """The earlier table build: copy each row, update a fancy-indexed range, zero its head."""
+    """The earlier layered table C: copy each row, update a fancy-indexed range, zero its head."""
     n = alpha.size
     width = 2 * n - 1
     table = np.zeros((n, width), dtype=np.complex128)
@@ -47,41 +62,67 @@ def random_state(seed: int, n: int) -> np.ndarray:
 @pytest.mark.parametrize("seed,n", [(0, 1), (1, 2), (2, 5), (3, 12)])
 def test_table_matches_oracle(seed, n):
     alpha = random_state(seed, n)
-    got = layered_pair_sums(alpha)
-    want = pair_sums_oracle(alpha)
+    got = layer_cumulative_sums(alpha)
+    want = cumulative_oracle(alpha)
     assert got.shape == want.shape == (n, 2 * n - 1)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * max(1.0, np.max(np.abs(want))))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 48, 512])
 def test_table_equals_row_copy_build(n):
-    # the slice build does the same arithmetic in the same order: bitwise equal
+    # the layer walk adds the same rows in the same order as a cumsum of C
     alpha = random_state(40 + n, n)
-    assert np.array_equal(layered_pair_sums(alpha), row_copy_build(alpha))
+    read = np.arange(2 * n - 1)[None, :] >= 2 * np.arange(n)[:, None]  # s >= 2a
+    reference = np.cumsum(row_copy_build(alpha), axis=0)
+    assert np.array_equal(layer_cumulative_sums(alpha)[read], reference[read])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 48, 512])
+def test_field_equals_prefix_gather(n):
+    # the earlier vector field: cumsum of C, gather D[min(n,j), n+j], contract
+    alpha = random_state(60 + n, n)
+    idx = np.arange(n)
+    prefix = np.cumsum(row_copy_build(alpha), axis=0)
+    gathered = prefix[np.minimum.outer(idx, idx), np.add.outer(idx, idx)]
+    want = gathered @ np.conj(alpha) / np.arange(1, n + 1, dtype=np.float64)
+    assert np.array_equal(vector_field_fast(alpha), want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 48, 512])
+def test_energy_matches_layer_square_sum(n):
+    # Euler's identity against the earlier H = sum_{l,s} |C_l(s)|^2
+    alpha = random_state(80 + n, n)
+    want = float(np.sum(np.abs(row_copy_build(alpha)) ** 2))
+    assert energy_fast(alpha) == pytest.approx(want, rel=1e-13, abs=0)
 
 
 def test_row_zero_is_self_convolution():
     alpha = random_state(7, 9)
-    table = layered_pair_sums(alpha)
+    table = layer_cumulative_sums(alpha)
     np.testing.assert_allclose(table[0], np.convolve(alpha, alpha), rtol=1e-14)
 
 
 def test_triangular_support():
-    table = layered_pair_sums(random_state(11, 8))
-    for l in range(table.shape[0]):
-        assert np.all(table[l, : 2 * l] == 0.0)
+    table = layer_cumulative_sums(random_state(11, 8))
+    for a in range(table.shape[0]):
+        assert np.all(table[a, : 2 * a] == 0.0)
 
 
 def test_prefix_sums_are_cumulative():
-    table = layered_pair_sums(random_state(5, 7))
-    prefix = layer_prefix_sums(table)
-    np.testing.assert_allclose(prefix[3], table[:4].sum(axis=0), rtol=1e-14)
+    # consecutive rows differ by one layer C_a on the entries s >= 2a
+    alpha = random_state(5, 7)
+    table = layer_cumulative_sums(alpha)
+    layers = pair_sums_oracle(alpha)
+    for a in range(1, alpha.size):
+        np.testing.assert_allclose(
+            table[a, 2 * a :] - table[a - 1, 2 * a :], layers[a, 2 * a :], rtol=0, atol=1e-13
+        )
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=1, max_value=10), st.integers(min_value=0, max_value=2**31))
 def test_table_oracle_property(n, seed):
     alpha = random_state(seed, n)
-    got = layered_pair_sums(alpha)
-    want = pair_sums_oracle(alpha)
+    got = layer_cumulative_sums(alpha)
+    want = cumulative_oracle(alpha)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * max(1.0, np.max(np.abs(want))))

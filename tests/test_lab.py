@@ -143,6 +143,13 @@ def test_cli_validation_exit_two(capsys):
         assert "invalid configuration" in capsys.readouterr().err, argv
 
 
+def test_cli_numerical_failure_exit_three(capsys):
+    # a large perturbation of A(0.021) lets p drift to 0.017, where the
+    # mu-direction of the root map degenerates (DegenerateJacobian)
+    assert main(["decompose", "--n", "32", "--p0", "0.021", "--delta", "0.3", "--seed", "1"]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
 def test_cli_simulate_writes_outputs(tmp_path, capsys):
     code = main(
         ["simulate", "--n", "24", "--p0", "0.3", "--delta", "1e-4", "--t-end", "1", "--out", str(tmp_path)]

@@ -1,9 +1,7 @@
-"""Reference states, gauge actions, closed-form derivatives, serialization."""
+"""Reference states, gauge actions, closed-form derivatives."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conformalflow.state import (
     GroundState,
@@ -14,10 +12,6 @@ from conformalflow.state import (
     ground_second_derivative,
     ground_tail_mass,
     make_reference,
-    mode_vector_from_csv,
-    mode_vector_from_json,
-    mode_vector_to_csv,
-    mode_vector_to_json,
     scaling_apply,
     weighted_norm,
 )
@@ -126,33 +120,3 @@ def test_reference_dataclasses():
         SingleMode(-1)
     with pytest.raises(ValueError):
         SingleMode(5).amplitudes(4)
-
-
-def test_csv_roundtrip_exact():
-    rng = np.random.Generator(np.random.Philox(key=9))
-    alpha = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-    back = mode_vector_from_csv(mode_vector_to_csv(alpha))
-    np.testing.assert_array_equal(back, alpha)  # 17 significant digits round-trip
-
-
-def test_json_roundtrip_exact():
-    rng = np.random.Generator(np.random.Philox(key=10))
-    alpha = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-    back = mode_vector_from_json(mode_vector_to_json(alpha))
-    np.testing.assert_array_equal(back, alpha)
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    st.lists(
-        st.tuples(
-            st.floats(-1e6, 1e6, allow_nan=False), st.floats(-1e6, 1e6, allow_nan=False)
-        ),
-        min_size=1,
-        max_size=20,
-    )
-)
-def test_serialization_roundtrip_property(pairs):
-    alpha = np.array([complex(re, im) for re, im in pairs])
-    np.testing.assert_array_equal(mode_vector_from_csv(mode_vector_to_csv(alpha)), alpha)
-    np.testing.assert_array_equal(mode_vector_from_json(mode_vector_to_json(alpha)), alpha)
