@@ -5,7 +5,7 @@ Modules
 kernel       layer-cumulative pair-sum table behind the fast vector field and energy
 state        states, gauges, ground-state family
 observables  conserved quantities H, Q, E, the gap, the Hankel identity
-flow         vector field (naive and fast) and DOP853 integration
+flow         vector field (naive and fast), co-rotating DOP853 integration
 linearized   operators L+-, spectra, stability, ladders, coercivity
 modulation   four-parameter decomposition and orbit-distance tracking
 lab          seeded experiments, persistence, and the CLI entry point

@@ -6,10 +6,20 @@ The evolution equation is d alpha / dt = -i F(alpha) with
 
 ``vector_field_fast`` evaluates F in O(N^2): it divides
 ``kernel.weighted_field``, the contraction of the layer-cumulative pair-sum
-table D, by n + 1.  ``vector_field_naive`` is the cubic oracle.  The
-integrator is one scipy DOP853 solver per run (Hairer-Norsett-Wanner,
-Solving ODEs I, II.10) whose steps stop at every sample time, so samples
-are step ends: exact integrator states, not dense-output interpolants.
+table D, by n + 1.  ``vector_field_naive`` is the cubic oracle.
+
+``integrate`` runs one scipy DOP853 solver (Hairer-Norsett-Wanner, Solving
+ODEs I, II.10) straight to t_end in the co-rotating frame
+beta = exp(i lambda t) alpha, lambda = H(alpha_0)/Q(alpha_0), where
+
+    d beta / dt = -i (F(beta) - lambda beta)
+
+by the gauge covariance F(exp(i theta) alpha) = exp(i theta) F(alpha).  A
+standing wave of frequency lambda, such as the normalised ground state A(p)
+with lambda = 1, is a fixed point there, so the steps follow only the motion
+off the orbit.  Samples inside a step come from the solver's dense output, a
+sample on a step end is the step's state, and each is mapped back exactly by
+alpha = exp(-i lambda t) beta.
 """
 
 from __future__ import annotations
@@ -104,6 +114,9 @@ class TrajectoryRecord:
     E: np.ndarray
     accepted: int = 0
     rejected: int = 0
+    rhs_evals: int = 0  # field evaluations of the solver, dense output included
+    h_min: float = math.nan  # smallest and largest accepted step
+    h_max: float = math.nan
 
     def max_relative_drift(self) -> dict[str, float]:
         out = {}
@@ -112,6 +125,16 @@ class TrajectoryRecord:
             scale = max(abs(ref), 1e-300)
             out[name] = float(np.max(np.abs(series - ref)) / scale)
         return out
+
+    def telemetry(self) -> dict[str, float]:
+        """Step and evaluation counters of the run, for summaries and metadata."""
+        return {
+            "accepted": self.accepted,
+            "rejected": self.rejected,
+            "rhs_evals": self.rhs_evals,
+            "h_min": self.h_min,
+            "h_max": self.h_max,
+        }
 
 
 def integrate(
@@ -128,52 +151,66 @@ def integrate(
         raise FlowError("initial state contains NaN/Inf")
     n_modes = y.size
     sign = 1.0 if not backward else -1.0
+    energy0, charge0 = energy_fast(y), charge(y)
+    # the zero state has no frequency; any lambda leaves it fixed
+    lam = energy0 / charge0 if charge0 > 0 else 0.0
 
-    def rhs(t: float, state: np.ndarray) -> np.ndarray:
-        return sign * (-1j) * vector_field_fast(state)
+    def rhs(t: float, beta: np.ndarray) -> np.ndarray:
+        return sign * (-1j) * (vector_field_fast(beta) - lam * beta)
 
     n_samples = int(round(cfg.t_end / cfg.sample_dt))
-    targets = [min((i + 1) * cfg.sample_dt, cfg.t_end) for i in range(n_samples)]
-    if not targets or targets[-1] < cfg.t_end:
-        targets.append(cfg.t_end)
+    times = [0.0] + [min((i + 1) * cfg.sample_dt, cfg.t_end) for i in range(n_samples)]
+    if times[-1] < cfg.t_end:
+        times.append(cfg.t_end)
 
     states = [y]
+    nxt = 1  # index of the next sample time
     accepted = rejected = 0
+    h_min, h_max = math.inf, 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         solver = DOP853(
-            rhs, 0.0, y, targets[0], max_step=cfg.max_step, rtol=cfg.rel_tol, atol=cfg.abs_tol
+            rhs, 0.0, y, cfg.t_end, max_step=cfg.max_step, rtol=cfg.rel_tol, atol=cfg.abs_tol
         )
-        for target in targets:
-            # one solver per run, moved to each sample through its documented
-            # t_bound and status attributes: a fresh solver would re-evaluate
-            # f(t_i, y_i), which its predecessor's last stage already holds
-            solver.t_bound = target
-            solver.status = "running"
-            while solver.status == "running":
-                nfev = solver.nfev
-                message = solver.step()
-                if solver.status == "failed":
-                    raise FlowError(f"DOP853 failed at t = {solver.t:.6g}: {message}")
-                accepted += 1
-                # every attempt, accepted or not, costs n_stages (12) evaluations
-                rejected += (solver.nfev - nfev) // solver.n_stages - 1
-                if (
-                    cfg.oracle_check_stride
-                    and n_modes <= 48
-                    and accepted % cfg.oracle_check_stride == 0
-                ):
-                    _oracle_check(solver.y, cfg.oracle_check_tol)
-            states.append(solver.y)
+        while solver.status == "running":
+            nfev = solver.nfev
+            message = solver.step()
+            if solver.status == "failed":
+                raise FlowError(f"DOP853 failed at t = {solver.t:.6g}: {message}")
+            accepted += 1
+            # every attempt, accepted or not, costs n_stages (12) evaluations
+            rejected += (solver.nfev - nfev) // solver.n_stages - 1
+            h = float(solver.step_size)
+            h_min, h_max = min(h_min, h), max(h_max, h)
+            if cfg.oracle_check_stride and n_modes <= 48 and accepted % cfg.oracle_check_stride == 0:
+                _oracle_check(solver.y, cfg.oracle_check_tol)
+            t = solver.t
+            if times[nxt] < t:
+                # the interpolant costs 3 more evaluations; build it only when needed
+                dense = solver.dense_output()
+                while times[nxt] < t:
+                    states.append(dense(times[nxt]))
+                    nxt += 1
+            if times[nxt] == t:
+                states.append(solver.y)
+                nxt += 1
 
-    cons = np.array([(energy_fast(s), charge(s), higher_charge(s)) for s in states])
+    times = np.array(times)
+    states = np.array(states) * np.exp(-1j * sign * lam * times)[:, None]
+    cons = np.array(
+        [(energy0, charge0, higher_charge(y))]
+        + [(energy_fast(s), charge(s), higher_charge(s)) for s in states[1:]]
+    )
     return TrajectoryRecord(
-        times=np.array([0.0] + targets),
-        states=np.array(states),
+        times=times,
+        states=states,
         H=cons[:, 0],
         Q=cons[:, 1],
         E=cons[:, 2],
         accepted=accepted,
         rejected=rejected,
+        rhs_evals=solver.nfev,
+        h_min=h_min,
+        h_max=h_max,
     )
 
 

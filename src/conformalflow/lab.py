@@ -225,6 +225,12 @@ class DriftRunSummary:
     theorem_ratio: float = np.nan  # sup dist_h1 / (delta + (p0 - p)^{1/2})
     max_energy_budget_error: float = np.nan
     error: str = ""
+    # integrator counters, from TrajectoryRecord.telemetry()
+    accepted: int = 0
+    rejected: int = 0
+    rhs_evals: int = 0
+    h_min: float = np.nan
+    h_max: float = np.nan
 
 
 def run_drift_study(cfg: ExperimentConfig) -> dict:
@@ -257,6 +263,7 @@ def run_drift_study(cfg: ExperimentConfig) -> dict:
             max_p_drop=float(np.max(drop)),
             theorem_ratio=float(np.max(track.dist_h1 / denom)),
             max_energy_budget_error=float(np.max(np.abs(track.energy_budget_error))),
+            **traj.telemetry(),
         )
         runs.append(summary)
         if out_dir is not None:
@@ -458,6 +465,7 @@ def _dispatch(cfg: ExperimentConfig) -> int:
         drift = traj.max_relative_drift()
         print(
             f"t_end={traj.times[-1]:g} accepted={traj.accepted} rejected={traj.rejected} "
+            f"rhs_evals={traj.rhs_evals} h_min={traj.h_min:.3e} h_max={traj.h_max:.3e} "
             f"drift H={drift['H']:.3e} Q={drift['Q']:.3e} E={drift['E']:.3e}"
         )
         if out_dir is not None:
@@ -465,7 +473,11 @@ def _dispatch(cfg: ExperimentConfig) -> int:
             write_metadata(
                 out_dir / "metadata.json",
                 cfg,
-                {"wall_time_s": time.perf_counter() - wall, "drift": drift},
+                {
+                    "wall_time_s": time.perf_counter() - wall,
+                    "drift": drift,
+                    "telemetry": traj.telemetry(),
+                },
             )
     elif cfg.kind == "spectrum":
         report = run_spectrum_suite(n_modes=max(cfg.n_modes, 128))

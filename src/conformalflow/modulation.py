@@ -287,7 +287,6 @@ class ModulationTrack:
     dist_h1: np.ndarray
     constraint_residual: np.ndarray
     energy_budget_error: np.ndarray  # E-expansion identity residual per sample
-    frames: list[ModulationFrame]
 
 
 def track_modulation(traj: TrajectoryRecord, p_init: float) -> ModulationTrack:
@@ -299,7 +298,6 @@ def track_modulation(traj: TrajectoryRecord, p_init: float) -> ModulationTrack:
         c^2 (1+p^2)/(1-p^2) + ||Ma||^2 + ||Mb||^2 - E(alpha(0)).
     """
     e_ref = higher_charge(traj.states[0])
-    frames: list[ModulationFrame] = []
     cols = {k: [] for k in ("c", "p", "theta", "mu", "d12", "d1", "res", "ebud")}
     prev: ModulationFrame | None = None
     for idx, state in enumerate(traj.states):
@@ -309,7 +307,6 @@ def track_modulation(traj: TrajectoryRecord, p_init: float) -> ModulationTrack:
             raise NoConvergence(
                 f"modulation tracking failed at sample {idx} (t = {traj.times[idx]:.6g}): {exc}"
             ) from exc
-        frames.append(frame)
         prev = frame
         m_diag = np.arange(1, state.size + 1, dtype=np.float64)
         e_model = (
@@ -335,5 +332,4 @@ def track_modulation(traj: TrajectoryRecord, p_init: float) -> ModulationTrack:
         dist_h1=np.array(cols["d1"]),
         constraint_residual=np.array(cols["res"]),
         energy_budget_error=np.array(cols["ebud"]),
-        frames=frames,
     )

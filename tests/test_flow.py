@@ -1,7 +1,11 @@
 """Vector field oracle agreement and integrator behavior."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conformalflow import flow
 from conformalflow.flow import (
@@ -55,6 +59,23 @@ def test_field_gauge_equivariance():
     np.testing.assert_allclose(vector_field_fast(rotated), want, rtol=1e-11)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=64),
+    st.integers(min_value=0, max_value=2**31),
+    st.floats(min_value=-np.pi, max_value=np.pi),
+    st.floats(min_value=-np.pi, max_value=np.pi),
+)
+def test_field_gauge_covariance_property(n, seed, theta, mu):
+    # F(e^{i theta + i mu n} alpha) = e^{i theta + i mu n} F(alpha): the
+    # co-rotating frame and the inline oracle both rest on it
+    alpha = random_state(seed, n)
+    phase = np.exp(1j * (theta + mu * np.arange(n)))
+    got = vector_field_fast(phase * alpha)
+    want = phase * vector_field_fast(alpha)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
 def test_field_scaling_cubic():
     alpha = random_state(10, 12)
     np.testing.assert_allclose(
@@ -102,6 +123,15 @@ def test_single_mode_phase_rotation():
     for t, state in zip(traj.times, traj.states):
         want = np.exp(-1j * 1.44 * t) * alpha0
         np.testing.assert_allclose(state, want, atol=1e-9)
+
+
+def test_zero_state_stays_zero():
+    # Q = 0 gives lambda = 0, not 0/0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate(np.zeros(8), IntegratorConfig())
+    assert not np.any(traj.states)
+    assert traj.times.size == 101
 
 
 def test_conservation_short_run():
@@ -154,14 +184,26 @@ def test_nan_mid_run_raises(monkeypatch):
 
 def test_step_counts_are_exact(monkeypatch):
     correct = flow.vector_field_fast
-    calls = []
+    calls, dense_steps = [], []
     monkeypatch.setattr(flow, "vector_field_fast", lambda a: calls.append(None) or correct(a))
+
+    class CountingDOP853(flow.DOP853):
+        def dense_output(self):
+            dense_steps.append(self.t)
+            return super().dense_output()
+
+    monkeypatch.setattr(flow, "DOP853", CountingDOP853)
     cfg = IntegratorConfig(t_end=0.5, sample_dt=0.25, oracle_check_stride=None)
     traj = integrate(random_state(29, 16), cfg)
     assert traj.rejected > 0
+    # t = 0.25 falls strictly inside one step; t = 0.5 is the last step end
+    assert len(dense_steps) == 1
     # one solver for the whole run: the initial field, one probe to choose the
-    # first step, then 12 per attempted step; no re-evaluation at sample times
-    assert len(calls) == 2 + 12 * (traj.accepted + traj.rejected)
+    # first step, 12 per attempted step, and DOP853's 3 extra dense-output
+    # stages once per step that interpolates a sample
+    assert len(calls) == 2 + 12 * (traj.accepted + traj.rejected) + 3 * len(dense_steps)
+    assert traj.rhs_evals == len(calls)
+    assert 0 < traj.h_min <= traj.h_max <= cfg.max_step
 
 
 def test_samples_hit_t_end_exactly():

@@ -99,6 +99,9 @@ def test_drift_study_small_ensemble(tmp_path):
     assert (tmp_path / "track_11.csv").exists()
     payload = json.loads((tmp_path / "summary.json").read_text())
     assert payload["config"]["seed"] == 11
+    for run in payload["runs"]:
+        assert run["accepted"] > 0 and run["rhs_evals"] > 12 * run["accepted"]
+        assert 0 < run["h_min"] <= run["h_max"] <= 1.0
 
 
 def test_trajectory_and_track_csv(tmp_path):
@@ -159,6 +162,12 @@ def test_cli_simulate_writes_outputs(tmp_path, capsys):
     meta = json.loads((tmp_path / "metadata.json").read_text())
     assert meta["config"]["n_modes"] == 24
     assert meta["drift"]["Q"] <= 1e-8
+    telemetry = meta["telemetry"]
+    assert telemetry["rhs_evals"] > 12 * telemetry["accepted"] > 0
+    assert 0 < telemetry["h_min"] <= telemetry["h_max"]
+    summary = capsys.readouterr().out
+    assert f"rhs_evals={telemetry['rhs_evals']} " in summary
+    assert f"h_max={telemetry['h_max']:.3e} " in summary
 
 
 def test_cli_decompose(capsys):
