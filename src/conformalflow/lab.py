@@ -29,6 +29,7 @@ from .state import GroundState, ground_amplitudes, weighted_norm
 
 __all__ = [
     "ExperimentConfig",
+    "MAX_MODES",
     "PerturbationSpec",
     "generate_perturbation",
     "random_state",
@@ -95,6 +96,11 @@ def random_state(seed: int, n_modes: int, q_normalize: float | None = None) -> n
     return alpha
 
 
+#: largest truncation N a run may ask for; at N = 4096 the N x (2N-1) complex
+#: pair-sum table takes 0.5 GiB and each dense N x N operator 0.13 GiB
+MAX_MODES = 4096
+
+
 @dataclass
 class ExperimentConfig:
     kind: str = "simulate"
@@ -107,8 +113,8 @@ class ExperimentConfig:
     out_dir: Path | None = None
 
     def __post_init__(self) -> None:
-        if self.n_modes < 8:
-            raise ValueError("truncation must be at least 8")
+        if not 8 <= self.n_modes <= MAX_MODES:
+            raise ValueError(f"truncation must lie in 8..{MAX_MODES}, got {self.n_modes}")
         if not 0.0 <= self.p0 < 1.0:
             raise ValueError("p0 must lie in [0, 1)")
         _check_delta(self.delta)
@@ -156,8 +162,8 @@ def run_spectrum_suite(
     report: dict = {"ground": {}, "single_mode": {}, "identities": {}}
     for p in p_grid:
         ops = linearized.build_ground_ops(p, n_modes)
-        top_minus = linearized.spectrum(ops, "minus").eigenvalues[:12]
-        top_plus = linearized.spectrum(ops, "plus").eigenvalues[:12]
+        top_minus = linearized.spectrum(ops, "minus", count=12).eigenvalues
+        top_plus = linearized.spectrum(ops, "plus", count=12).eigenvalues
         lam_star = 2.0 * (1.0 + p * p) / (1.0 - p * p)
         expect_minus = np.array([0.0, 0.0] + [-m for m in range(1, 11)])
         expect_plus = np.array([lam_star, 0.0] + [-m for m in range(1, 11)])

@@ -13,6 +13,12 @@ dense truncations and verifies the exactly-known spectra, the shift-operator
 ladder that locates the negative eigenvalues at the negative integers, the
 commutation relations, coercivity on the symplectically orthogonal subspace,
 and the closed-form summation identities these facts rest on.
+
+Operator builds evaluate the powers p^0 .. p^{2N} once and index that table:
+raising p element-wise over the N x N exponent grids gives bitwise the same
+entries at several times the cost, most of it in underflowing powers.
+``spectrum`` can solve for the top ``count`` eigenpairs only, which is all the
+spectrum suite reports.
 """
 
 from __future__ import annotations
@@ -93,8 +99,9 @@ def build_ground_ops(p: float, n_modes: int, tail_tol: float = 1e-10) -> Operato
             stacklevel=2,
         )
     n = np.arange(n_modes)
-    toeplitz = 2.0 * p ** np.abs(np.subtract.outer(n, n))
-    pn = p**n
+    powers = _powers(p, n_modes)
+    toeplitz = 2.0 * powers[np.abs(np.subtract.outer(n, n))]
+    pn = powers[:n_modes]
     rank_one = 2.0 * p * p * np.outer(pn, pn)
     weighted = (1.0 - p * p) ** 2 * np.outer((n + 1.0) * pn, (n + 1.0) * pn)
     diag = np.diag(n + 1.0)
@@ -119,10 +126,21 @@ def build_single_mode_ops(mode: int, c: float, n_modes: int) -> OperatorPair:
     return OperatorPair(scale * lplus, scale * lminus, n + 1.0, SingleMode(mode, c))
 
 
-def spectrum(ops: OperatorPair, which: str) -> SpectralReport:
-    """Full symmetric eigendecomposition of L+ or L- with residual contract."""
+def spectrum(ops: OperatorPair, which: str, count: int | None = None) -> SpectralReport:
+    """Symmetric eigendecomposition of L+ or L- with residual contract.
+
+    With ``count`` given, only the ``count`` largest eigenpairs are computed;
+    the residual contract, its scale max |eigenvalue| and ``zero_modes`` then
+    refer to the computed eigenvalues only.  ``count=None`` solves for all N.
+    """
     mat = _pick(ops, which)
-    vals, vecs = scipy.linalg.eigh(mat)
+    n_modes = ops.n_modes
+    if count is None:
+        vals, vecs = scipy.linalg.eigh(mat)
+    elif 1 <= count <= n_modes:
+        vals, vecs = scipy.linalg.eigh(mat, subset_by_index=[n_modes - count, n_modes - 1])
+    else:
+        raise ValueError(f"count must lie in 1..{n_modes}, got {count}")
     order = np.argsort(vals)[::-1]
     vals, vecs = vals[order], vecs[:, order]
     op_norm = float(np.max(np.abs(vals))) if vals.size else 0.0
@@ -208,7 +226,13 @@ def toeplitz_core(p: float, n_modes: int) -> np.ndarray:
     """T(p) with entries p^{|n-j|} - p^{n+j+2}; on the constrained subspace
     B+- = 2T and the negative spectrum of L+- equals that of 2T - M."""
     n = np.arange(n_modes)
-    return p ** np.abs(np.subtract.outer(n, n)) - p ** (np.add.outer(n, n) + 2.0)
+    powers = _powers(p, n_modes)
+    return powers[np.abs(np.subtract.outer(n, n))] - powers[np.add.outer(n, n) + 2]
+
+
+def _powers(p: float, n_modes: int) -> np.ndarray:
+    """p^e for e = 0 .. 2N, every exponent the N x N operators use."""
+    return p ** np.arange(2 * n_modes + 1.0)
 
 
 def _first_ladder_vector(p: float, n_modes: int) -> np.ndarray:
@@ -358,74 +382,64 @@ def appendix_identities(p: float, n_max: int, tail_eps: float = 1e-22) -> dict[s
 
     Infinite tails are summed until the geometric term drops below tail_eps.
     Keys: geometric_sum, geometric_weighted, kernel_row_le, kernel_row_ge,
-    kernel_total, folded_sum, folded_weighted.
+    kernel_total, folded_sum, folded_weighted.  kernel_total is the largest
+    absolute error of an exact integer identity, so it must be 0.
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
     kmax = max(200, int(np.ceil(np.log(tail_eps) / np.log(p))) + 2 * n_max + 4)
-    errs: dict[str, float] = {}
+    # every exponent below is at most n_max + 2 kmax
+    powers = p ** np.arange(2.0 * kmax + n_max + 1)
+    q = p * p
+    n = np.arange(n_max + 1)
+    col = n[:, None]
 
-    def rel(err: float, scale: float) -> float:
-        return err / max(abs(scale), 1e-300)
+    def rel(err: np.ndarray, scale: np.ndarray) -> np.ndarray:
+        return err / np.maximum(np.abs(scale), 1e-300)
 
-    worst = {k: 0.0 for k in (
-        "geometric_sum",
-        "geometric_weighted",
-        "kernel_row_le",
-        "kernel_row_ge",
-        "kernel_total",
-        "folded_sum",
-        "folded_weighted",
-    )}
-    for n in range(n_max + 1):
-        k = np.arange(n + 1)
-        direct = float(np.sum(p ** (2 * k)))
-        closed = (1.0 - p ** (2 * n + 2)) / (1.0 - p * p)
-        worst["geometric_sum"] = max(worst["geometric_sum"], rel(abs(direct - closed), closed))
+    # finite geometric sums over k = 0..n are the partial sums in n
+    even = powers[2 * n]
+    closed = (1.0 - powers[2 * n + 2]) / (1.0 - q)
+    geometric_sum = rel(np.abs(np.cumsum(even) - closed), closed)
+    closed = q * (1.0 - (n + 1) * even + n * powers[2 * n + 2]) / (1.0 - q) ** 2
+    geometric_weighted = rel(np.abs(np.cumsum(n * even) - closed), np.maximum(closed, 1.0))
 
-        direct = float(np.sum(k * p ** (2 * k)))
-        closed = p * p * (1.0 - (n + 1) * p ** (2 * n) + n * p ** (2 * n + 2)) / (1.0 - p * p) ** 2
-        worst["geometric_weighted"] = max(
-            worst["geometric_weighted"], rel(abs(direct - closed), max(closed, 1.0))
-        )
+    # folded sums over k = 1..kmax-1, one row per n
+    k = np.arange(1, kmax)
+    terms = powers[k + np.abs(col - k)]
+    closed = (q + n * (1.0 - q)) / (1.0 - q) * powers[n]
+    folded_sum = rel(np.abs(terms.sum(axis=1) - closed), closed)
+    closed = (2 * q + n * (1.0 - p**4) + n * n * (1.0 - q) ** 2) / (2.0 * (1.0 - q) ** 2) * powers[n]
+    folded_weighted = rel(np.abs((k * terms).sum(axis=1) - closed), closed)
 
-        kk = np.arange(1, kmax)
-        direct = float(np.sum(p ** (kk + np.abs(n - kk))))
-        closed = (p * p + n * (1.0 - p * p)) / (1.0 - p * p) * p**n
-        worst["folded_sum"] = max(worst["folded_sum"], rel(abs(direct - closed), closed))
+    # kernel rows sum_k S p^{n+2k-j} with S = min(n, j, k, n+k-j) + 1 over
+    # k >= max(0, j-n); one pass per n = m over the (j, k) grid
+    j = col
+    k = np.arange(kmax)
+    k_int = np.arange(2 * n_max + 1)
+    kernel_rel = np.empty((n_max + 1, n_max + 1))  # [m, j]
+    total_err = np.empty(n_max + 1, dtype=np.int64)
+    for m in range(n_max + 1):
+        before = k < j - m  # below the range of row j > m
+        coeff = np.where(before, 0.0, np.minimum(np.minimum(m, j), np.minimum(k, m + k - j)) + 1.0)
+        direct = np.sum(coeff * powers[np.where(before, 0, m + 2 * k - j)], axis=1)
+        closed = (powers[np.abs(m - n)] - powers[2 + n + m]) / (1.0 - q) ** 2  # j = 0..n_max
+        kernel_rel[m] = rel(np.abs(direct - closed), closed)
+        # exact integer identity for j >= m: sum_{k=0}^{m+j} S = (1+j)(1+m)
+        rows = j[m:]
+        coeff_int = np.minimum(np.minimum(m, rows), np.minimum(k_int, m + rows - k_int)) + 1
+        totals = np.sum(np.where(k_int <= m + rows, coeff_int, 0), axis=1)
+        total_err[m] = np.max(np.abs(totals - (1 + n[m:]) * (1 + m)))
 
-        direct = float(np.sum(kk * p ** (kk + np.abs(n - kk))))
-        closed = (
-            (2 * p * p + n * (1.0 - p**4) + n * n * (1.0 - p * p) ** 2)
-            / (2.0 * (1.0 - p * p) ** 2)
-            * p**n
-        )
-        worst["folded_weighted"] = max(worst["folded_weighted"], rel(abs(direct - closed), closed))
-
-    for n in range(n_max + 1):
-        for j in range(n_max + 1):
-            if j <= n:
-                kk = np.arange(0, kmax)
-                coeff = np.minimum(np.minimum(n, j), np.minimum(kk, n + kk - j)) + 1.0
-                direct = float(np.sum(coeff * p ** (n + 2 * kk - j).astype(float)))
-                closed = (p ** (n - j) - p ** (2 + j + n)) / (1.0 - p * p) ** 2
-                worst["kernel_row_le"] = max(worst["kernel_row_le"], rel(abs(direct - closed), closed))
-            if j >= n:
-                kk = np.arange(j - n, kmax)
-                coeff = np.minimum(np.minimum(n, j), np.minimum(kk, n + kk - j)) + 1.0
-                direct = float(np.sum(coeff * p ** (n + 2 * kk - j).astype(float)))
-                closed = (p ** (j - n) - p ** (2 + j + n)) / (1.0 - p * p) ** 2
-                worst["kernel_row_ge"] = max(worst["kernel_row_ge"], rel(abs(direct - closed), closed))
-                # exact integer identity: sum_k S = (1+j)(1+n)
-                kk = np.arange(0, n + j + 1)
-                coeff = np.minimum(np.minimum(n, j), np.minimum(kk, n + j - kk)) + 1
-                direct_int = int(np.sum(coeff))
-                closed_int = (1 + j) * (1 + n)
-                worst["kernel_total"] = max(
-                    worst["kernel_total"], float(abs(direct_int - closed_int))
-                )
-    errs.update(worst)
-    return errs
+    return {
+        "geometric_sum": float(np.max(geometric_sum)),
+        "geometric_weighted": float(np.max(geometric_weighted)),
+        "kernel_row_le": float(np.max(kernel_rel[np.tril_indices(n_max + 1)])),
+        "kernel_row_ge": float(np.max(kernel_rel[np.triu_indices(n_max + 1)])),
+        "kernel_total": float(np.max(total_err)),
+        "folded_sum": float(np.max(folded_sum)),
+        "folded_weighted": float(np.max(folded_weighted)),
+    }
 
 
 def mode_energy_relation(p: float, n_modes: int | None = None) -> dict[str, float]:

@@ -11,6 +11,7 @@ import pytest
 
 from conformalflow.flow import IntegratorConfig, integrate
 from conformalflow.lab import (
+    MAX_MODES,
     ExperimentConfig,
     PerturbationSpec,
     generate_perturbation,
@@ -62,6 +63,9 @@ def test_random_state_q_normalization():
 def test_experiment_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(n_modes=4)
+    with pytest.raises(ValueError):
+        ExperimentConfig(n_modes=MAX_MODES + 1)
+    ExperimentConfig(n_modes=MAX_MODES)  # the largest truncation a run takes
     with pytest.raises(ValueError):
         ExperimentConfig(p0=1.0)
     for bad in (
@@ -141,9 +145,14 @@ def test_cli_validation_exit_two(capsys):
         ["simulate", "--t-end", "inf"],
         ["simulate", "--t-end", "1e9"],
         ["drift-study", "--ensemble", "0"],
+        # N x N operators and the N x (2N-1) kernel table would need 75 and 298 GiB
+        ["spectrum", "--n", "100000"],
+        ["simulate", "--n", "100000"],
     ):
         assert main(argv) == 2, argv
-        assert "invalid configuration" in capsys.readouterr().err, argv
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err, argv
+        assert err.count("\n") == 1, argv
 
 
 def test_cli_numerical_failure_exit_three(capsys):

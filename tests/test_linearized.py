@@ -96,6 +96,25 @@ def test_ground_spectra_integer_ladder(p):
     np.testing.assert_allclose(plus, [lam, 0] + [-m for m in range(1, 11)], atol=1e-6)
 
 
+@pytest.mark.parametrize("n_modes", [16, 128, 512])
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.6])
+def test_spectrum_subset_matches_full_solve(p, n_modes):
+    # the top-count solve returns the leading count of the full solve
+    ops = build_ground_ops(p, n_modes, tail_tol=1.0)
+    for which in ("plus", "minus"):
+        full = spectrum(ops, which).eigenvalues
+        scale = max(float(np.max(np.abs(full))), 1.0)
+        for count in (1, 12, n_modes):
+            top = spectrum(ops, which, count)
+            assert top.eigenvalues.shape == top.residuals.shape == (count,)
+            assert top.eigenvectors.shape == (n_modes, count)
+            np.testing.assert_allclose(top.eigenvalues, full[:count], rtol=0, atol=1e-12 * scale)
+            assert np.max(top.residuals) <= 1e-10 * scale
+        for count in (0, n_modes + 1):
+            with pytest.raises(ValueError):
+                spectrum(ops, which, count)
+
+
 def test_spectrum_rejects_bad_selector():
     ops = build_ground_ops(0.2, 16, tail_tol=1.0)
     with pytest.raises(ValueError):
@@ -192,6 +211,23 @@ def test_commutators_vanish_on_inner_block():
         commutators(ops, 100)
 
 
+@pytest.mark.parametrize("n_modes", [8, 128, 512])
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.6, 0.95])
+def test_power_table_is_bitwise_elementwise_power(p, n_modes):
+    # reference: p raised element-wise over the N x N exponent grids
+    n = np.arange(n_modes)
+    toeplitz = p ** np.abs(np.subtract.outer(n, n))
+    hankel = p ** (np.add.outer(n, n) + 2.0)
+    pn = p**n
+    rank_one = 2.0 * p * p * np.outer(pn, pn)
+    weighted = (1.0 - p * p) ** 2 * np.outer((n + 1.0) * pn, (n + 1.0) * pn)
+    diag = np.diag(n + 1.0)
+    ops = build_ground_ops(p, n_modes, tail_tol=1.0)
+    assert np.array_equal(ops.Lplus, 2.0 * toeplitz - rank_one + weighted - diag)
+    assert np.array_equal(ops.Lminus, 2.0 * toeplitz - rank_one - weighted - diag)
+    assert np.array_equal(toeplitz_core(p, n_modes), toeplitz - hankel)
+
+
 def test_toeplitz_core_entries():
     t_mat = toeplitz_core(0.5, 6)
     assert t_mat[2, 4] == pytest.approx(0.5**2 - 0.5**8)
@@ -269,6 +305,79 @@ def test_appendix_identities(p):
     report = appendix_identities(p, 50)
     assert max(report.values()) <= 1e-12
     assert report["kernel_total"] == 0.0  # exact integer identity
+
+
+def _appendix_identities_loop(p, n_max, tail_eps=1e-22):
+    """Reference: every direct sum formed term by term, one (n, j) pair at a time."""
+    kmax = max(200, int(np.ceil(np.log(tail_eps) / np.log(p))) + 2 * n_max + 4)
+
+    def rel(err, scale):
+        return err / max(abs(scale), 1e-300)
+
+    worst = dict.fromkeys(
+        (
+            "geometric_sum",
+            "geometric_weighted",
+            "kernel_row_le",
+            "kernel_row_ge",
+            "kernel_total",
+            "folded_sum",
+            "folded_weighted",
+        ),
+        0.0,
+    )
+    for n in range(n_max + 1):
+        k = np.arange(n + 1)
+        direct = float(np.sum(p ** (2 * k)))
+        closed = (1.0 - p ** (2 * n + 2)) / (1.0 - p * p)
+        worst["geometric_sum"] = max(worst["geometric_sum"], rel(abs(direct - closed), closed))
+        direct = float(np.sum(k * p ** (2 * k)))
+        closed = p * p * (1.0 - (n + 1) * p ** (2 * n) + n * p ** (2 * n + 2)) / (1.0 - p * p) ** 2
+        worst["geometric_weighted"] = max(
+            worst["geometric_weighted"], rel(abs(direct - closed), max(closed, 1.0))
+        )
+        kk = np.arange(1, kmax)
+        direct = float(np.sum(p ** (kk + np.abs(n - kk))))
+        closed = (p * p + n * (1.0 - p * p)) / (1.0 - p * p) * p**n
+        worst["folded_sum"] = max(worst["folded_sum"], rel(abs(direct - closed), closed))
+        direct = float(np.sum(kk * p ** (kk + np.abs(n - kk))))
+        closed = (
+            (2 * p * p + n * (1.0 - p**4) + n * n * (1.0 - p * p) ** 2)
+            / (2.0 * (1.0 - p * p) ** 2)
+            * p**n
+        )
+        worst["folded_weighted"] = max(worst["folded_weighted"], rel(abs(direct - closed), closed))
+    for n in range(n_max + 1):
+        for j in range(n_max + 1):
+            if j <= n:
+                kk = np.arange(0, kmax)
+                coeff = np.minimum(np.minimum(n, j), np.minimum(kk, n + kk - j)) + 1.0
+                direct = float(np.sum(coeff * p ** (n + 2 * kk - j).astype(float)))
+                closed = (p ** (n - j) - p ** (2 + j + n)) / (1.0 - p * p) ** 2
+                worst["kernel_row_le"] = max(worst["kernel_row_le"], rel(abs(direct - closed), closed))
+            if j >= n:
+                kk = np.arange(j - n, kmax)
+                coeff = np.minimum(np.minimum(n, j), np.minimum(kk, n + kk - j)) + 1.0
+                direct = float(np.sum(coeff * p ** (n + 2 * kk - j).astype(float)))
+                closed = (p ** (j - n) - p ** (2 + j + n)) / (1.0 - p * p) ** 2
+                worst["kernel_row_ge"] = max(worst["kernel_row_ge"], rel(abs(direct - closed), closed))
+                kk = np.arange(0, n + j + 1)
+                coeff = np.minimum(np.minimum(n, j), np.minimum(kk, n + j - kk)) + 1
+                worst["kernel_total"] = max(
+                    worst["kernel_total"], float(abs(int(np.sum(coeff)) - (1 + j) * (1 + n)))
+                )
+    return worst
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 50])
+@pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.7, 0.9])
+def test_appendix_identities_match_reference_loop(p, n_max):
+    report = appendix_identities(p, n_max)
+    want = _appendix_identities_loop(p, n_max)
+    assert list(report) == list(want)
+    for key, value in want.items():
+        assert abs(report[key] - value) <= 1e-15, key
+    assert report["kernel_total"] == 0.0
 
 
 def test_mode_energy_relation():
