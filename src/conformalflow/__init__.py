@@ -3,12 +3,16 @@
 Modules
 -------
 kernel       layer-cumulative pair-sum table behind the fast vector field and energy
-state        states, gauges, ground-state family
+state        states, the gauge action, ground-state family
 observables  conserved quantities H, Q, E, the gap, the Hankel identity
 flow         vector field (naive and fast), co-rotating DOP853 integration
 linearized   operators L+-, spectra, stability, ladders, coercivity
 modulation   four-parameter decomposition and orbit-distance tracking
 lab          seeded experiments, persistence, and the CLI entry point
+
+A run chooses its settings through ``IntegratorConfig`` and
+``ExperimentConfig``; every other numerical constant (tolerances, step
+bound, iteration caps, seeds) is an upper-case module-level name.
 """
 
 from .flow import (
@@ -16,7 +20,6 @@ from .flow import (
     IntegratorConfig,
     TrajectoryRecord,
     integrate,
-    linearized_rhs,
     vector_field_fast,
     vector_field_naive,
 )
@@ -62,9 +65,6 @@ from .state import (
     ground_amplitudes,
     ground_derivative,
     ground_second_derivative,
-    ground_tail_mass,
-    make_reference,
-    scaling_apply,
     weighted_norm,
 )
 

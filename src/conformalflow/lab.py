@@ -25,7 +25,7 @@ import numpy as np
 from . import linearized, modulation
 from .flow import FlowError, IntegratorConfig, TrajectoryRecord, integrate
 from .observables import charge, energy_fast, gap
-from .state import GroundState, ground_amplitudes, weighted_norm
+from .state import ground_amplitudes, weighted_norm
 
 __all__ = [
     "ExperimentConfig",
@@ -237,6 +237,8 @@ class DriftRunSummary:
     rhs_evals: int = 0
     h_min: float = np.nan
     h_max: float = np.nan
+    oracle_checks: int = 0
+    oracle_max_rel_err: float = np.nan
 
 
 def run_drift_study(cfg: ExperimentConfig) -> dict:
@@ -472,6 +474,7 @@ def _dispatch(cfg: ExperimentConfig) -> int:
         print(
             f"t_end={traj.times[-1]:g} accepted={traj.accepted} rejected={traj.rejected} "
             f"rhs_evals={traj.rhs_evals} h_min={traj.h_min:.3e} h_max={traj.h_max:.3e} "
+            f"oracle_checks={traj.oracle_checks} oracle_max_rel_err={traj.oracle_max_rel_err:.3e} "
             f"drift H={drift['H']:.3e} Q={drift['Q']:.3e} E={drift['E']:.3e}"
         )
         if out_dir is not None:

@@ -52,6 +52,18 @@ __all__ = [
     "mode_energy_relation",
 ]
 
+#: build_ground_ops warns when the truncation tail p^{N/2} exceeds this
+TAIL_TOL = 1e-10
+#: eigenvalues of P below this times max |eigenvalue| count as zero
+STABILITY_TOL = 1e-8
+#: Philox key of ladder_check's random test vector
+LADDER_SEED = 0
+#: appendix_identities sums each infinite tail until its terms drop below this
+TAIL_EPS = 1e-22
+#: most tail terms appendix_identities may sum: it holds (n_max + 1) x kmax
+#: temporaries, a 16 MiB peak at n_max = 50 and kmax near this bound (p = 0.995)
+MAX_TAIL_TERMS = 10_000
+
 
 @dataclass
 class OperatorPair:
@@ -87,15 +99,15 @@ class StabilityReport:
     kernel_residuals: np.ndarray = field(default_factory=lambda: np.array([]))
 
 
-def build_ground_ops(p: float, n_modes: int, tail_tol: float = 1e-10) -> OperatorPair:
-    """L+-(p) truncated to n_modes; warns when p^{N/2} exceeds tail_tol."""
+def build_ground_ops(p: float, n_modes: int) -> OperatorPair:
+    """L+-(p) truncated to n_modes; warns when p^{N/2} exceeds TAIL_TOL."""
     if not 0.0 <= p < 1.0:
         raise ValueError("p must lie in [0, 1)")
-    if p > 0.0 and p ** (n_modes / 2) > tail_tol:
+    if p > 0.0 and p ** (n_modes / 2) > TAIL_TOL:
         import warnings
 
         warnings.warn(
-            f"truncation tail p^(N/2) = {p ** (n_modes / 2):.2e} exceeds {tail_tol:.1e}",
+            f"truncation tail p^(N/2) = {p ** (n_modes / 2):.2e} exceeds {TAIL_TOL:.1e}",
             stacklevel=2,
         )
     n = np.arange(n_modes)
@@ -159,7 +171,7 @@ def _pick(ops: OperatorPair, which: str) -> np.ndarray:
     raise ValueError("which must be 'plus' or 'minus'")
 
 
-def stability_spectrum(ops: OperatorPair, tol: float = 1e-8) -> StabilityReport:
+def stability_spectrum(ops: OperatorPair) -> StabilityReport:
     """Frequencies of the linearized flow from P = M^-1 L- M^-1 L+.
 
     Eigenvalues of P are Omega^2 = -Lambda^2; a negative real part or a
@@ -171,8 +183,9 @@ def stability_spectrum(ops: OperatorPair, tol: float = 1e-8) -> StabilityReport:
     compose = (minv[:, None] * ops.Lminus) @ (minv[:, None] * ops.Lplus)
     vals = np.linalg.eigvals(compose)
     scale = max(float(np.max(np.abs(vals))), 1.0)
-    unstable = bool(np.any(vals.real < -tol * scale) or np.any(np.abs(vals.imag) > tol * scale))
-    nonzero = vals[np.abs(vals) > tol * scale]
+    tol = STABILITY_TOL * scale
+    unstable = bool(np.any(vals.real < -tol) or np.any(np.abs(vals.imag) > tol))
+    nonzero = vals[np.abs(vals) > tol]
     omegas = np.sort(np.sqrt(np.clip(nonzero.real, 0.0, None)))
 
     zero_geometric = 0
@@ -261,7 +274,7 @@ class LadderReport:
     eigen_residuals: np.ndarray  # ||(2T - M) v_m + m v_m|| / ||v_m||, m = 1..m_max
 
 
-def ladder_check(p: float, n_modes: int, m_max: int = 10, seed: int = 0) -> LadderReport:
+def ladder_check(p: float, n_modes: int, m_max: int = 10) -> LadderReport:
     """Verify the creation/annihilation structure of 2T(p) - M.
 
     On vectors orthogonal to {A(p), M A(p)} the shift S and left-shift S*
@@ -273,7 +286,7 @@ def ladder_check(p: float, n_modes: int, m_max: int = 10, seed: int = 0) -> Ladd
     ground = ground_amplitudes(p, n_modes)
     weighted = np.arange(1, n_modes + 1) * ground
 
-    rng = np.random.default_rng(np.random.Philox(key=seed))
+    rng = np.random.default_rng(np.random.Philox(key=LADDER_SEED))
     half = n_modes // 2
     a = np.zeros(n_modes)
     a[:half] = rng.standard_normal(half)
@@ -377,17 +390,21 @@ def coercivity(ops: OperatorPair) -> tuple[float, float]:
     return out[0], out[1]
 
 
-def appendix_identities(p: float, n_max: int, tail_eps: float = 1e-22) -> dict[str, float]:
+def appendix_identities(p: float, n_max: int) -> dict[str, float]:
     """Max relative error of each closed-form summation identity vs direct sums.
 
-    Infinite tails are summed until the geometric term drops below tail_eps.
+    Infinite tails are summed until the geometric term drops below TAIL_EPS;
+    a p so close to 1 that this takes more than MAX_TAIL_TERMS terms raises
+    ``ValueError``.
     Keys: geometric_sum, geometric_weighted, kernel_row_le, kernel_row_ge,
     kernel_total, folded_sum, folded_weighted.  kernel_total is the largest
     absolute error of an exact integer identity, so it must be 0.
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
-    kmax = max(200, int(np.ceil(np.log(tail_eps) / np.log(p))) + 2 * n_max + 4)
+    kmax = max(200, int(np.ceil(np.log(TAIL_EPS) / np.log(p))) + 2 * n_max + 4)
+    if kmax > MAX_TAIL_TERMS:
+        raise ValueError(f"tails of {kmax} terms at p = {p}; at most {MAX_TAIL_TERMS}")
     # every exponent below is at most n_max + 2 kmax
     powers = p ** np.arange(2.0 * kmax + n_max + 1)
     q = p * p
@@ -442,7 +459,7 @@ def appendix_identities(p: float, n_max: int, tail_eps: float = 1e-22) -> dict[s
     }
 
 
-def mode_energy_relation(p: float, n_modes: int | None = None) -> dict[str, float]:
+def mode_energy_relation(p: float) -> dict[str, float]:
     """<MA'(p), A(p)> (must vanish) and the closed form of <MA'(p), MA(p)>.
 
     The inner product equals 2p / (1-p^2)^2, which is half the p-derivative
@@ -452,8 +469,8 @@ def mode_energy_relation(p: float, n_modes: int | None = None) -> dict[str, floa
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
-    if n_modes is None:
-        n_modes = max(64, int(np.ceil(np.log(1e-16) / np.log(p))) + 8)
+    # enough modes that the truncated sums are exact to double precision
+    n_modes = max(64, int(np.ceil(np.log(1e-16) / np.log(p))) + 8)
     m_diag = np.arange(1, n_modes + 1, dtype=np.float64)
     n = np.arange(n_modes, dtype=np.float64)
     ground = ground_amplitudes(p, n_modes)

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .flow import TrajectoryRecord
 from .observables import higher_charge
@@ -41,10 +40,16 @@ __all__ = [
     "track_modulation",
 ]
 
-#: default neighborhood radius within which the decomposition is attempted
+#: neighborhood radius |c - 1| <= DELTA0 within which a decomposition is accepted
 DELTA0 = 0.1
 #: below this p the four-parameter Jacobian degenerates; fall back to p = 0 form
 P_DEGENERATE = 0.02
+#: decompose stops when the scaled root-map residual drops below NEWTON_TOL
+NEWTON_TOL = 1e-13
+NEWTON_MAX_ITER = 60
+#: orbit_distance's safeguarded Newton refinement stops after this many steps;
+#: 2 suffice on trajectory states, bisecting the grid cell to 1e-15 takes 50
+REFINE_MAX_ITER = 60
 
 
 class NoConvergence(RuntimeError):
@@ -95,7 +100,7 @@ class OrbitDistanceResult:
     s: float
 
 
-def decompose_p0(alpha: np.ndarray, delta0: float = DELTA0) -> ModulationFrame:
+def decompose_p0(alpha: np.ndarray) -> ModulationFrame:
     """Two-parameter decomposition alpha = e^{i theta}(c A(0) + a + i b).
 
     The constraints <MA(0), a> = <MA(0), b> = 0 reduce to a_0 = b_0 = 0, so
@@ -104,7 +109,7 @@ def decompose_p0(alpha: np.ndarray, delta0: float = DELTA0) -> ModulationFrame:
     """
     alpha = np.asarray(alpha, dtype=np.complex128)
     c = float(np.abs(alpha[0]))
-    if c < 1.0 - delta0 or c > 1.0 + delta0:
+    if c < 1.0 - DELTA0 or c > 1.0 + DELTA0:
         raise NoConvergence(f"state too far from the p = 0 orbit: |alpha_0| = {c:.4g}")
     theta = float(np.angle(alpha[0]))
     rotated = np.exp(-1j * theta) * alpha
@@ -157,9 +162,6 @@ def decompose(
     alpha: np.ndarray,
     p_init: float,
     seed_frame: ModulationFrame | None = None,
-    delta0: float = DELTA0,
-    tol: float = 1e-13,
-    max_iter: int = 60,
 ) -> ModulationFrame:
     """Four-parameter decomposition by Newton iteration on the root map.
 
@@ -168,7 +170,7 @@ def decompose(
     """
     alpha = np.asarray(alpha, dtype=np.complex128)
     if p_init < P_DEGENERATE:
-        return decompose_p0(alpha, delta0=delta0)
+        return decompose_p0(alpha)
     if seed_frame is not None:
         x = np.array([seed_frame.c, seed_frame.p, seed_frame.theta, seed_frame.mu])
     else:
@@ -177,11 +179,11 @@ def decompose(
 
     scale = max(weighted_norm(alpha, 0.5), 1.0)
     history: list[float] = []
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         f_vec, jac, rotated = _root_map_and_jacobian(x, alpha)
         res = float(np.linalg.norm(f_vec)) / scale
         history.append(res)
-        if res < tol:
+        if res < NEWTON_TOL:
             break
         if x[1] < P_DEGENERATE:
             raise DegenerateJacobian(
@@ -198,12 +200,12 @@ def decompose(
             )
     else:
         raise NoConvergence(
-            f"no convergence after {max_iter} iterations (residual {history[-1]:.3e})",
+            f"no convergence after {NEWTON_MAX_ITER} iterations (residual {history[-1]:.3e})",
             history,
         )
 
     c, p, theta, mu = x
-    if abs(c - 1.0) > delta0:
+    if abs(c - 1.0) > DELTA0:
         raise NoConvergence(
             f"converged outside the orbit neighborhood: c = {c:.4g}", history
         )
@@ -228,10 +230,11 @@ def _coarse_scan(coeffs: np.ndarray) -> np.ndarray:
 def orbit_distance(alpha: np.ndarray, p: float, s: float) -> OrbitDistanceResult:
     """Gauge-minimized distance inf_{theta,mu} ||alpha - e^{i theta + i mu n} A(p)||_{h^s}.
 
-    The cross term reduces the problem to maximizing |h(mu)| with h(mu) =
+    The cross term reduces the problem to maximizing g = |h|^2 with h(mu) =
     sum (n+1)^{2s} conj(alpha_n) A_n(p) e^{i mu n}, a trigonometric polynomial
     of degree < N: scan a uniform grid of 8N points, which is one zero-padded
-    FFT, then refine locally.
+    FFT, then refine by Newton on g'(mu) = 0 from the grid maximum, kept in
+    the grid cell around it by bisection.
     """
     alpha = np.asarray(alpha, dtype=np.complex128)
     n_modes = alpha.size
@@ -240,40 +243,38 @@ def orbit_distance(alpha: np.ndarray, p: float, s: float) -> OrbitDistanceResult
     ground = ground_amplitudes(p, n_modes)
     coeffs = weights * np.conj(alpha) * ground
 
-    def h_abs(mu: float) -> float:
-        return abs(np.sum(coeffs * np.exp(1j * mu * n)))
-
-    grid = np.linspace(0.0, 2.0 * np.pi, 8 * n_modes, endpoint=False)
-    best = int(np.argmax(_coarse_scan(coeffs)))
-    span = grid[1] - grid[0]
-    refined = minimize_scalar(
-        lambda mu: -h_abs(mu),
-        bounds=(grid[best] - span, grid[best] + span),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    mu_star = float(refined.x)
-    # polish the critical point of |h|^2 to machine precision; the bounded
-    # minimizer stalls at ~sqrt(eps) accuracy in mu
-    for _ in range(6):
+    span = 2.0 * np.pi / (8 * n_modes)
+    mu_star = span * int(np.argmax(_coarse_scan(coeffs)))
+    lo, hi = mu_star - span, mu_star + span
+    for _ in range(REFINE_MAX_ITER):
         phase = np.exp(1j * mu_star * n)
         h0 = np.sum(coeffs * phase)
         h1 = np.sum(coeffs * (1j * n) * phase)
         h2 = np.sum(coeffs * -(n * n) * phase)
         g1 = 2.0 * np.real(np.conj(h0) * h1)
         g2 = 2.0 * np.real(np.conj(h1) * h1 + np.conj(h0) * h2)
-        if g2 >= 0.0 or not np.isfinite(g1 / g2):
+        # g is flat (p = 0, alpha = 0) or mu_star is an exact critical point
+        if g1 == 0.0:
             break
-        step = g1 / g2
-        mu_star -= step
-        if abs(step) < 1e-15:
+        # the maximum lies on the side g rises towards
+        if g1 > 0.0:
+            lo = mu_star
+        else:
+            hi = mu_star
+        # Newton where g is concave and the step stays in the bracket, else bisect
+        if g2 < 0.0 and lo < mu_star - g1 / g2 < hi:
+            nxt = mu_star - g1 / g2
+        else:
+            nxt = 0.5 * (lo + hi)
+        step, mu_star = nxt - mu_star, nxt
+        if abs(step) <= 1e-15 * max(1.0, abs(mu_star)):
             break
     h_val = np.sum(coeffs * np.exp(1j * mu_star * n))
     theta_star = float(-np.angle(h_val)) if abs(h_val) > 0 else 0.0
     # evaluate the norm directly at the optimum; the expanded form
     # ||alpha||^2 + ||A||^2 - 2|h| loses half the digits to cancellation
     diff = alpha - gauge_apply(ground, theta_star, mu_star)
-    return OrbitDistanceResult(weighted_norm(diff, s), theta_star, mu_star, s)
+    return OrbitDistanceResult(weighted_norm(diff, s), theta_star, float(mu_star), s)
 
 
 @dataclass

@@ -25,6 +25,10 @@ __all__ = [
     "hankel_identity_check",
 ]
 
+#: hankel_identity_check rejects x with max |x - reversed x| above this times max(1, max |x|)
+PALINDROME_TOL = 1e-12
+
+
 def charge(alpha: np.ndarray) -> float:
     """Q(alpha) = sum (n+1) |alpha_n|^2."""
     alpha = np.asarray(alpha)
@@ -82,7 +86,7 @@ def functional_K(alpha: np.ndarray, lam: float) -> float:
     return 0.5 * energy_fast(alpha) - lam * charge(alpha)
 
 
-def hankel_identity_check(x: np.ndarray, palindrome_tol: float = 1e-12) -> tuple[float, float]:
+def hankel_identity_check(x: np.ndarray) -> tuple[float, float]:
     """Both sides of the quadratic-form identity behind the energy bound.
 
     ``x`` has length n + 1 and must be palindromic, x_k = x_{n-k}.  The left
@@ -100,7 +104,7 @@ def hankel_identity_check(x: np.ndarray, palindrome_tol: float = 1e-12) -> tuple
     x = np.asarray(x, dtype=np.complex128)
     n = x.size - 1
     scale = max(1.0, float(np.max(np.abs(x)))) if x.size else 1.0
-    if np.max(np.abs(x - x[::-1])) > palindrome_tol * scale:
+    if np.max(np.abs(x - x[::-1])) > PALINDROME_TOL * scale:
         raise ValueError("input is not palindromic")
 
     k = np.arange(n + 1)

@@ -1,4 +1,4 @@
-"""Mode vectors, weighted norms, gauge/scaling actions and reference states.
+"""Mode vectors, weighted norms, the gauge action and reference states.
 
 A state is a 1-D complex numpy array ``alpha`` of length N, understood as the
 truncation of an infinite sequence with ``alpha[n] = 0`` for ``n >= N``.
@@ -13,14 +13,11 @@ import numpy as np
 __all__ = [
     "weighted_norm",
     "gauge_apply",
-    "scaling_apply",
     "GroundState",
     "SingleMode",
-    "make_reference",
     "ground_amplitudes",
     "ground_derivative",
     "ground_second_derivative",
-    "ground_tail_mass",
 ]
 
 
@@ -36,13 +33,6 @@ def gauge_apply(alpha: np.ndarray, theta: float, mu: float) -> np.ndarray:
     alpha = np.asarray(alpha, dtype=np.complex128)
     n = np.arange(alpha.size)
     return np.exp(1j * (theta + mu * n)) * alpha
-
-
-def scaling_apply(alpha: np.ndarray, c: float) -> np.ndarray:
-    """Amplitude scaling alpha -> c alpha (time dilation is the caller's job)."""
-    if c <= 0:
-        raise ValueError("scaling factor must be positive")
-    return c * np.asarray(alpha, dtype=np.complex128)
 
 
 def ground_amplitudes(p: float, n_modes: int) -> np.ndarray:
@@ -71,18 +61,6 @@ def ground_second_derivative(p: float, n_modes: int) -> np.ndarray:
     return n * (n - 1) * low - (n + 2) * (n + 1) * p**n
 
 
-def ground_tail_mass(p: float, n_modes: int) -> float:
-    """Discarded h^1 mass sum_{n >= N} (n+1)^2 A_n(p)^2 in closed form."""
-    _check_p(p)
-    q = p * p
-    if q == 0.0:
-        return 0.0
-    big_n = n_modes
-    # sum_{k>=0} (k+1)^2 q^k etc., shifted by N
-    inner = (1.0 + q) / (1.0 - q) ** 3 + 2.0 * big_n / (1.0 - q) ** 2 + big_n**2 / (1.0 - q)
-    return (1.0 - q) ** 2 * q**big_n * inner
-
-
 def _check_p(p: float) -> None:
     if not 0.0 <= p < 1.0:
         raise ValueError(f"ground-state parameter must lie in [0, 1), got {p}")
@@ -90,27 +68,17 @@ def _check_p(p: float) -> None:
 
 @dataclass(frozen=True)
 class GroundState:
-    """Normalized ground-state reference A_n(p) = (1 - p^2) p^n, lambda = 1."""
+    """Tag of the normalized ground state A_n(p) = (1 - p^2) p^n, lambda = 1."""
 
     p: float
 
     def __post_init__(self) -> None:
         _check_p(self.p)
 
-    @property
-    def lam(self) -> float:
-        return 1.0
-
-    def amplitudes(self, n_modes: int) -> np.ndarray:
-        return ground_amplitudes(self.p, n_modes).astype(np.complex128)
-
-    def tail_mass(self, n_modes: int) -> float:
-        return ground_tail_mass(self.p, n_modes)
-
 
 @dataclass(frozen=True)
 class SingleMode:
-    """Single-mode reference c delta_{n, mode} with frequency lambda = |c|^2."""
+    """Tag of the single-mode state c delta_{n, mode}, lambda = |c|^2."""
 
     mode: int
     c: complex = 1.0
@@ -118,22 +86,3 @@ class SingleMode:
     def __post_init__(self) -> None:
         if self.mode < 0:
             raise ValueError("mode index must be nonnegative")
-
-    @property
-    def lam(self) -> float:
-        return float(abs(self.c) ** 2)
-
-    def amplitudes(self, n_modes: int) -> np.ndarray:
-        if n_modes <= self.mode:
-            raise ValueError("truncation does not contain the active mode")
-        alpha = np.zeros(n_modes, dtype=np.complex128)
-        alpha[self.mode] = self.c
-        return alpha
-
-    def tail_mass(self, n_modes: int) -> float:
-        return 0.0
-
-
-def make_reference(kind: GroundState | SingleMode, n_modes: int) -> tuple[np.ndarray, float]:
-    """Truncated amplitudes of a reference state and its discarded tail mass."""
-    return kind.amplitudes(n_modes), kind.tail_mass(n_modes)

@@ -87,9 +87,7 @@ def test_criterion_02_oracle_equivalence():
 
 def test_criterion_03_conservation():
     alpha0 = random_state(2024, 64, q_normalize=1.0)
-    cfg = cf.IntegratorConfig(
-        t_end=100.0, sample_dt=1.0, rel_tol=1e-10, oracle_check_stride=None
-    )
+    cfg = cf.IntegratorConfig(t_end=100.0, sample_dt=1.0, rel_tol=1e-10)
     start = time.perf_counter()
     traj = cf.integrate(alpha0, cfg)
     elapsed = time.perf_counter() - start
@@ -282,7 +280,7 @@ def p0_scaling_tracks():
     """
     out = {}
     base = cf.ground_amplitudes(0.0, 48).astype(complex)
-    cfg = cf.IntegratorConfig(t_end=TRACK_T_END, sample_dt=1.0, oracle_check_stride=None)
+    cfg = cf.IntegratorConfig(t_end=TRACK_T_END, sample_dt=1.0)
     for zero0 in (False, True):
         sups, budgets, ratio_lo, ratio_hi = [], [], [], []
         for delta in P0_SCALING_DELTAS:
@@ -308,7 +306,7 @@ def ground_track():
     alpha0 = cf.ground_amplitudes(0.5, n_modes) + generate_perturbation(
         PerturbationSpec(delta=delta), 424242, n_modes
     )
-    cfg = cf.IntegratorConfig(t_end=TRACK_T_END, sample_dt=1.0, oracle_check_stride=None)
+    cfg = cf.IntegratorConfig(t_end=TRACK_T_END, sample_dt=1.0)
     return cf.track_modulation(cf.integrate(alpha0, cfg), 0.5), delta
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conformalflow.flow import IntegratorConfig, integrate
+from conformalflow.flow import ORACLE_CHECK_STRIDE, IntegratorConfig, integrate
 from conformalflow.lab import (
     MAX_MODES,
     ExperimentConfig,
@@ -106,6 +106,9 @@ def test_drift_study_small_ensemble(tmp_path):
     for run in payload["runs"]:
         assert run["accepted"] > 0 and run["rhs_evals"] > 12 * run["accepted"]
         assert 0 < run["h_min"] <= run["h_max"] <= 1.0
+        # N = 32 runs the inline oracle; NaN stands for "no check ran"
+        assert run["oracle_checks"] == run["accepted"] // ORACLE_CHECK_STRIDE
+        assert run["oracle_checks"] > 0 or np.isnan(run["oracle_max_rel_err"])
 
 
 def test_trajectory_and_track_csv(tmp_path):
@@ -177,6 +180,9 @@ def test_cli_simulate_writes_outputs(tmp_path, capsys):
     summary = capsys.readouterr().out
     assert f"rhs_evals={telemetry['rhs_evals']} " in summary
     assert f"h_max={telemetry['h_max']:.3e} " in summary
+    assert telemetry["oracle_checks"] == telemetry["accepted"] // ORACLE_CHECK_STRIDE
+    assert f"oracle_checks={telemetry['oracle_checks']} " in summary
+    assert f"oracle_max_rel_err={telemetry['oracle_max_rel_err']:.3e} " in summary
 
 
 def test_cli_decompose(capsys):

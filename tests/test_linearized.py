@@ -1,5 +1,7 @@
 """Second-variation operators: entries, spectra, ladders, identities."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,12 +21,16 @@ from conformalflow.linearized import (
 from conformalflow.observables import functional_K
 from conformalflow.state import ground_amplitudes, ground_derivative
 
+#: for tests that build short truncations on purpose
+short_truncation = pytest.mark.filterwarnings("ignore:truncation tail:UserWarning")
 
+
+@short_truncation
 def test_ground_entries_closed_form():
     # L+-(p)_{nj} = 2p^{|n-j|} - 2p^{n+j+2} +- (1-p^2)^2 (n+1)(j+1) p^{n+j}
     #             - (n+1) delta_{nj}
     p = 0.5
-    ops = build_ground_ops(p, 16, tail_tol=1.0)
+    ops = build_ground_ops(p, 16)
     for n, j in ((0, 0), (1, 3), (4, 4), (7, 2)):
         base = 2 * p ** abs(n - j) - 2 * p ** (n + j + 2)
         weighted = (1 - p * p) ** 2 * (n + 1) * (j + 1) * p ** (n + j)
@@ -41,8 +47,9 @@ def test_p_zero_operators_are_diagonal():
     np.testing.assert_allclose(ops.Lminus, np.diag([0.0, 0, -1, -2, -3, -4, -5, -6]))
 
 
+@short_truncation
 def test_operators_symmetric():
-    ops = build_ground_ops(0.6, 64, tail_tol=1.0)
+    ops = build_ground_ops(0.6, 64)
     np.testing.assert_allclose(ops.Lplus, ops.Lplus.T, atol=1e-15)
     np.testing.assert_allclose(ops.Lminus, ops.Lminus.T, atol=1e-15)
 
@@ -96,11 +103,12 @@ def test_ground_spectra_integer_ladder(p):
     np.testing.assert_allclose(plus, [lam, 0] + [-m for m in range(1, 11)], atol=1e-6)
 
 
+@short_truncation
 @pytest.mark.parametrize("n_modes", [16, 128, 512])
 @pytest.mark.parametrize("p", [0.0, 0.3, 0.6])
 def test_spectrum_subset_matches_full_solve(p, n_modes):
     # the top-count solve returns the leading count of the full solve
-    ops = build_ground_ops(p, n_modes, tail_tol=1.0)
+    ops = build_ground_ops(p, n_modes)
     for which in ("plus", "minus"):
         full = spectrum(ops, which).eigenvalues
         scale = max(float(np.max(np.abs(full))), 1.0)
@@ -115,8 +123,9 @@ def test_spectrum_subset_matches_full_solve(p, n_modes):
                 spectrum(ops, which, count)
 
 
+@short_truncation
 def test_spectrum_rejects_bad_selector():
-    ops = build_ground_ops(0.2, 16, tail_tol=1.0)
+    ops = build_ground_ops(0.2, 16)
     with pytest.raises(ValueError):
         spectrum(ops, "both")
 
@@ -211,6 +220,7 @@ def test_commutators_vanish_on_inner_block():
         commutators(ops, 100)
 
 
+@short_truncation
 @pytest.mark.parametrize("n_modes", [8, 128, 512])
 @pytest.mark.parametrize("p", [0.0, 0.3, 0.6, 0.95])
 def test_power_table_is_bitwise_elementwise_power(p, n_modes):
@@ -222,7 +232,7 @@ def test_power_table_is_bitwise_elementwise_power(p, n_modes):
     rank_one = 2.0 * p * p * np.outer(pn, pn)
     weighted = (1.0 - p * p) ** 2 * np.outer((n + 1.0) * pn, (n + 1.0) * pn)
     diag = np.diag(n + 1.0)
-    ops = build_ground_ops(p, n_modes, tail_tol=1.0)
+    ops = build_ground_ops(p, n_modes)
     assert np.array_equal(ops.Lplus, 2.0 * toeplitz - rank_one + weighted - diag)
     assert np.array_equal(ops.Lminus, 2.0 * toeplitz - rank_one - weighted - diag)
     assert np.array_equal(toeplitz_core(p, n_modes), toeplitz - hankel)
@@ -378,6 +388,23 @@ def test_appendix_identities_match_reference_loop(p, n_max):
     for key, value in want.items():
         assert abs(report[key] - value) <= 1e-15, key
     assert report["kernel_total"] == 0.0
+
+
+def test_appendix_identities_tail_bound():
+    # tails of 506648 terms at p = 0.9999 would need about 0.8 GiB: refused up front
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="tails of"):
+            appendix_identities(0.9999, 50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # below the bound the values are unchanged (0.99 sums 5144 tail terms)
+    for p in (0.3, 0.6, 0.99):
+        report = appendix_identities(p, 50)
+        for key, value in _appendix_identities_loop(p, 50).items():
+            assert abs(report[key] - value) <= 1e-15, (p, key)
 
 
 def test_mode_energy_relation():

@@ -114,7 +114,7 @@ def test_field_stays_on_manifold():
 def test_trajectory_matches_invariant_manifold(reduced, n_modes, t_end):
     times, params, p_max = reduced
     keep = times <= t_end
-    cfg = IntegratorConfig(t_end=t_end, sample_dt=1.0, oracle_check_stride=None)
+    cfg = IntegratorConfig(t_end=t_end, sample_dt=1.0)
     traj = integrate(manifold_modes(B0, C0, P0, n_modes), cfg)
     np.testing.assert_array_equal(traj.times, times[keep])
     want = np.array([manifold_modes(*row, n_modes) for row in params[keep]])

@@ -111,19 +111,54 @@ def test_coarse_scan_matches_dense_phase_matrix(n_modes):
 
 
 def test_orbit_distance_matches_brute_force():
-    n_modes = 48
-    p = 0.4
-    alpha = ground_amplitudes(p, n_modes) + perturbation(8, n_modes, 1e-2)
-    result = orbit_distance(alpha, p, 1.0)
-    thetas = np.linspace(0, 2 * np.pi, 240, endpoint=False)
-    mus = np.linspace(0, 2 * np.pi, 240, endpoint=False)
-    ground = ground_amplitudes(p, n_modes)
-    best = np.inf
-    for theta in thetas:
-        for mu in mus:
-            best = min(best, weighted_norm(alpha - gauge_apply(ground, theta, mu), 1.0))
-    assert result.distance <= best + 1e-12
-    assert result.distance >= best - 2e-4  # coarse grid overshoots slightly
+    grid = np.linspace(0, 2 * np.pi, 240, endpoint=False)
+    # (N, p, perturbation seed, gauge grid indices); a rotation by grid angles
+    # moves the optimum by whole grid cells, away from (0, 0) and across 2 pi
+    cases = [(48, 0.4, 8, (0, 0)), (48, 0.6, 82, (37, 229)), (512, 0.4, 83, (101, 120))]
+    for n_modes, p, seed, (i_theta, i_mu) in cases:
+        ground = ground_amplitudes(p, n_modes)
+        alpha = gauge_apply(ground + perturbation(seed, n_modes, 1e-2), grid[i_theta], grid[i_mu])
+        result = orbit_distance(alpha, p, 1.0)
+        # every (theta, mu) of the 240 x 240 grid, one row of mu per theta
+        weights = (np.arange(n_modes) + 1.0) ** 2
+        orbit_mu = np.exp(1j * np.outer(grid, np.arange(n_modes))) * ground
+        best = min(
+            np.min(np.sqrt(np.abs(alpha - np.exp(1j * theta) * orbit_mu) ** 2 @ weights))
+            for theta in grid
+        )
+        assert result.distance <= best + 1e-12
+        assert result.distance >= best - 2e-4  # coarse grid overshoots slightly
+        # the refined mu is a maximum of |h(mu)| to well below the 8N-point grid spacing
+        coeffs = weights * np.conj(alpha) * ground
+        mus = result.mu + np.array([-1e-6, 0.0, 1e-6])
+        h_abs = np.abs(np.exp(1j * np.outer(mus, np.arange(n_modes))) @ coeffs)
+        assert h_abs[1] >= max(h_abs[0], h_abs[2])
+
+
+def test_orbit_distance_degenerate_inputs():
+    for n_modes in (48, 512):
+        n = np.arange(n_modes)
+        # p = 0: h(mu) = conj(alpha_0) does not depend on mu
+        alpha = np.where(n < 5, 1e-3, 0.0) + 0.0j
+        alpha[0] = 0.9 * np.exp(0.3j)
+        # alpha = 0: h vanishes
+        zero = np.zeros(n_modes, dtype=complex)
+        # a single mode: |h| is flat up to rounding, so g' is noise
+        single = np.zeros(n_modes, dtype=complex)
+        single[3] = 0.7 * np.exp(1.1j)
+        for s in (0.0, 0.5, 1.0):
+            weights = (n + 1.0) ** (2.0 * s)
+            result = orbit_distance(alpha, 0.0, s)
+            want = np.sqrt(0.1**2 + weights[1:] @ np.abs(alpha[1:]) ** 2)
+            assert result.distance == pytest.approx(want, rel=1e-14)
+            assert result.theta == pytest.approx(0.3, abs=1e-14)
+            ground = ground_amplitudes(0.4, n_modes)
+            result = orbit_distance(zero, 0.4, s)
+            assert result.distance == pytest.approx(weighted_norm(ground, s), rel=1e-14)
+            assert result.theta == 0.0
+            ground = ground_amplitudes(0.5, n_modes)
+            want = np.sqrt(weights @ ground**2 - weights[3] * (ground[3] ** 2 - (0.7 - ground[3]) ** 2))
+            assert orbit_distance(single, 0.5, s).distance == pytest.approx(want, rel=1e-14)
 
 
 def test_orbit_distance_gauge_invariant():
