@@ -174,6 +174,7 @@ def run_spectrum_suite(
             "minus_err": float(np.max(np.abs(top_minus - expect_minus))),
             "plus_err": float(np.max(np.abs(top_plus - expect_plus))),
             "omega_err": float(np.max(np.abs(np.sort(got_omega) - np.sort(expect_omega)))),
+            "reduction": stab.reduction,
             "zero_geometric": stab.zero_geometric,
             "jordan_partners": stab.jordan_partners,
             "unstable": stab.unstable,
@@ -206,6 +207,7 @@ def run_spectrum_suite(
         )
         report["single_mode"][mode] = {
             "omega_err": err,
+            "reduction": stab.reduction,
             "count_got": int(got.size),
             "count_expected": int(expected.size),
             "unstable": stab.unstable,
@@ -547,14 +549,15 @@ def _print_spectrum_report(report: dict) -> None:
     for p, entry in report["ground"].items():
         print(
             f"ground p={p}: L- err {entry['minus_err']:.2e}, L+ err {entry['plus_err']:.2e}, "
-            f"Omega err {entry['omega_err']:.2e}, kernel {entry['zero_geometric']}+"
+            f"Omega err {entry['omega_err']:.2e} ({entry['reduction']} solve), "
+            f"kernel {entry['zero_geometric']}+"
             f"{entry['jordan_partners']} (unstable={entry['unstable']})"
         )
     for mode, entry in report["single_mode"].items():
         print(
             f"single mode N={mode}: Omega err {entry['omega_err']:.2e} "
             f"({entry['count_got']}/{entry['count_expected']} frequencies, "
-            f"unstable={entry['unstable']})"
+            f"{entry['reduction']} solve, unstable={entry['unstable']})"
         )
 
 

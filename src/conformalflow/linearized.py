@@ -19,6 +19,17 @@ raising p element-wise over the N x N exponent grids gives bitwise the same
 entries at several times the cost, most of it in underflowing powers.
 ``spectrum`` can solve for the top ``count`` eigenpairs only, which is all the
 spectrum suite reports.
+
+The stability problem P = M^-1 L- M^-1 L+ is nonsymmetric, but a
+constrained maximiser of the energy has L- <= 0, so -L- = X X^T with X of
+full column rank r.  Then P = -(M^-1 X)(X^T M^-1 L+), and since eig(UV) =
+eig(VU) its spectrum is that of the r x r symmetric matrix -Y^T L+ Y,
+Y = M^-1 X, plus N - r zeros.  It is real, so stability is the sign of real
+eigenvalues.  ``stability_spectrum`` takes X from a pivoted Cholesky
+factorisation of -L- and certifies it on every call: the trailing Schur
+complement the factorisation leaves out must be at rounding level.  When it
+is not (an indefinite L-, as for the single-mode states above the lowest),
+the nonsymmetric eigenvalues of P are computed instead.
 """
 
 from __future__ import annotations
@@ -56,6 +67,9 @@ __all__ = [
 TAIL_TOL = 1e-10
 #: eigenvalues of P below this times max |eigenvalue| count as zero
 STABILITY_TOL = 1e-8
+#: the definite reduction holds when the Schur complement left out of the
+#: pivoted Cholesky factor of -L- is below this times max |entry|
+_DEFINITE_TOL = 1e-12
 #: Philox key of ladder_check's random test vector
 LADDER_SEED = 0
 #: appendix_identities sums each infinite tail until its terms drop below this
@@ -63,6 +77,10 @@ TAIL_EPS = 1e-22
 #: most tail terms appendix_identities may sum: it holds (n_max + 1) x kmax
 #: temporaries, a 16 MiB peak at n_max = 50 and kmax near this bound (p = 0.995)
 MAX_TAIL_TERMS = 10_000
+#: largest n_max appendix_identities accepts: its work grows like n_max^2 kmax,
+#: and at this order with kmax near MAX_TAIL_TERMS a call takes about 1 s
+#: (21 MiB peak)
+MAX_IDENTITY_ORDER = 64
 
 
 @dataclass
@@ -92,10 +110,14 @@ class SpectralReport:
 @dataclass
 class StabilityReport:
     omegas: np.ndarray  # nonnegative frequencies of the +-i Omega pairs, ascending
-    p_eigenvalues: np.ndarray  # eigenvalues of M^-1 L- M^-1 L+ (should be >= 0)
+    # eigenvalues Omega^2 of M^-1 L- M^-1 L+ (should be >= 0): real, the r
+    # nonzero ones ascending and then N - r exact zeros, when reduction is
+    # "definite"; complex and unordered when it is "general"
+    p_eigenvalues: np.ndarray
     zero_geometric: int
     jordan_partners: int
     unstable: bool
+    reduction: str  # "definite" (certified symmetric solve) or "general"
     kernel_residuals: np.ndarray = field(default_factory=lambda: np.array([]))
 
 
@@ -174,14 +196,22 @@ def _pick(ops: OperatorPair, which: str) -> np.ndarray:
 def stability_spectrum(ops: OperatorPair) -> StabilityReport:
     """Frequencies of the linearized flow from P = M^-1 L- M^-1 L+.
 
-    Eigenvalues of P are Omega^2 = -Lambda^2; a negative real part or a
-    significant imaginary part marks instability (or truncation failure).
-    For the ground state the kernel structure (three eigenvectors, one
-    Jordan partner) is verified explicitly.
+    Eigenvalues of P are Omega^2 = -Lambda^2.  When L- <= 0 (the ground
+    state, the lowest single mode) they are real and come from one symmetric
+    solve of size rank(L-) (module docstring); a negative one marks
+    instability.  When the reduction's certificate fails, the eigenvalues of
+    P itself are computed, and a negative real part or a significant
+    imaginary part marks instability (or truncation failure).  ``reduction``
+    says which solve ran.  For the ground state the kernel structure (three
+    eigenvectors, one Jordan partner) is verified explicitly.
     """
-    minv = 1.0 / ops.M
-    compose = (minv[:, None] * ops.Lminus) @ (minv[:, None] * ops.Lplus)
-    vals = np.linalg.eigvals(compose)
+    vals = _definite_eigenvalues(ops)
+    reduction = "definite"
+    if vals is None:
+        reduction = "general"
+        minv = 1.0 / ops.M
+        compose = (minv[:, None] * ops.Lminus) @ (minv[:, None] * ops.Lplus)
+        vals = np.linalg.eigvals(compose)
     scale = max(float(np.max(np.abs(vals))), 1.0)
     tol = STABILITY_TOL * scale
     unstable = bool(np.any(vals.real < -tol) or np.any(np.abs(vals.imag) > tol))
@@ -214,7 +244,46 @@ def stability_spectrum(ops: OperatorPair) -> StabilityReport:
         jres = np.linalg.norm(0.5 * (ops.Lplus @ ground) - target) / np.linalg.norm(target)
         if jres < 1e-7:
             jordan = 1
-    return StabilityReport(omegas, vals, zero_geometric, jordan, unstable, kernel_residuals)
+    return StabilityReport(
+        omegas, vals, zero_geometric, jordan, unstable, reduction, kernel_residuals
+    )
+
+
+def _definite_eigenvalues(ops: OperatorPair) -> np.ndarray | None:
+    """Eigenvalues of P by the definite reduction, or None when its certificate fails.
+
+    dpstrf factors A = -L- in place, Pi^T A Pi = G G^T with rank r.  The
+    certificate: no argument error, and the Schur complement left unfactored,
+    (Pi^T A Pi)[r:, r:] - G[r:] G[r:]^T, within _DEFINITE_TOL max |A| of zero;
+    dpstrf's own stopping rule would pass an indefinite remainder with a small
+    diagonal.  The r x r matrix is -Y^T L+ Y with Y = M^-1 Pi G.
+    """
+    n_modes = ops.n_modes
+    buf = np.negative(ops.Lminus, order="F")
+    scale = max(float(buf.max()), -float(buf.min()))
+    # a semidefinite A has no negative diagonal entry; dpstrf would leave such
+    # an entry in the trailing block and fail the certificate there, later
+    if np.any(np.diagonal(buf) < -_DEFINITE_TOL * scale):
+        return None
+    factor, piv, rank, info = scipy.linalg.lapack.dpstrf(buf, lower=1, overwrite_a=1)
+    if info < 0:
+        return None
+    piv -= 1  # LAPACK pivots are 1-based
+    lead = factor[:, :rank]  # G; its strict upper triangle still holds entries of A
+    lead[~np.tri(n_modes, rank, dtype=bool)] = 0.0
+    tail = piv[rank:]
+    # the unfactored block, rebuilt from L- because dpstrf may have updated it in part
+    trailing = -ops.Lminus[np.ix_(tail, tail)] - lead[rank:] @ lead[rank:].T
+    if not np.all(np.abs(trailing) <= _DEFINITE_TOL * scale):
+        return None
+    y = np.empty((n_modes, rank))
+    y[piv] = lead
+    del buf, factor, lead
+    y /= ops.M[:, None]
+    reduced = y.T @ (ops.Lplus @ y)
+    del y
+    vals = -scipy.linalg.eigvalsh(reduced, overwrite_a=True, check_finite=False)[::-1]
+    return np.concatenate([vals, np.zeros(n_modes - rank)])
 
 
 def commutators(ops: OperatorPair, inner: int) -> tuple[float, float]:
@@ -223,8 +292,8 @@ def commutators(ops: OperatorPair, inner: int) -> tuple[float, float]:
     The inner block (inner <= N/2) keeps truncation-tail contamination below
     tolerance; the operators commute exactly in the untruncated system.
     """
-    if inner > ops.n_modes // 2:
-        raise ValueError("inner block must not exceed N/2")
+    if not 1 <= inner <= ops.n_modes // 2:
+        raise ValueError(f"inner block must lie in 1..N/2 = {ops.n_modes // 2}, got {inner}")
 
     def block(x: np.ndarray, y: np.ndarray) -> float:
         # only the leading inner x inner block of [x, y] is formed
@@ -279,8 +348,12 @@ def ladder_check(p: float, n_modes: int, m_max: int = 10) -> LadderReport:
 
     On vectors orthogonal to {A(p), M A(p)} the shift S and left-shift S*
     intertwine 2T - M with itself -+ I; iterating S on the closed-form first
-    eigenvector generates eigenvalue -m for every m.
+    eigenvector generates eigenvalue -m for every m.  The m-th vector is
+    shifted m - 1 places, so m_max is at most N/2: beyond that the truncation
+    cuts into the shifted vectors (and past N they vanish).
     """
+    if not 1 <= m_max <= n_modes // 2:
+        raise ValueError(f"m_max must lie in 1..N/2 = {n_modes // 2}, got {m_max}")
     t_mat = toeplitz_core(p, n_modes)
     ladder_op = 2.0 * t_mat - np.diag(np.arange(1, n_modes + 1, dtype=np.float64))
     ground = ground_amplitudes(p, n_modes)
@@ -341,6 +414,8 @@ def mu_ladder(p: float, m_max: int, n_modes: int) -> MuLadderReport:
     solve in the ladder basis and the residual is verified on the full
     truncation.
     """
+    if m_max < 0:
+        raise ValueError(f"m_max must be >= 0, got {m_max}")
     t_mat = toeplitz_core(p, n_modes)
     m_diag = np.arange(1, n_modes + 1, dtype=np.float64)
     ground = ground_amplitudes(p, n_modes)
@@ -395,13 +470,16 @@ def appendix_identities(p: float, n_max: int) -> dict[str, float]:
 
     Infinite tails are summed until the geometric term drops below TAIL_EPS;
     a p so close to 1 that this takes more than MAX_TAIL_TERMS terms raises
-    ``ValueError``.
+    ``ValueError``, as does an n_max that is not an integer in
+    0..MAX_IDENTITY_ORDER.
     Keys: geometric_sum, geometric_weighted, kernel_row_le, kernel_row_ge,
     kernel_total, folded_sum, folded_weighted.  kernel_total is the largest
     absolute error of an exact integer identity, so it must be 0.
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
+    if not isinstance(n_max, (int, np.integer)) or not 0 <= n_max <= MAX_IDENTITY_ORDER:
+        raise ValueError(f"n_max must be an integer in 0..{MAX_IDENTITY_ORDER}, got {n_max!r}")
     kmax = max(200, int(np.ceil(np.log(TAIL_EPS) / np.log(p))) + 2 * n_max + 4)
     if kmax > MAX_TAIL_TERMS:
         raise ValueError(f"tails of {kmax} terms at p = {p}; at most {MAX_TAIL_TERMS}")

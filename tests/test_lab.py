@@ -165,6 +165,23 @@ def test_cli_numerical_failure_exit_three(capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_cli_spectrum_reports_reduction(tmp_path, capsys):
+    # each stability line and spectrum.json entry names the solve that ran
+    assert main(["spectrum", "--n", "128", "--out", str(tmp_path)]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if "Omega err" in line]
+    assert len(lines) == 6
+    assert all(" solve" in line for line in lines)
+    report = json.loads((tmp_path / "spectrum.json").read_text())
+    assert {p: e["reduction"] for p, e in report["ground"].items()} == dict.fromkeys(
+        ("0.0", "0.3", "0.6"), "definite"
+    )
+    assert {m: e["reduction"] for m, e in report["single_mode"].items()} == {
+        "0": "definite",
+        "1": "general",
+        "2": "general",
+    }
+
+
 def test_cli_simulate_writes_outputs(tmp_path, capsys):
     code = main(
         ["simulate", "--n", "24", "--p0", "0.3", "--delta", "1e-4", "--t-end", "1", "--out", str(tmp_path)]

@@ -4,8 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conformalflow.linearized import (
+    MAX_IDENTITY_ORDER,
+    OperatorPair,
     appendix_identities,
     build_ground_ops,
     build_single_mode_ops,
@@ -151,6 +154,67 @@ def test_ground_frequencies_p_independent():
     assert np.max(np.abs(grids[0] - grids[2])) <= 1e-6
 
 
+#: every operator the spectrum suite builds, with the solve it must take:
+#: L- <= 0 for the ground state and the lowest single mode, indefinite above
+SUITE_OPERATORS = {
+    "ground-0.0": (lambda n: build_ground_ops(0.0, n), "definite"),
+    "ground-0.3": (lambda n: build_ground_ops(0.3, n), "definite"),
+    "ground-0.6": (lambda n: build_ground_ops(0.6, n), "definite"),
+    "mode-0": (lambda n: build_single_mode_ops(0, 1.0, n), "definite"),
+    "mode-1": (lambda n: build_single_mode_ops(1, 1.0, n), "general"),
+    "mode-2": (lambda n: build_single_mode_ops(2, 1.0, n), "general"),
+}
+
+
+def _assert_matches_eigvals(report, ops):
+    # oracle: the nonsymmetric eigenvalues of P = M^-1 L- M^-1 L+ itself
+    minv = 1.0 / ops.M
+    want = np.sort_complex(np.linalg.eigvals((minv[:, None] * ops.Lminus) @ (minv[:, None] * ops.Lplus)))
+    got = np.sort_complex(report.p_eigenvalues)
+    assert got.shape == want.shape
+    scale = max(float(np.max(np.abs(want))), 1.0)
+    assert np.max(np.abs(got - want)) <= 1e-10 * scale
+
+
+@short_truncation
+@pytest.mark.parametrize("n_modes", [16, 128, 512])
+@pytest.mark.parametrize("name", list(SUITE_OPERATORS))
+def test_stability_reduction_matches_eigvals(name, n_modes):
+    build, reduction = SUITE_OPERATORS[name]
+    ops = build(n_modes)
+    report = stability_spectrum(ops)
+    assert report.reduction == reduction
+    _assert_matches_eigvals(report, ops)
+    if reduction == "general":
+        return
+    assert report.p_eigenvalues.dtype == np.float64
+    # the whole pivoted Cholesky factor of A = -L-, not only the trailing
+    # block that stability_spectrum certifies, reproduces A
+    a_mat = -ops.Lminus
+    factor, piv, rank, info = scipy.linalg.lapack.dpstrf(a_mat, lower=1)
+    assert info >= 0
+    lead = np.tril(factor)[:, :rank]
+    piv = piv - 1
+    residual = a_mat[np.ix_(piv, piv)] - lead @ lead.T
+    assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(a_mat)
+
+
+@short_truncation
+@pytest.mark.parametrize("n_modes", [16, 128])
+@pytest.mark.parametrize("bump", [0.5, 1e-3])
+def test_stability_indefinite_minus_falls_back(bump, n_modes):
+    # a positive rank-one bump along the kernel vector A(p) makes L- indefinite;
+    # the large one shows on the diagonal, the small one only in the trailing
+    # block of the pivoted Cholesky factor
+    ops = build_ground_ops(0.3, n_modes)
+    ground = ground_amplitudes(0.3, n_modes)
+    bumped = OperatorPair(ops.Lplus, ops.Lminus + bump * np.outer(ground, ground), ops.M, ops.about)
+    assert np.any(np.diag(bumped.Lminus) > 0) == (bump == 0.5)
+    report = stability_spectrum(bumped)
+    assert report.reduction == "general"
+    _assert_matches_eigvals(report, bumped)
+
+
 def test_single_mode_zero_structure():
     # N_mode = 0 at c = 1: L+ = diag(2, 0, -1, ...), L- = diag(0, 0, -1, ...)
     ops = build_single_mode_ops(0, 1.0, 8)
@@ -218,6 +282,25 @@ def test_commutators_vanish_on_inner_block():
     assert c2 <= 1e-8
     with pytest.raises(ValueError):
         commutators(ops, 100)
+
+
+def test_suite_helpers_reject_out_of_range_orders():
+    # each would otherwise end in NaN residuals, empty arrays or numpy's
+    # zero-size error
+    for call, match in (
+        (lambda: ladder_check(0.3, 4), "m_max must lie in 1..N/2"),
+        (lambda: ladder_check(0.3, 64, m_max=33), "m_max must lie in 1..N/2"),
+        (lambda: ladder_check(0.3, 64, m_max=0), "m_max must lie in 1..N/2"),
+        (lambda: mu_ladder(0.3, -1, 64), "m_max must be >= 0"),
+        (lambda: commutators(build_ground_ops(0.5, 128), 0), "inner block must lie in 1..N/2"),
+    ):
+        with pytest.raises(ValueError, match=match) as err:
+            call()
+        assert "\n" not in str(err.value)
+    # the bounds themselves are accepted
+    assert ladder_check(0.3, 64, m_max=32).eigen_residuals.shape == (32,)
+    assert mu_ladder(0.3, 0, 64).residuals.shape == (1,)
+    assert commutators(build_ground_ops(0.5, 128), 1)[0] <= 1e-8
 
 
 @short_truncation
@@ -379,7 +462,7 @@ def _appendix_identities_loop(p, n_max, tail_eps=1e-22):
     return worst
 
 
-@pytest.mark.parametrize("n_max", [0, 1, 50])
+@pytest.mark.parametrize("n_max", [0, 1, 50, MAX_IDENTITY_ORDER])
 @pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.7, 0.9])
 def test_appendix_identities_match_reference_loop(p, n_max):
     report = appendix_identities(p, n_max)
@@ -405,6 +488,19 @@ def test_appendix_identities_tail_bound():
         report = appendix_identities(p, 50)
         for key, value in _appendix_identities_loop(p, 50).items():
             assert abs(report[key] - value) <= 1e-15, (p, key)
+
+
+@pytest.mark.parametrize("n_max", [-1, 1.5, MAX_IDENTITY_ORDER + 1])
+def test_appendix_identities_order_bound(n_max):
+    # refused before any (n_max + 1) x kmax temporary is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="n_max must be an integer"):
+            appendix_identities(0.3, n_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
 
 
 def test_mode_energy_relation():
