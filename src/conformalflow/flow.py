@@ -73,6 +73,8 @@ def vector_field_fast(alpha: np.ndarray) -> np.ndarray:
 
 #: most samples one run may record (t_end / sample_dt); each keeps a full state
 MAX_SAMPLES = 10**6
+#: smallest rel_tol DOP853 honours; scipy raises anything lower to this floor
+MIN_REL_TOL = 100 * np.finfo(float).eps
 #: absolute tolerance of DOP853; states of order one make rel_tol the binding one
 ABS_TOL = 1e-12
 #: unbounded steps fail the invariant-manifold oracle (1.46e-11 > 1e-12 + p^N at N = 512)
@@ -97,6 +99,8 @@ class IntegratorConfig:
             # NaN fails both comparisons; a NaN tolerance would stall the step control
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
+        if self.rel_tol < MIN_REL_TOL:
+            raise ValueError(f"rel_tol must be at least {MIN_REL_TOL:.3g}, got {self.rel_tol}")
         # every sample state is kept, so the sample count bounds the memory
         if round(self.t_end / self.sample_dt) > MAX_SAMPLES:
             raise ValueError(
@@ -140,26 +144,22 @@ class TrajectoryRecord:
         }
 
 
-def integrate(
-    alpha0: np.ndarray,
-    cfg: IntegratorConfig,
-    backward: bool = False,
-) -> TrajectoryRecord:
+def integrate(alpha0: np.ndarray, cfg: IntegratorConfig) -> TrajectoryRecord:
     """Integrate d alpha/dt = -i F(alpha) to cfg.t_end with samples at sample_dt.
 
-    ``backward`` negates the vector field (time-reversed run over [0, t_end]).
+    The flow is time-reversible: t -> conj(alpha(T - t)) solves it too, so a
+    backward run is a forward run from the conjugated end state.
     """
     y = np.asarray(alpha0, dtype=np.complex128).copy()
     if not np.all(np.isfinite(y.view(np.float64))):
         raise FlowError("initial state contains NaN/Inf")
     n_modes = y.size
-    sign = 1.0 if not backward else -1.0
     energy0, charge0 = energy_fast(y), charge(y)
     # the zero state has no frequency; any lambda leaves it fixed
     lam = energy0 / charge0 if charge0 > 0 else 0.0
 
     def rhs(t: float, beta: np.ndarray) -> np.ndarray:
-        return sign * (-1j) * (vector_field_fast(beta) - lam * beta)
+        return -1j * (vector_field_fast(beta) - lam * beta)
 
     n_samples = int(round(cfg.t_end / cfg.sample_dt))
     times = [0.0] + [min((i + 1) * cfg.sample_dt, cfg.t_end) for i in range(n_samples)]
@@ -199,7 +199,7 @@ def integrate(
                 nxt += 1
 
     times = np.array(times)
-    states = np.array(states) * np.exp(-1j * sign * lam * times)[:, None]
+    states = np.array(states) * np.exp(-1j * lam * times)[:, None]
     cons = np.array(
         [(energy0, charge0, higher_charge(y))]
         + [(energy_fast(s), charge(s), higher_charge(s)) for s in states[1:]]

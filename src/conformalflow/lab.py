@@ -2,10 +2,13 @@
 
 Randomness uses numpy's Philox counter-based generator so that a seed fully
 determines every ensemble member, independent of execution order.  CSV is
-the canonical output format; JSON files carry run metadata only.
+the canonical output format for series; one JSON writer serves the reports
+(metadata.json, spectrum.json, inequality.json, summary.json).
 
 CLI subcommands: simulate | spectrum | inequality | decompose | drift-study
-| verify-identities.  Exit codes: 0 success, 2 validation failure, 3
+| verify-identities.  Each setting is declared once, in ``_SETTINGS``; flags
+and config-file keys pass only the values given, so the config dataclasses
+hold the only defaults.  Exit codes: 0 success, 2 validation failure, 3
 numerical failure.
 """
 
@@ -17,14 +20,14 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import linearized, modulation
 from .flow import FlowError, IntegratorConfig, TrajectoryRecord, integrate
-from .observables import charge, energy_fast, gap
+from .observables import charge, gap
 from .state import ground_amplitudes, weighted_norm
 
 __all__ = [
@@ -52,8 +55,6 @@ class PerturbationSpec:
     """Seeded random perturbation with exact h^1 norm delta."""
 
     delta: float
-    support_lo: int = 0
-    support_hi: int | None = None  # exclusive; defaults to N
     zero_mode0: bool = False
 
     def __post_init__(self) -> None:
@@ -71,12 +72,9 @@ def _uniform_disc(rng: np.random.Generator, size: int) -> np.ndarray:
 
 
 def generate_perturbation(spec: PerturbationSpec, seed: int, n_modes: int) -> np.ndarray:
-    """Deterministic perturbation: uniform complex disc per supported mode,
-    optional mode-0 suppression, exact h^1 normalization."""
-    rng = _rng(seed)
-    hi = spec.support_hi if spec.support_hi is not None else n_modes
-    out = np.zeros(n_modes, dtype=np.complex128)
-    out[spec.support_lo : hi] = _uniform_disc(rng, hi - spec.support_lo)
+    """Deterministic perturbation: uniform complex disc per mode, optional
+    mode-0 suppression, exact h^1 normalization."""
+    out = _uniform_disc(_rng(seed), n_modes)
     if spec.zero_mode0:
         out[0] = 0.0
     if spec.delta == 0.0:
@@ -110,9 +108,10 @@ class ExperimentConfig:
     seed: int = 12345
     ensemble: int = 32
     integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
-    out_dir: Path | None = None
+    out_dir: Path | str | None = None  # "" (an empty --out) writes nothing
 
     def __post_init__(self) -> None:
+        self.out_dir = Path(self.out_dir) if self.out_dir else None
         if not 8 <= self.n_modes <= MAX_MODES:
             raise ValueError(f"truncation must lie in 8..{MAX_MODES}, got {self.n_modes}")
         if not 0.0 <= self.p0 < 1.0:
@@ -128,6 +127,12 @@ class ExperimentConfig:
 
 
 # ---------------------------------------------------------------- experiments
+
+
+def _perturbed_ground(cfg: ExperimentConfig, seed: int) -> np.ndarray:
+    """A(p0) plus the seeded perturbation of h^1 norm cfg.delta."""
+    base = ground_amplitudes(cfg.p0, cfg.n_modes).astype(np.complex128)
+    return base + generate_perturbation(PerturbationSpec(delta=cfg.delta), seed, cfg.n_modes)
 
 
 def run_inequality_scan(
@@ -245,19 +250,18 @@ class DriftRunSummary:
 
 def run_drift_study(cfg: ExperimentConfig) -> dict:
     """Ensemble of seeded perturbations of A(p0): integrate, track modulation,
-    summarize distances and the possible downward drift of p(t)."""
+    summarize distances and the possible downward drift of p(t).
+
+    With ``cfg.out_dir`` set (an existing directory), writes one
+    ``track_<seed>.csv`` per member and ``summary.json``.
+    """
     out_dir = cfg.out_dir
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    base = ground_amplitudes(cfg.p0, cfg.n_modes).astype(np.complex128)
-    spec = PerturbationSpec(delta=cfg.delta)
     runs: list[DriftRunSummary] = []
     wall_start = time.perf_counter()
     for member in range(cfg.ensemble):
         seed = cfg.seed + member
-        alpha0 = base + generate_perturbation(spec, seed, cfg.n_modes)
         try:
-            traj = integrate(alpha0, cfg.integrator)
+            traj = integrate(_perturbed_ground(cfg, seed), cfg.integrator)
             track = modulation.track_modulation(traj, cfg.p0)
         except (FlowError, modulation.NoConvergence) as exc:
             runs.append(DriftRunSummary(seed=seed, ok=False, error=str(exc)))
@@ -280,7 +284,7 @@ def run_drift_study(cfg: ExperimentConfig) -> dict:
             write_track_csv(out_dir / f"track_{seed}.csv", track)
     ok_runs = [r for r in runs if r.ok]
     result = {
-        "config": _config_dict(cfg),
+        "config": asdict(cfg),
         "wall_time_s": time.perf_counter() - wall_start,
         "runs": [asdict(r) for r in runs],
         "n_failed": len(runs) - len(ok_runs),
@@ -295,7 +299,7 @@ def run_drift_study(cfg: ExperimentConfig) -> dict:
             "max_energy_budget_error": max(r.max_energy_budget_error for r in ok_runs),
         }
     if out_dir is not None:
-        (out_dir / "summary.json").write_text(json.dumps(result, indent=2))
+        _write_json(out_dir / "summary.json", result)
     return result
 
 
@@ -338,32 +342,45 @@ def write_track_csv(path: Path, track: modulation.ModulationTrack) -> None:
     )
 
 
-def _config_dict(cfg: ExperimentConfig) -> dict:
-    data = asdict(cfg)
-    data["out_dir"] = str(cfg.out_dir) if cfg.out_dir else None
-    return data
-
-
-def write_metadata(path: Path, cfg: ExperimentConfig, extra: dict | None = None) -> None:
-    payload = {"config": _config_dict(cfg)}
-    if extra:
-        payload.update(extra)
-    path.write_text(json.dumps(payload, indent=2))
+def _write_json(path: Path, payload: dict) -> None:
+    """The one JSON writer; ``default=str`` spells out paths."""
+    path.write_text(json.dumps(payload, indent=2, default=str))
 
 
 # ------------------------------------------------------------------------ CLI
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+#: every CLI setting, once: flag (also the config-file key, with "-" or "_")
+#: -> (ExperimentConfig or IntegratorConfig field, type)
+_SETTINGS = {
+    "n": ("n_modes", int),
+    "p0": ("p0", float),
+    "delta": ("delta", float),
+    "seed": ("seed", int),
+    "t-end": ("t_end", float),
+    "out": ("out_dir", str),
+    "rel-tol": ("rel_tol", float),
+    "ensemble": ("ensemble", int),
+}
+
+
+def _read_config_file(path: str) -> dict:
+    """Config fields from ``key = value`` lines, converted as the flags are."""
+    values = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ValueError(f"bad config line: {raw!r}")
-        key, _, val = line.partition("=")
-        values[key.strip().replace("-", "_")] = val.strip()
+        key, _, text = (part.strip() for part in line.partition("="))
+        if (setting := _SETTINGS.get(key.replace("_", "-"))) is None:
+            raise ValueError(f"unknown config key: {key}")
+        name, kind = setting
+        try:
+            values[name] = kind(text)
+        except ValueError:
+            raise ValueError(f"bad config value: {raw!r}") from None
     return values
 
 
@@ -372,81 +389,31 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="conformalflow",
         description="Numerical laboratory for the truncated conformal flow on the 3-sphere.",
     )
-    parser.add_argument(
-        "command",
-        choices=[
-            "simulate",
-            "spectrum",
-            "inequality",
-            "decompose",
-            "drift-study",
-            "verify-identities",
-        ],
-    )
-    parser.add_argument("--config", type=str, default=None, help="key = value config file")
-    parser.add_argument("--n", type=int, default=None, help="truncation size")
-    parser.add_argument("--p0", type=float, default=None)
-    parser.add_argument("--delta", type=float, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--t-end", type=float, default=None)
-    parser.add_argument("--out", type=str, default=None)
-    parser.add_argument("--rel-tol", type=float, default=None)
-    parser.add_argument("--ensemble", type=int, default=None)
+    commands = "simulate spectrum inequality decompose drift-study verify-identities".split()
+    parser.add_argument("command", choices=commands)
+    parser.add_argument("--config", help="key = value config file")
+    for flag, (name, kind) in _SETTINGS.items():
+        # a flag not given sets nothing, so the dataclass default holds; the
+        # metavar is derived from the flag, as argparse does without a dest
+        metavar = flag.upper().replace("-", "_")
+        parser.add_argument(
+            f"--{flag}", dest=name, type=kind, metavar=metavar, default=argparse.SUPPRESS
+        )
     return parser
 
 
-def _cli_defaults() -> dict:
-    """Option defaults, read off the config dataclasses."""
-    cfg = ExperimentConfig()
-    return {
-        "n": cfg.n_modes,
-        "p0": cfg.p0,
-        "delta": cfg.delta,
-        "seed": cfg.seed,
-        "t_end": cfg.integrator.t_end,
-        "out": None,
-        "rel_tol": cfg.integrator.rel_tol,
-        "ensemble": cfg.ensemble,
-    }
-
-
-_DEFAULTS = _cli_defaults()
-
-
-def _resolve_options(args: argparse.Namespace) -> dict:
-    values = dict(_DEFAULTS)
-    if args.config:
-        file_values = _read_config_file(args.config)
-        for key, raw in file_values.items():
-            if key not in values:
-                raise ValueError(f"unknown config key: {key}")
-            values[key] = raw if key == "out" else type(_DEFAULTS[key])(raw)
-    for key in values:
-        cli_val = getattr(args, key, None)
-        if cli_val is not None:
-            values[key] = cli_val
-    return values
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    given = vars(_build_parser().parse_args(argv))
+    command, config = given.pop("command"), given.pop("config")
     try:
-        opts = _resolve_options(args)
-        integrator = IntegratorConfig(
-            rel_tol=opts["rel_tol"],
-            t_end=opts["t_end"],
-            sample_dt=min(0.5, opts["t_end"]),
-        )
-        cfg = ExperimentConfig(
-            kind=args.command,
-            n_modes=opts["n"],
-            p0=opts["p0"],
-            delta=opts["delta"],
-            seed=opts["seed"],
-            ensemble=opts["ensemble"],
-            integrator=integrator,
-            out_dir=Path(opts["out"]) if opts["out"] else None,
-        )
+        # flags override the config file
+        given = {**(_read_config_file(config) if config else {}), **given}
+        run = {f.name: given.pop(f.name) for f in fields(IntegratorConfig) if f.name in given}
+        sample_dt = min(0.5, run.get("t_end", IntegratorConfig.t_end))
+        integrator = IntegratorConfig(**run, sample_dt=sample_dt)
+        cfg = ExperimentConfig(kind=command, integrator=integrator, **given)
+        if cfg.out_dir is not None:
+            cfg.out_dir.mkdir(parents=True, exist_ok=True)
     except (ValueError, OSError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
@@ -465,13 +432,10 @@ def main(argv: list[str] | None = None) -> int:
 
 def _dispatch(cfg: ExperimentConfig) -> int:
     out_dir = cfg.out_dir
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
     if cfg.kind == "simulate":
-        base = ground_amplitudes(cfg.p0, cfg.n_modes).astype(np.complex128)
-        pert = generate_perturbation(PerturbationSpec(delta=cfg.delta), cfg.seed, cfg.n_modes)
+        alpha0 = _perturbed_ground(cfg, cfg.seed)
         wall = time.perf_counter()
-        traj = integrate(base + pert, cfg.integrator)
+        traj = integrate(alpha0, cfg.integrator)
         drift = traj.max_relative_drift()
         print(
             f"t_end={traj.times[-1]:g} accepted={traj.accepted} rejected={traj.rejected} "
@@ -481,20 +445,18 @@ def _dispatch(cfg: ExperimentConfig) -> int:
         )
         if out_dir is not None:
             write_trajectory_csv(out_dir / "trajectory.csv", traj, mode_subset=(0, 1, 2, 3))
-            write_metadata(
-                out_dir / "metadata.json",
-                cfg,
-                {
-                    "wall_time_s": time.perf_counter() - wall,
-                    "drift": drift,
-                    "telemetry": traj.telemetry(),
-                },
-            )
+            metadata = {
+                "config": asdict(cfg),
+                "wall_time_s": time.perf_counter() - wall,
+                "drift": drift,
+                "telemetry": traj.telemetry(),
+            }
+            _write_json(out_dir / "metadata.json", metadata)
     elif cfg.kind == "spectrum":
         report = run_spectrum_suite(n_modes=max(cfg.n_modes, 128))
         _print_spectrum_report(report)
         if out_dir is not None:
-            (out_dir / "spectrum.json").write_text(json.dumps(_jsonable(report), indent=2))
+            _write_json(out_dir / "spectrum.json", report)
     elif cfg.kind == "inequality":
         report = run_inequality_scan(seed=cfg.seed)
         print(
@@ -505,11 +467,9 @@ def _dispatch(cfg: ExperimentConfig) -> int:
             print("energy bound violated beyond tolerance", file=sys.stderr)
             return 3
         if out_dir is not None:
-            (out_dir / "inequality.json").write_text(json.dumps(report, indent=2))
+            _write_json(out_dir / "inequality.json", report)
     elif cfg.kind == "decompose":
-        base = ground_amplitudes(cfg.p0, cfg.n_modes).astype(np.complex128)
-        pert = generate_perturbation(PerturbationSpec(delta=cfg.delta), cfg.seed, cfg.n_modes)
-        frame = modulation.decompose(base + pert, cfg.p0)
+        frame = modulation.decompose(_perturbed_ground(cfg, cfg.seed), cfg.p0)
         res = float(np.max(np.abs(frame.constraint_residuals())))
         print(
             f"c={frame.c:.12g} p={frame.p:.12g} theta={frame.theta:.12g} "
@@ -559,18 +519,6 @@ def _print_spectrum_report(report: dict) -> None:
             f"({entry['count_got']}/{entry['count_expected']} frequencies, "
             f"{entry['reduction']} solve, unstable={entry['unstable']})"
         )
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
 
 
 if __name__ == "__main__":

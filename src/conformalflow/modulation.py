@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .flow import TrajectoryRecord
-from .observables import higher_charge
 from .state import (
     gauge_apply,
     ground_amplitudes,
@@ -85,9 +84,13 @@ class ModulationFrame:
         return np.exp(1j * (self.theta + self.mu + self.mu * n)) * inner
 
     def constraint_residuals(self) -> np.ndarray:
+        """The imposed orthogonality constraints at (a, b): four with mu, else
+        the two of the p = 0 form, <MA(0), a> and <MA(0), b>."""
         n_modes = self.a.size
         m_diag = np.arange(1, n_modes + 1, dtype=np.float64)
         wa = m_diag * ground_amplitudes(self.p, n_modes)
+        if not self.mu_defined:
+            return np.array([wa @ self.a, wa @ self.b])
         wda = m_diag * ground_derivative(self.p, n_modes)
         return np.array([wa @ self.a, wda @ self.a, wa @ self.b, wda @ self.b])
 
@@ -126,7 +129,7 @@ def decompose_p0(alpha: np.ndarray) -> ModulationFrame:
 def _root_map_and_jacobian(
     x: np.ndarray, alpha: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """F(c, p, theta, mu; alpha), its 4x4 Jacobian and the rotated state."""
+    """F(c, p, theta, mu; alpha), its 4x4 Jacobian and the remainder a + i b."""
     c, p, theta, mu = x
     n_modes = alpha.size
     n = np.arange(n_modes)
@@ -155,7 +158,7 @@ def _root_map_and_jacobian(
     ]
     jac[:, 2] = [wa @ du_dtheta, wda @ du_dtheta, wa @ dv_dtheta, wda @ dv_dtheta]
     jac[:, 3] = [wa @ du_dmu, wda @ du_dmu, wa @ dv_dmu, wda @ dv_dmu]
-    return f_vec, jac, rotated
+    return f_vec, jac, rotated - c * ground
 
 
 def decompose(
@@ -180,7 +183,7 @@ def decompose(
     scale = max(weighted_norm(alpha, 0.5), 1.0)
     history: list[float] = []
     for _ in range(NEWTON_MAX_ITER):
-        f_vec, jac, rotated = _root_map_and_jacobian(x, alpha)
+        f_vec, jac, remainder = _root_map_and_jacobian(x, alpha)
         res = float(np.linalg.norm(f_vec)) / scale
         history.append(res)
         if res < NEWTON_TOL:
@@ -209,10 +212,8 @@ def decompose(
         raise NoConvergence(
             f"converged outside the orbit neighborhood: c = {c:.4g}", history
         )
-    _, _, rotated = _root_map_and_jacobian(x, alpha)
-    ground = ground_amplitudes(p, alpha.size)
-    a = rotated.real - c * ground
-    b = rotated.imag.copy()
+    # the last iteration evaluated the root map at the converged x
+    a, b = remainder.real.copy(), remainder.imag.copy()
     frame = ModulationFrame(float(c), float(p), float(theta), float(mu), a, b)
     frame.residual_history = history
     return frame
@@ -298,7 +299,7 @@ def track_modulation(traj: TrajectoryRecord, p_init: float) -> ModulationTrack:
 
         c^2 (1+p^2)/(1-p^2) + ||Ma||^2 + ||Mb||^2 - E(alpha(0)).
     """
-    e_ref = higher_charge(traj.states[0])
+    e_ref = traj.E[0]
     cols = {k: [] for k in ("c", "p", "theta", "mu", "d12", "d1", "res", "ebud")}
     prev: ModulationFrame | None = None
     for idx, state in enumerate(traj.states):

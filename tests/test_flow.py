@@ -90,11 +90,15 @@ def test_integrator_config_validation():
         {"t_end": np.inf},
         {"sample_dt": -np.inf},
         {"t_end": 1e9, "sample_dt": 0.5},
+        # below DOP853's floor scipy would silently raise the tolerance
+        {"rel_tol": 1e-20},
+        {"rel_tol": 0.5 * flow.MIN_REL_TOL},
     ):
         with pytest.raises(ValueError):
             IntegratorConfig(**override)
-    # the edge that stays valid
+    # the edges that stay valid
     IntegratorConfig(t_end=flow.MAX_SAMPLES * 0.5, sample_dt=0.5)
+    IntegratorConfig(rel_tol=flow.MIN_REL_TOL)
 
 
 def test_integrate_rejects_nan_input():
@@ -136,11 +140,12 @@ def test_conservation_short_run():
 
 
 def test_backward_integration_returns():
+    # time reversal: t -> conj(alpha(T - t)) solves the flow too
     alpha0 = 0.3 * random_state(22, 16)
     cfg = IntegratorConfig(t_end=2.0, sample_dt=0.5)
     fwd = integrate(alpha0, cfg)
-    back = integrate(fwd.states[-1], cfg, backward=True)
-    np.testing.assert_allclose(back.states[-1], alpha0, atol=1e-9)
+    back = integrate(np.conj(fwd.states[-1]), cfg)
+    np.testing.assert_allclose(np.conj(back.states[-1]), alpha0, atol=1e-9)
 
 
 def test_oracle_check_runs_inline(monkeypatch):

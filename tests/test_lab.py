@@ -4,7 +4,6 @@ import csv
 import json
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,10 +35,9 @@ def test_perturbation_is_deterministic():
 
 
 def test_perturbation_norm_and_support():
-    spec = PerturbationSpec(delta=2.5e-4, support_lo=2, support_hi=10)
-    pert = generate_perturbation(spec, 7, 32)
+    pert = generate_perturbation(PerturbationSpec(delta=2.5e-4), 7, 32)
     assert weighted_norm(pert, 1.0) == pytest.approx(2.5e-4, rel=1e-12)
-    assert np.all(pert[:2] == 0) and np.all(pert[10:] == 0)
+    assert np.all(pert != 0)
     zeroed = generate_perturbation(PerturbationSpec(delta=1e-3, zero_mode0=True), 7, 32)
     assert zeroed[0] == 0
     assert weighted_norm(zeroed, 1.0) == pytest.approx(1e-3, rel=1e-12)
@@ -50,8 +48,8 @@ def test_perturbation_validation():
         PerturbationSpec(delta=-1.0)
     with pytest.raises(ValueError):
         PerturbationSpec(delta=np.nan)
-    with pytest.raises(ValueError):
-        generate_perturbation(PerturbationSpec(delta=1e-3, support_lo=5, support_hi=5), 0, 8)
+    with pytest.raises(ValueError, match="support is empty"):
+        generate_perturbation(PerturbationSpec(delta=1e-3, zero_mode0=True), 0, 1)
 
 
 def test_random_state_q_normalization():
@@ -147,6 +145,8 @@ def test_cli_validation_exit_two(capsys):
         ["simulate", "--delta", "nan"],
         ["simulate", "--t-end", "inf"],
         ["simulate", "--t-end", "1e9"],
+        # scipy would run at its floor 2.2e-14 and the metadata would say 1e-20
+        ["simulate", "--rel-tol", "1e-20"],
         ["drift-study", "--ensemble", "0"],
         # N x N operators and the N x (2N-1) kernel table would need 75 and 298 GiB
         ["spectrum", "--n", "100000"],
@@ -208,6 +208,11 @@ def test_cli_decompose(capsys):
     fields = dict(item.split("=") for item in out.split())
     assert float(fields["p"]) == pytest.approx(0.5, abs=1e-3)
     assert float(fields["constraint_residual"]) <= 1e-10
+    # the p = 0 form imposes a_0 = b_0 = 0 exactly and reports only those two
+    assert main(["decompose", "--n", "32", "--p0", "0", "--delta", "1e-2"]) == 0
+    fields = dict(item.split("=") for item in capsys.readouterr().out.split())
+    assert float(fields["p"]) == 0.0
+    assert float(fields["constraint_residual"]) == 0.0
 
 
 def test_cli_config_file_with_flag_override(tmp_path, capsys):
@@ -218,8 +223,12 @@ def test_cli_config_file_with_flag_override(tmp_path, capsys):
     code = main(["simulate", "--config", str(tmp_path / "missing.cfg")])
     assert code == 2
     bad = tmp_path / "bad.cfg"
-    bad.write_text("unknown_key = 3\n")
-    assert main(["simulate", "--config", str(bad)]) == 2
+    capsys.readouterr()
+    for text in ("unknown_key = 3\n", "n = abc\n"):
+        bad.write_text(text)
+        assert main(["simulate", "--config", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration: ") and err.count("\n") == 1, text
 
 
 def test_cli_entry_point_installed():
@@ -229,3 +238,50 @@ def test_cli_entry_point_installed():
         text=True,
     )
     assert proc.returncode == 0
+
+
+def test_cli_config_file_matches_flags(tmp_path):
+    # all eight settings from a file, spelt with "-" and "_", give the
+    # configuration the same flags give
+    out = tmp_path / "run"
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        "n = 24\np0 = 0.3\ndelta = 1e-4\nseed = 5\nt-end = 1\nrel_tol = 1e-9\n"
+        f"ensemble = 3\nout = {out}\n"
+    )
+    assert main(["simulate", "--config", str(config)]) == 0
+    from_file = json.loads((out / "metadata.json").read_text())["config"]
+    flags = [
+        "--n", "24",
+        "--p0", "0.3",
+        "--delta", "1e-4",
+        "--seed", "5",
+        "--t-end", "1",
+        "--rel-tol", "1e-9",
+        "--ensemble", "3",
+        "--out", str(out),
+    ]  # fmt: skip
+    assert main(["simulate", *flags]) == 0
+    from_flags = json.loads((out / "metadata.json").read_text())["config"]
+    assert from_file == from_flags
+    assert from_flags["integrator"] == {"rel_tol": 1e-9, "t_end": 1.0, "sample_dt": 0.5}
+    assert (from_flags["n_modes"], from_flags["seed"], from_flags["ensemble"]) == (24, 5, 3)
+    assert from_flags["out_dir"] == str(out)
+
+
+def test_cli_unwritable_out_exit_two(tmp_path, capsys):
+    # --out is created before the run starts; a file in its way is bad input
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    assert main(["inequality", "--out", str(blocker / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration") and err.count("\n") == 1
+
+
+def test_cli_empty_out_writes_nothing(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "run.cfg"
+    config.write_text("n = 16\nt-end = 0.5\nout =\n")
+    assert main(["simulate", "--config", str(config)]) == 0
+    assert main(["simulate", "--n", "16", "--t-end", "0.5", "--out", ""]) == 0
+    assert [path.name for path in tmp_path.iterdir()] == ["run.cfg"]

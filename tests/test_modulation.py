@@ -12,6 +12,7 @@ from conformalflow.modulation import (
     orbit_distance,
     track_modulation,
 )
+from conformalflow.observables import higher_charge
 from conformalflow.state import gauge_apply, ground_amplitudes, weighted_norm
 
 
@@ -57,6 +58,8 @@ def test_decompose_p0_closed_form():
     assert frame.c == pytest.approx(1.01)
     assert frame.theta == pytest.approx(0.3)
     assert frame.a[0] == 0.0 and frame.b[0] == 0.0
+    # only the two imposed constraints <MA(0), a> = <MA(0), b> = 0 are reported
+    assert np.array_equal(frame.constraint_residuals(), [0.0, 0.0])
     np.testing.assert_allclose(frame.reconstruct(), alpha, atol=1e-15)
 
 
@@ -198,10 +201,41 @@ def test_track_modulation_short_trajectory():
     assert np.max(track.dist_h1) <= 5e-3
 
 
+def test_decompose_and_track_reuse_computed_values():
+    # the remainder comes from the last Newton iterate and E(alpha(0)) from the
+    # trajectory; both equal a fresh evaluation bitwise
+    n_modes, p0 = 32, 0.45
+    alpha0 = ground_amplitudes(p0, n_modes) + perturbation(62, n_modes, 1e-3)
+    frame = decompose(alpha0, p0)
+    rotated = np.exp(-1j * (frame.theta + frame.mu * np.arange(1.0, n_modes + 1))) * alpha0
+    assert np.array_equal(frame.a, rotated.real - frame.c * ground_amplitudes(frame.p, n_modes))
+    assert np.array_equal(frame.b, rotated.imag)
+
+    traj = integrate(alpha0, IntegratorConfig(t_end=0.5, sample_dt=0.25))
+    track = track_modulation(traj, p0)
+    frames = [decompose(traj.states[0], p0)]
+    for state in traj.states[1:]:
+        frames.append(decompose(state, frames[-1].p, seed_frame=frames[-1]))
+    m_diag = np.arange(1.0, n_modes + 1)
+    e_model = [
+        f.c**2 * (1.0 + f.p**2) / (1.0 - f.p**2)
+        + np.sum((m_diag * f.a) ** 2)
+        + np.sum((m_diag * f.b) ** 2)
+        for f in frames
+    ]
+    e_ref = higher_charge(traj.states[0])
+    assert traj.E[0] == e_ref
+    assert np.array_equal(track.energy_budget_error, np.array(e_model) - e_ref)
+    for name in ("c", "p", "theta", "mu"):
+        assert np.array_equal(getattr(track, name), [getattr(f, name) for f in frames])
+
+
 def test_track_modulation_p0_branch():
     n_modes = 32
     alpha0 = ground_amplitudes(0.0, n_modes) + perturbation(61, n_modes, 1e-4)
     traj = integrate(alpha0, IntegratorConfig(t_end=1.0, sample_dt=0.25))
     track = track_modulation(traj, 0.0)
     assert np.all(track.p == 0.0)
+    # the p = 0 form imposes a_0 = b_0 = 0 exactly
+    assert np.array_equal(track.constraint_residual, np.zeros(traj.times.size))
     assert np.max(np.abs(track.energy_budget_error)) <= 1e-9
