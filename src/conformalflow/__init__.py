@@ -59,8 +59,6 @@ from .observables import (
     higher_charge,
 )
 from .state import (
-    GroundState,
-    SingleMode,
     gauge_apply,
     ground_amplitudes,
     ground_derivative,

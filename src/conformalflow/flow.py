@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 
-class FlowError(RuntimeError):
+class FlowError(ArithmeticError):
     """Numerical failure during integration (NaN state, failed step, oracle mismatch)."""
 
 

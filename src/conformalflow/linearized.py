@@ -34,17 +34,12 @@ the nonsymmetric eigenvalues of P are computed instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .state import (
-    GroundState,
-    SingleMode,
-    ground_amplitudes,
-    ground_derivative,
-)
+from .state import ground_amplitudes, ground_derivative
 
 __all__ = [
     "OperatorPair",
@@ -90,7 +85,7 @@ class OperatorPair:
     Lplus: np.ndarray
     Lminus: np.ndarray
     M: np.ndarray  # diagonal entries (n+1)
-    about: GroundState | SingleMode
+    p: float | None  # ground-state parameter; None for a single-mode state
 
     @property
     def n_modes(self) -> int:
@@ -102,9 +97,6 @@ class SpectralReport:
     eigenvalues: np.ndarray  # sorted descending
     eigenvectors: np.ndarray  # columns matching eigenvalues
     residuals: np.ndarray
-    zero_modes: int
-    about: GroundState | SingleMode
-    n_modes: int
 
 
 @dataclass
@@ -118,7 +110,6 @@ class StabilityReport:
     jordan_partners: int
     unstable: bool
     reduction: str  # "definite" (certified symmetric solve) or "general"
-    kernel_residuals: np.ndarray = field(default_factory=lambda: np.array([]))
 
 
 def build_ground_ops(p: float, n_modes: int) -> OperatorPair:
@@ -141,11 +132,13 @@ def build_ground_ops(p: float, n_modes: int) -> OperatorPair:
     diag = np.diag(n + 1.0)
     lplus = toeplitz - rank_one + weighted - diag
     lminus = toeplitz - rank_one - weighted - diag
-    return OperatorPair(lplus, lminus, n + 1.0, GroundState(p))
+    return OperatorPair(lplus, lminus, n + 1.0, p)
 
 
 def build_single_mode_ops(mode: int, c: float, n_modes: int) -> OperatorPair:
     """L+- for the single-mode state c delta_{n, mode}; requires N > 2 mode."""
+    if mode < 0:
+        raise ValueError("mode index must be nonnegative")
     if n_modes <= 2 * mode:
         raise ValueError("truncation must exceed twice the mode index")
     n = np.arange(n_modes)
@@ -157,15 +150,15 @@ def build_single_mode_ops(mode: int, c: float, n_modes: int) -> OperatorPair:
         lplus[i, 2 * mode - i] += coupling
         lminus[i, 2 * mode - i] -= coupling
     scale = float(c) ** 2
-    return OperatorPair(scale * lplus, scale * lminus, n + 1.0, SingleMode(mode, c))
+    return OperatorPair(scale * lplus, scale * lminus, n + 1.0, None)
 
 
 def spectrum(ops: OperatorPair, which: str, count: int | None = None) -> SpectralReport:
     """Symmetric eigendecomposition of L+ or L- with residual contract.
 
     With ``count`` given, only the ``count`` largest eigenpairs are computed;
-    the residual contract, its scale max |eigenvalue| and ``zero_modes`` then
-    refer to the computed eigenvalues only.  ``count=None`` solves for all N.
+    the residual contract and its scale max |eigenvalue| then refer to the
+    computed eigenvalues only.  ``count=None`` solves for all N.
     """
     mat = _pick(ops, which)
     n_modes = ops.n_modes
@@ -181,8 +174,7 @@ def spectrum(ops: OperatorPair, which: str, count: int | None = None) -> Spectra
     residuals = np.linalg.norm(mat @ vecs - vecs * vals, axis=0)
     if np.any(residuals > 1e-10 * max(op_norm, 1.0)):
         raise ArithmeticError("eigendecomposition residual contract violated")
-    zero_modes = int(np.sum(np.abs(vals) <= 1e-8 * max(op_norm, 1.0)))
-    return SpectralReport(vals, vecs, residuals, zero_modes, ops.about, ops.n_modes)
+    return SpectralReport(vals, vecs, residuals)
 
 
 def _pick(ops: OperatorPair, which: str) -> np.ndarray:
@@ -220,12 +212,10 @@ def stability_spectrum(ops: OperatorPair) -> StabilityReport:
 
     zero_geometric = 0
     jordan = 0
-    kernel_residuals = np.array([])
-    if isinstance(ops.about, GroundState):
-        p = ops.about.p
+    if ops.p is not None:
         n_modes = ops.n_modes
-        ground = ground_amplitudes(p, n_modes)
-        dground = ground_derivative(p, n_modes)
+        ground = ground_amplitudes(ops.p, n_modes)
+        dground = ground_derivative(ops.p, n_modes)
         kernel_vecs = [
             (np.zeros(n_modes), ground),  # global phase
             (np.zeros(n_modes), ops.M * ground),  # local phase
@@ -237,16 +227,13 @@ def stability_spectrum(ops: OperatorPair) -> StabilityReport:
             image = np.concatenate([ops.Lminus @ b_part, -(ops.Lplus @ a_part)])
             vec = np.concatenate([a_part, b_part])
             residuals.append(np.linalg.norm(image) / max(np.linalg.norm(vec), 1e-300))
-        kernel_residuals = np.array(residuals)
-        zero_geometric = int(np.sum(kernel_residuals < 1e-7))
+        zero_geometric = int(np.sum(np.array(residuals) < 1e-7))
         # Jordan partner of (0, A): (-A/2, 0) -> (0, L+ A / 2) = M (0, A)
         target = ops.M * ground
         jres = np.linalg.norm(0.5 * (ops.Lplus @ ground) - target) / np.linalg.norm(target)
         if jres < 1e-7:
             jordan = 1
-    return StabilityReport(
-        omegas, vals, zero_geometric, jordan, unstable, reduction, kernel_residuals
-    )
+    return StabilityReport(omegas, vals, zero_geometric, jordan, unstable, reduction)
 
 
 def _definite_eigenvalues(ops: OperatorPair) -> np.ndarray | None:
@@ -334,8 +321,6 @@ def _first_ladder_vector(p: float, n_modes: int) -> np.ndarray:
 
 @dataclass
 class LadderReport:
-    p: float
-    n_modes: int
     commutation_residual_S: float
     commutation_residual_Sstar: float
     v1_residual: float
@@ -395,12 +380,11 @@ def ladder_check(p: float, n_modes: int, m_max: int = 10) -> LadderReport:
     for m in range(1, m_max + 1):
         eigen_res.append(np.linalg.norm(ladder_op @ v + m * v) / np.linalg.norm(v))
         v = np.concatenate([[0.0], v[:-1]])  # v^{m+1} = S v^{m}
-    return LadderReport(p, n_modes, res1, res2, v1_res, angle, np.array(eigen_res))
+    return LadderReport(res1, res2, v1_res, angle, np.array(eigen_res))
 
 
 @dataclass
 class MuLadderReport:
-    p: float
     mus: np.ndarray  # 1/(m+1)
     residuals: np.ndarray  # ||T v - mu M v|| / ||M v||
     coefficients: list[np.ndarray]  # expansion of v^(m) over {M^j A}, x_m = 1
@@ -422,12 +406,13 @@ def mu_ladder(p: float, m_max: int, n_modes: int) -> MuLadderReport:
     basis = [ground.copy()]
     for _ in range(m_max):
         basis.append(m_diag * basis[-1])
+    t_basis = [t_mat @ v for v in basis]
 
     mus, residuals, coeff_list = [], [], []
     for m in range(m_max + 1):
         mu = 1.0 / (m + 1)
         cols = np.stack(
-            [t_mat @ basis[j] - mu * m_diag * basis[j] for j in range(m + 1)], axis=1
+            [t_basis[j] - mu * m_diag * basis[j] for j in range(m + 1)], axis=1
         )
         if m == 0:
             x = np.array([1.0])
@@ -441,18 +426,17 @@ def mu_ladder(p: float, m_max: int, n_modes: int) -> MuLadderReport:
         mus.append(mu)
         residuals.append(res)
         coeff_list.append(x)
-    return MuLadderReport(p, np.array(mus), np.array(residuals), coeff_list)
+    return MuLadderReport(np.array(mus), np.array(residuals), coeff_list)
 
 
 def coercivity(ops: OperatorPair) -> tuple[float, float]:
     """Largest h^{1/2}-Rayleigh quotients of L+- on the symplectically
     orthogonal subspace {<MA, a> = <MA', a> = 0}; both must be negative."""
-    if not isinstance(ops.about, GroundState):
+    if ops.p is None:
         raise ValueError("coercivity is defined for ground-state operators")
-    p = ops.about.p
     n_modes = ops.n_modes
-    ground = ground_amplitudes(p, n_modes)
-    dground = ground_derivative(p, n_modes)
+    ground = ground_amplitudes(ops.p, n_modes)
+    dground = ground_derivative(ops.p, n_modes)
     w_half = np.sqrt(ops.M)  # W^{1/2} with W = diag(n+1)
     constraints = np.stack([(ops.M * ground) / w_half, (ops.M * dground) / w_half])
     null = scipy.linalg.null_space(constraints)

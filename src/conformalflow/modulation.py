@@ -51,13 +51,11 @@ NEWTON_MAX_ITER = 60
 REFINE_MAX_ITER = 60
 
 
-class NoConvergence(RuntimeError):
-    def __init__(self, message: str, residuals: list[float] | None = None):
-        super().__init__(message)
-        self.residuals = residuals or []
+class NoConvergence(ArithmeticError):
+    """No decomposition within the orbit neighborhood (Newton failed or left it)."""
 
 
-class DegenerateJacobian(RuntimeError):
+class DegenerateJacobian(NoConvergence):
     """The mu-direction collapsed (p too close to 0); use decompose_p0."""
 
 
@@ -100,7 +98,6 @@ class OrbitDistanceResult:
     distance: float
     theta: float  # orbit convention
     mu: float
-    s: float
 
 
 def decompose_p0(alpha: np.ndarray) -> ModulationFrame:
@@ -198,20 +195,16 @@ def decompose(
         x = x - np.linalg.solve(jac, f_vec)
         if not (0.0 <= x[1] < 1.0) or x[0] <= 0.0:
             raise NoConvergence(
-                f"Newton iterate left the parameter domain: c={x[0]:.4g}, p={x[1]:.4g}",
-                history,
+                f"Newton iterate left the parameter domain: c={x[0]:.4g}, p={x[1]:.4g}"
             )
     else:
         raise NoConvergence(
-            f"no convergence after {NEWTON_MAX_ITER} iterations (residual {history[-1]:.3e})",
-            history,
+            f"no convergence after {NEWTON_MAX_ITER} iterations (residual {history[-1]:.3e})"
         )
 
     c, p, theta, mu = x
     if abs(c - 1.0) > DELTA0:
-        raise NoConvergence(
-            f"converged outside the orbit neighborhood: c = {c:.4g}", history
-        )
+        raise NoConvergence(f"converged outside the orbit neighborhood: c = {c:.4g}")
     # the last iteration evaluated the root map at the converged x
     a, b = remainder.real.copy(), remainder.imag.copy()
     frame = ModulationFrame(float(c), float(p), float(theta), float(mu), a, b)
@@ -275,7 +268,7 @@ def orbit_distance(alpha: np.ndarray, p: float, s: float) -> OrbitDistanceResult
     # evaluate the norm directly at the optimum; the expanded form
     # ||alpha||^2 + ||A||^2 - 2|h| loses half the digits to cancellation
     diff = alpha - gauge_apply(ground, theta_star, mu_star)
-    return OrbitDistanceResult(weighted_norm(diff, s), theta_star, float(mu_star), s)
+    return OrbitDistanceResult(weighted_norm(diff, s), theta_star, float(mu_star))
 
 
 @dataclass
@@ -305,7 +298,7 @@ def track_modulation(traj: TrajectoryRecord, p_init: float) -> ModulationTrack:
     for idx, state in enumerate(traj.states):
         try:
             frame = decompose(state, p_init if prev is None else prev.p, seed_frame=prev)
-        except (NoConvergence, DegenerateJacobian) as exc:
+        except NoConvergence as exc:
             raise NoConvergence(
                 f"modulation tracking failed at sample {idx} (t = {traj.times[idx]:.6g}): {exc}"
             ) from exc

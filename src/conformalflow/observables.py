@@ -27,6 +27,8 @@ __all__ = [
 
 #: hankel_identity_check rejects x with max |x - reversed x| above this times max(1, max |x|)
 PALINDROME_TOL = 1e-12
+#: energy_naive raises when its sum has an imaginary part above this times max(1, |H|)
+IMAG_TOL = 1e-12
 
 
 def charge(alpha: np.ndarray) -> float:
@@ -43,11 +45,11 @@ def higher_charge(alpha: np.ndarray) -> float:
     return float(np.sum((n + 1.0) ** 2 * np.abs(alpha) ** 2))
 
 
-def energy_naive(alpha: np.ndarray, imag_tol: float = 1e-12) -> float:
+def energy_naive(alpha: np.ndarray) -> float:
     """Quartic energy from the raw quadruple sum; O(N^3) oracle.
 
     The n <-> j symmetry halves the index set.  The accumulated value must be
-    real; a relative imaginary part above ``imag_tol`` signals an indexing bug
+    real; a relative imaginary part above ``IMAG_TOL`` signals an indexing bug
     and raises ``ArithmeticError``.
     """
     alpha = np.asarray(alpha, dtype=np.complex128)
@@ -63,7 +65,7 @@ def energy_naive(alpha: np.ndarray, imag_tol: float = 1e-12) -> float:
             weight = 1.0 if j == n else 2.0
             acc += weight * np.conj(alpha[n] * alpha[j]) * inner
     scale = max(1.0, abs(acc))
-    if abs(acc.imag) > imag_tol * scale:
+    if abs(acc.imag) > IMAG_TOL * scale:
         raise ArithmeticError(
             f"energy accumulated a non-real value: imag={acc.imag:.3e}, |H|={abs(acc):.3e}"
         )

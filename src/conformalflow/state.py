@@ -1,4 +1,4 @@
-"""Mode vectors, weighted norms, the gauge action and reference states.
+"""Mode vectors, weighted norms, the gauge action and the ground-state family A(p).
 
 A state is a 1-D complex numpy array ``alpha`` of length N, understood as the
 truncation of an infinite sequence with ``alpha[n] = 0`` for ``n >= N``.
@@ -6,15 +6,11 @@ truncation of an infinite sequence with ``alpha[n] = 0`` for ``n >= N``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
     "weighted_norm",
     "gauge_apply",
-    "GroundState",
-    "SingleMode",
     "ground_amplitudes",
     "ground_derivative",
     "ground_second_derivative",
@@ -65,24 +61,3 @@ def _check_p(p: float) -> None:
     if not 0.0 <= p < 1.0:
         raise ValueError(f"ground-state parameter must lie in [0, 1), got {p}")
 
-
-@dataclass(frozen=True)
-class GroundState:
-    """Tag of the normalized ground state A_n(p) = (1 - p^2) p^n, lambda = 1."""
-
-    p: float
-
-    def __post_init__(self) -> None:
-        _check_p(self.p)
-
-
-@dataclass(frozen=True)
-class SingleMode:
-    """Tag of the single-mode state c delta_{n, mode}, lambda = |c|^2."""
-
-    mode: int
-    c: complex = 1.0
-
-    def __post_init__(self) -> None:
-        if self.mode < 0:
-            raise ValueError("mode index must be nonnegative")

@@ -70,11 +70,14 @@ def test_experiment_config_validation():
         {"delta": np.inf},
         {"ensemble": 0},
         {"seed": -1},
-        {"seed": 2**128 - 1, "ensemble": 2},  # member 1 would need key 2**128
+        # drift-study member 1 would need key 2**128
+        {"kind": "drift-study", "seed": 2**128 - 1, "ensemble": 2},
     ):
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)
     ExperimentConfig(seed=2**128 - 2, ensemble=2)  # the largest keys Philox takes
+    # only drift-study draws from seed + m; a single run takes any 128-bit key
+    ExperimentConfig(seed=2**128 - 1, ensemble=2)
 
 
 def test_inequality_scan_bounds():
@@ -148,6 +151,7 @@ def test_cli_validation_exit_two(capsys):
         # scipy would run at its floor 2.2e-14 and the metadata would say 1e-20
         ["simulate", "--rel-tol", "1e-20"],
         ["drift-study", "--ensemble", "0"],
+        ["drift-study", "--seed", str(2**128 - 1), "--ensemble", "2"],
         # N x N operators and the N x (2N-1) kernel table would need 75 and 298 GiB
         ["spectrum", "--n", "100000"],
         ["simulate", "--n", "100000"],
@@ -156,6 +160,12 @@ def test_cli_validation_exit_two(capsys):
         err = capsys.readouterr().err
         assert "invalid configuration" in err, argv
         assert err.count("\n") == 1, argv
+
+
+def test_cli_simulate_takes_the_largest_seed(capsys):
+    # the default ensemble of 32 bounds only drift-study's keys seed + m
+    assert main(["simulate", "--n", "8", "--t-end", "0.5", "--seed", str(2**128 - 1)]) == 0
+    assert "t_end=0.5" in capsys.readouterr().out
 
 
 def test_cli_numerical_failure_exit_three(capsys):

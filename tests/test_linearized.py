@@ -208,7 +208,7 @@ def test_stability_indefinite_minus_falls_back(bump, n_modes):
     # block of the pivoted Cholesky factor
     ops = build_ground_ops(0.3, n_modes)
     ground = ground_amplitudes(0.3, n_modes)
-    bumped = OperatorPair(ops.Lplus, ops.Lminus + bump * np.outer(ground, ground), ops.M, ops.about)
+    bumped = OperatorPair(ops.Lplus, ops.Lminus + bump * np.outer(ground, ground), ops.M, ops.p)
     assert np.any(np.diag(bumped.Lminus) > 0) == (bump == 0.5)
     report = stability_spectrum(bumped)
     assert report.reduction == "general"
@@ -231,6 +231,15 @@ def test_single_mode_scaling_with_c():
 def test_single_mode_requires_window():
     with pytest.raises(ValueError):
         build_single_mode_ops(4, 1.0, 8)
+
+
+def test_operator_pair_state_parameter():
+    assert build_ground_ops(0.4, 64).p == 0.4
+    assert build_single_mode_ops(2, 1.5, 16).p is None
+    with pytest.raises(ValueError):
+        build_ground_ops(1.0, 16)
+    with pytest.raises(ValueError, match="mode index must be nonnegative"):
+        build_single_mode_ops(-1, 1.0, 16)
 
 
 @pytest.mark.parametrize("mode", [0, 1, 2])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conformalflow import observables
 from conformalflow.observables import (
     charge,
     energy_fast,
@@ -91,12 +92,13 @@ def test_functional_K_definition():
     )
 
 
-def test_energy_naive_raises_on_forced_imaginary():
-    # a state cannot trigger this; exercise the guard via the tolerance knob
+def test_energy_naive_raises_on_forced_imaginary(monkeypatch):
+    # a state cannot trigger this; exercise the guard via the tolerance constant
     alpha = random_state(8, 12)
     energy_naive(alpha)  # fine at the default tolerance
+    monkeypatch.setattr(observables, "IMAG_TOL", 0.0)
     with pytest.raises(ArithmeticError):
-        energy_naive(alpha, imag_tol=0.0)
+        energy_naive(alpha)
 
 
 def test_hankel_identity_frozen():

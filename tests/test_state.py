@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from conformalflow.state import (
-    GroundState,
-    SingleMode,
     gauge_apply,
     ground_amplitudes,
     ground_derivative,
@@ -84,12 +82,3 @@ def test_ground_second_derivative_matches_finite_difference(p):
         ) / h**2
         atol = 1e-5
     np.testing.assert_allclose(ground_second_derivative(p, n_modes), fd, atol=atol)
-
-
-def test_reference_dataclasses():
-    assert GroundState(0.4).p == 0.4
-    assert SingleMode(2, 1.5) == SingleMode(2, 1.5)
-    with pytest.raises(ValueError):
-        GroundState(1.0)
-    with pytest.raises(ValueError):
-        SingleMode(-1)
