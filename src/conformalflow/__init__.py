@@ -2,7 +2,7 @@
 
 Modules
 -------
-kernel       layer-cumulative pair-sum table behind the fast vector field and energy
+kernel       N x N layer-cumulative pair-sum table behind the fast vector field and energy
 state        states, the gauge action, ground-state family
 observables  conserved quantities H, Q, E, the gap, the Hankel identity
 flow         vector field (naive and fast), co-rotating DOP853 integration

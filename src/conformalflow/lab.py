@@ -95,8 +95,8 @@ def random_state(seed: int, n_modes: int, q_normalize: float | None = None) -> n
     return alpha
 
 
-#: largest truncation N a run may ask for; at N = 4096 the N x (2N-1) complex
-#: pair-sum table takes 0.5 GiB and each dense N x N operator 0.13 GiB
+#: largest truncation N a run may ask for; at N = 4096 a field evaluation peaks at
+#: its N x N complex pair-sum table, 0.25 GiB, and each dense N x N operator takes 0.13 GiB
 MAX_MODES = 4096
 
 
@@ -118,6 +118,9 @@ class ExperimentConfig:
         if not 0.0 <= self.p0 < 1.0:
             raise ValueError("p0 must lie in [0, 1)")
         _check_delta(self.delta)
+        # the theorem ratio dist_h1 / (delta + (p0 - p)^{1/2}) is 0/0 at t = 0 for delta = 0
+        if self.kind == "drift-study" and self.delta == 0.0:
+            raise ValueError("drift-study needs delta > 0")
         if self.ensemble < 1:
             raise ValueError(f"ensemble must be at least 1, got {self.ensemble}")
         # Philox keys are unsigned 128-bit; drift-study member m draws from seed + m

@@ -1,5 +1,5 @@
-"""Layer-cumulative pair-sum table against the brute-force definitions and the
-earlier formulation (layered table C, then a cumsum and a gather)."""
+"""Layer-cumulative pair-sum table H[a, j] = D[a, a+j] against the brute-force
+definitions and the earlier formulation (layered table C, then a cumsum and a gather)."""
 
 import numpy as np
 import pytest
@@ -24,14 +24,24 @@ def pair_sums_oracle(alpha: np.ndarray) -> np.ndarray:
 
 
 def cumulative_oracle(alpha: np.ndarray) -> np.ndarray:
-    """D[a, s] = sum_k (min(a, k, s-k) + 1) alpha_k alpha_{s-k} for s >= 2a, term by term;
-    zero below s = 2a."""
+    """H[a, j] = D[a, a+j] = sum_k (min(a, k, s-k) + 1) alpha_k alpha_{s-k} at s = a + j,
+    for j >= a, term by term; zero below the diagonal."""
     n = alpha.size
-    table = np.zeros((n, 2 * n - 1), dtype=np.complex128)
+    table = np.zeros((n, n), dtype=np.complex128)
     for a in range(n):
-        for s in range(2 * a, 2 * n - 1):
+        for j in range(a, n):
+            s = a + j
             for k in range(max(0, s - n + 1), min(s, n - 1) + 1):
-                table[a, s] += (min(a, k, s - k) + 1) * alpha[k] * alpha[s - k]
+                table[a, j] += (min(a, k, s - k) + 1) * alpha[k] * alpha[s - k]
+    return table
+
+
+def shifted(wide: np.ndarray) -> np.ndarray:
+    """Read an (N, 2N - 1) table D[a, s] through the shift H[a, j] = D[a, a+j], j >= a."""
+    n = wide.shape[0]
+    table = np.zeros((n, n), dtype=wide.dtype)
+    for a in range(n):
+        table[a, a:] = wide[a, 2 * a : a + n]
     return table
 
 
@@ -59,22 +69,24 @@ def random_state(seed: int, n: int) -> np.ndarray:
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
-@pytest.mark.parametrize("seed,n", [(0, 1), (1, 2), (2, 5), (3, 12)])
+@pytest.mark.parametrize("seed,n", [(0, 1), (1, 2), (2, 5), (3, 12), (4, 24)])
 def test_table_matches_oracle(seed, n):
+    # includes the last column H[a, N-1], which the layer walk does not reach
     alpha = random_state(seed, n)
     got = layer_cumulative_sums(alpha)
     want = cumulative_oracle(alpha)
-    assert got.shape == want.shape == (n, 2 * n - 1)
+    assert got.shape == want.shape == (n, n)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * max(1.0, np.max(np.abs(want))))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 48, 512])
 def test_table_equals_row_copy_build(n):
-    # the layer walk adds the same rows in the same order as a cumsum of C
+    # a cumsum of the earlier layered table C, read through the shift
     alpha = random_state(40 + n, n)
-    read = np.arange(2 * n - 1)[None, :] >= 2 * np.arange(n)[:, None]  # s >= 2a
-    reference = np.cumsum(row_copy_build(alpha), axis=0)
-    assert np.array_equal(layer_cumulative_sums(alpha)[read], reference[read])
+    reference = shifted(np.cumsum(row_copy_build(alpha), axis=0))
+    np.testing.assert_allclose(
+        layer_cumulative_sums(alpha), reference, rtol=0, atol=1e-13 * np.max(np.abs(reference))
+    )
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 48, 512])
@@ -85,7 +97,9 @@ def test_field_equals_prefix_gather(n):
     prefix = np.cumsum(row_copy_build(alpha), axis=0)
     gathered = prefix[np.minimum.outer(idx, idx), np.add.outer(idx, idx)]
     want = gathered @ np.conj(alpha) / np.arange(1, n + 1, dtype=np.float64)
-    assert np.array_equal(vector_field_fast(alpha), want)
+    np.testing.assert_allclose(
+        vector_field_fast(alpha), want, rtol=0, atol=1e-13 * np.max(np.abs(want))
+    )
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 48, 512])
@@ -99,23 +113,27 @@ def test_energy_matches_layer_square_sum(n):
 def test_row_zero_is_self_convolution():
     alpha = random_state(7, 9)
     table = layer_cumulative_sums(alpha)
-    np.testing.assert_allclose(table[0], np.convolve(alpha, alpha), rtol=1e-14)
+    np.testing.assert_allclose(table[0], np.convolve(alpha, alpha)[:9], rtol=1e-14)
 
 
 def test_triangular_support():
     table = layer_cumulative_sums(random_state(11, 8))
-    for a in range(table.shape[0]):
-        assert np.all(table[a, : 2 * a] == 0.0)
+    assert table.shape == (8, 8)
+    assert np.all(np.tril(table, -1) == 0.0)
 
 
 def test_prefix_sums_are_cumulative():
-    # consecutive rows differ by one layer C_a on the entries s >= 2a
+    # D[a, s] - D[a-1, s] = C_a(s) on s >= 2a, i.e. H[a, j] - H[a-1, j+1] = C_a(a+j)
     alpha = random_state(5, 7)
+    n = alpha.size
     table = layer_cumulative_sums(alpha)
     layers = pair_sums_oracle(alpha)
-    for a in range(1, alpha.size):
+    for a in range(1, n):
         np.testing.assert_allclose(
-            table[a, 2 * a :] - table[a - 1, 2 * a :], layers[a, 2 * a :], rtol=0, atol=1e-13
+            table[a, a : n - 1] - table[a - 1, a + 1 :],
+            layers[a, 2 * a : a + n - 1],
+            rtol=0,
+            atol=1e-13,
         )
 
 

@@ -151,8 +151,9 @@ def test_cli_validation_exit_two(capsys):
         # scipy would run at its floor 2.2e-14 and the metadata would say 1e-20
         ["simulate", "--rel-tol", "1e-20"],
         ["drift-study", "--ensemble", "0"],
+        ["drift-study", "--delta", "0"],
         ["drift-study", "--seed", str(2**128 - 1), "--ensemble", "2"],
-        # N x N operators and the N x (2N-1) kernel table would need 75 and 298 GiB
+        # N x N operators and the N x N complex kernel table would need 75 and 149 GiB
         ["spectrum", "--n", "100000"],
         ["simulate", "--n", "100000"],
     ):
