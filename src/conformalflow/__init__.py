@@ -11,8 +11,10 @@ modulation   four-parameter decomposition and orbit-distance tracking
 lab          seeded experiments, persistence, and the CLI entry point
 
 A run chooses its settings through ``IntegratorConfig`` and
-``ExperimentConfig``; every other numerical constant (tolerances, step
-bound, iteration caps, seeds) is an upper-case module-level name.
+``ExperimentConfig``.  Fixed tolerances, step and input bounds, iteration
+caps and seeds are upper-case module-level names; the residual contract and
+kernel verdicts of ``linearized``, the condition bound of ``modulation`` and
+the verdicts of ``lab``'s commands stay inline.
 """
 
 from .flow import (

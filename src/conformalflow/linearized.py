@@ -2,23 +2,24 @@
 
 Around a real stationary state A with frequency lambda, the functional
 K = H/2 - lambda Q expands as K(A + a + ib) - K(A) = <L+ a, a> + <L- b, b> +
-cubic terms.  For the ground state A(p) the operators have the closed form
+cubic terms.  Both operators are one symmetric part plus or minus one
+coupling.  For the ground state A(p),
 
-    [L+-]_{nj} = 2 p^{|n-j|} - 2 p^{2+n+j} +- (1-p^2)^2 (n+1)(j+1) p^{n+j}
-                 - (n+1) delta_{nj},
+    L+- = L0 +- w w^T,   L0 = 2 T(p) - M,   w = M A(p),
 
-a Toeplitz part plus two rank-one corrections; for a single-mode state they
-reduce to a diagonal plus an anti-diagonal band.  This module builds the
+with T(p)_{nj} = p^{|n-j|} - p^{n+j+2} (``toeplitz_core``), M = diag(n+1), and
+L0 the ladder operator of ``ladder_check``; for a single-mode state L0 is
+diagonal and the coupling an anti-diagonal band.  This module builds the
 dense truncations and verifies the exactly-known spectra, the shift-operator
 ladder that locates the negative eigenvalues at the negative integers, the
 commutation relations, coercivity on the symplectically orthogonal subspace,
 and the closed-form summation identities these facts rest on.
 
-Operator builds evaluate the powers p^0 .. p^{2N} once and index that table:
-raising p element-wise over the N x N exponent grids gives bitwise the same
-entries at several times the cost, most of it in underflowing powers.
-``spectrum`` can solve for the top ``count`` eigenpairs only, which is all the
-spectrum suite reports.
+``toeplitz_core`` evaluates the powers p^0 .. p^{2N} once and indexes that
+table: raising p element-wise over the N x N exponent grids gives bitwise
+the same entries at several times the cost, most of it in underflowing
+powers.  ``spectrum(mat, count)`` returns the eigenvalues of one operator,
+optionally only the top ``count``, which is all the spectrum suite reports.
 
 The stability problem P = M^-1 L- M^-1 L+ is nonsymmetric, but a
 constrained maximiser of the energy has L- <= 0, so -L- = X X^T with X of
@@ -43,7 +44,6 @@ from .state import ground_amplitudes, ground_derivative
 
 __all__ = [
     "OperatorPair",
-    "SpectralReport",
     "StabilityReport",
     "build_ground_ops",
     "build_single_mode_ops",
@@ -93,13 +93,6 @@ class OperatorPair:
 
 
 @dataclass
-class SpectralReport:
-    eigenvalues: np.ndarray  # sorted descending
-    eigenvectors: np.ndarray  # columns matching eigenvalues
-    residuals: np.ndarray
-
-
-@dataclass
 class StabilityReport:
     omegas: np.ndarray  # nonnegative frequencies of the +-i Omega pairs, ascending
     # eigenvalues Omega^2 of M^-1 L- M^-1 L+ (should be >= 0): real, the r
@@ -123,16 +116,11 @@ def build_ground_ops(p: float, n_modes: int) -> OperatorPair:
             f"truncation tail p^(N/2) = {p ** (n_modes / 2):.2e} exceeds {TAIL_TOL:.1e}",
             stacklevel=2,
         )
-    n = np.arange(n_modes)
-    powers = _powers(p, n_modes)
-    toeplitz = 2.0 * powers[np.abs(np.subtract.outer(n, n))]
-    pn = powers[:n_modes]
-    rank_one = 2.0 * p * p * np.outer(pn, pn)
-    weighted = (1.0 - p * p) ** 2 * np.outer((n + 1.0) * pn, (n + 1.0) * pn)
-    diag = np.diag(n + 1.0)
-    lplus = toeplitz - rank_one + weighted - diag
-    lminus = toeplitz - rank_one - weighted - diag
-    return OperatorPair(lplus, lminus, n + 1.0, p)
+    m_diag = np.arange(1.0, n_modes + 1)
+    symmetric = 2.0 * toeplitz_core(p, n_modes) - np.diag(m_diag)
+    weighted = m_diag * ground_amplitudes(p, n_modes)
+    coupling = np.outer(weighted, weighted)
+    return OperatorPair(symmetric + coupling, symmetric - coupling, m_diag, p)
 
 
 def build_single_mode_ops(mode: int, c: float, n_modes: int) -> OperatorPair:
@@ -142,26 +130,24 @@ def build_single_mode_ops(mode: int, c: float, n_modes: int) -> OperatorPair:
     if n_modes <= 2 * mode:
         raise ValueError("truncation must exceed twice the mode index")
     n = np.arange(n_modes)
-    diag = 2.0 * np.minimum(n, mode) + 1.0 - n
-    lplus = np.diag(diag).astype(np.float64)
-    lminus = np.diag(diag).astype(np.float64)
-    for i in range(2 * mode + 1):
-        coupling = min(i, mode, 2 * mode - i) + 1.0
-        lplus[i, 2 * mode - i] += coupling
-        lminus[i, 2 * mode - i] -= coupling
+    symmetric = np.diag(2.0 * np.minimum(n, mode) + 1.0 - n)
+    # the anti-diagonal i + j = 2 mode, weight min(i, 2 mode - i) + 1
+    i = np.arange(2 * mode + 1)
+    coupling = np.zeros((n_modes, n_modes))
+    coupling[i, 2 * mode - i] = np.minimum(i, 2 * mode - i) + 1.0
     scale = float(c) ** 2
-    return OperatorPair(scale * lplus, scale * lminus, n + 1.0, None)
+    return OperatorPair(scale * (symmetric + coupling), scale * (symmetric - coupling), n + 1.0, None)
 
 
-def spectrum(ops: OperatorPair, which: str, count: int | None = None) -> SpectralReport:
-    """Symmetric eigendecomposition of L+ or L- with residual contract.
+def spectrum(mat: np.ndarray, count: int | None = None) -> np.ndarray:
+    """Eigenvalues of the symmetric operator ``mat``, descending, with residual contract.
 
-    With ``count`` given, only the ``count`` largest eigenpairs are computed;
-    the residual contract and its scale max |eigenvalue| then refer to the
-    computed eigenvalues only.  ``count=None`` solves for all N.
+    With ``count`` given, only the ``count`` largest are computed; the
+    residual contract and its scale max |eigenvalue| then refer to those
+    only.  ``count=None`` solves for all N.  An eigenpair residual above
+    1e-10 max(max |eigenvalue|, 1) raises ``ArithmeticError``.
     """
-    mat = _pick(ops, which)
-    n_modes = ops.n_modes
+    n_modes = mat.shape[0]
     if count is None:
         vals, vecs = scipy.linalg.eigh(mat)
     elif 1 <= count <= n_modes:
@@ -174,15 +160,7 @@ def spectrum(ops: OperatorPair, which: str, count: int | None = None) -> Spectra
     residuals = np.linalg.norm(mat @ vecs - vecs * vals, axis=0)
     if np.any(residuals > 1e-10 * max(op_norm, 1.0)):
         raise ArithmeticError("eigendecomposition residual contract violated")
-    return SpectralReport(vals, vecs, residuals)
-
-
-def _pick(ops: OperatorPair, which: str) -> np.ndarray:
-    if which == "plus":
-        return ops.Lplus
-    if which == "minus":
-        return ops.Lminus
-    raise ValueError("which must be 'plus' or 'minus'")
+    return vals
 
 
 def stability_spectrum(ops: OperatorPair) -> StabilityReport:
@@ -213,24 +191,17 @@ def stability_spectrum(ops: OperatorPair) -> StabilityReport:
     zero_geometric = 0
     jordan = 0
     if ops.p is not None:
-        n_modes = ops.n_modes
-        ground = ground_amplitudes(ops.p, n_modes)
-        dground = ground_derivative(ops.p, n_modes)
-        kernel_vecs = [
-            (np.zeros(n_modes), ground),  # global phase
-            (np.zeros(n_modes), ops.M * ground),  # local phase
-            (dground, np.zeros(n_modes)),  # parameter direction
-        ]
-        # residuals under the generator (a, b) -> (L- b, -L+ a) of the linearized flow
-        residuals = []
-        for a_part, b_part in kernel_vecs:
-            image = np.concatenate([ops.Lminus @ b_part, -(ops.Lplus @ a_part)])
-            vec = np.concatenate([a_part, b_part])
-            residuals.append(np.linalg.norm(image) / max(np.linalg.norm(vec), 1e-300))
-        zero_geometric = int(np.sum(np.array(residuals) < 1e-7))
+        ground = ground_amplitudes(ops.p, ops.n_modes)
+        weighted = ops.M * ground
+        dground = ground_derivative(ops.p, ops.n_modes)
+        # the generator (a, b) -> (L- b, -L+ a) of the linearized flow on the global
+        # phase (0, A), the local phase (0, MA) and the parameter direction (A', 0)
+        zero_geometric = sum(
+            int(np.linalg.norm(mat @ vec) / np.linalg.norm(vec) < 1e-7)
+            for mat, vec in ((ops.Lminus, ground), (ops.Lminus, weighted), (ops.Lplus, dground))
+        )
         # Jordan partner of (0, A): (-A/2, 0) -> (0, L+ A / 2) = M (0, A)
-        target = ops.M * ground
-        jres = np.linalg.norm(0.5 * (ops.Lplus @ ground) - target) / np.linalg.norm(target)
+        jres = np.linalg.norm(0.5 * (ops.Lplus @ ground) - weighted) / np.linalg.norm(weighted)
         if jres < 1e-7:
             jordan = 1
     return StabilityReport(omegas, vals, zero_geometric, jordan, unstable, reduction)
@@ -295,13 +266,8 @@ def toeplitz_core(p: float, n_modes: int) -> np.ndarray:
     """T(p) with entries p^{|n-j|} - p^{n+j+2}; on the constrained subspace
     B+- = 2T and the negative spectrum of L+- equals that of 2T - M."""
     n = np.arange(n_modes)
-    powers = _powers(p, n_modes)
+    powers = p ** np.arange(2 * n_modes + 1.0)  # every exponent 0 .. 2N the entries use
     return powers[np.abs(np.subtract.outer(n, n))] - powers[np.add.outer(n, n) + 2]
-
-
-def _powers(p: float, n_modes: int) -> np.ndarray:
-    """p^e for e = 0 .. 2N, every exponent the N x N operators use."""
-    return p ** np.arange(2 * n_modes + 1.0)
 
 
 def _first_ladder_vector(p: float, n_modes: int) -> np.ndarray:

@@ -106,8 +106,8 @@ def test_criterion_04_ground_spectra():
     worst = 0.0
     for p in (0.0, 0.3, 0.6):
         ops = cf.build_ground_ops(p, 128)
-        minus = cf.spectrum(ops, "minus").eigenvalues[:12]
-        plus = cf.spectrum(ops, "plus").eigenvalues[:12]
+        minus = cf.spectrum(ops.Lminus)[:12]
+        plus = cf.spectrum(ops.Lplus)[:12]
         lam = 2 * (1 + p * p) / (1 - p * p)
         want_minus = np.array([0.0, 0.0] + [-m for m in range(1, 11)])
         want_plus = np.array([lam, 0.0] + [-m for m in range(1, 11)])
@@ -156,11 +156,11 @@ def test_criterion_06_single_mode_spectra():
             counts_ok = False
             continue
         worst = max(worst, float(np.max(np.abs(got - want))))
-        for which, pos_want, zero_want in (
-            ("plus", mode + 1, mode + 1),
-            ("minus", mode, mode + 2),
+        for mat, pos_want, zero_want in (
+            (ops.Lplus, mode + 1, mode + 1),
+            (ops.Lminus, mode, mode + 2),
         ):
-            vals = cf.spectrum(ops, which).eigenvalues
+            vals = cf.spectrum(mat)
             pos = int(np.sum(vals > 1e-8))
             zero = int(np.sum(np.abs(vals) <= 1e-8))
             counts_ok = counts_ok and (pos, zero) == (pos_want, zero_want)

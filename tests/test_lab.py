@@ -10,6 +10,7 @@ import pytest
 
 from conformalflow.flow import ORACLE_CHECK_STRIDE, IntegratorConfig, integrate
 from conformalflow.lab import (
+    MAX_DELTA,
     MAX_MODES,
     ExperimentConfig,
     PerturbationSpec,
@@ -48,6 +49,9 @@ def test_perturbation_validation():
         PerturbationSpec(delta=-1.0)
     with pytest.raises(ValueError):
         PerturbationSpec(delta=np.nan)
+    with pytest.raises(ValueError, match="delta must lie in"):
+        PerturbationSpec(delta=np.nextafter(MAX_DELTA, np.inf))
+    assert PerturbationSpec(delta=MAX_DELTA).delta == MAX_DELTA
     with pytest.raises(ValueError, match="support is empty"):
         generate_perturbation(PerturbationSpec(delta=1e-3, zero_mode0=True), 0, 1)
 
@@ -117,7 +121,8 @@ def test_trajectory_and_track_csv(tmp_path):
     traj = integrate(alpha0, IntegratorConfig(t_end=1.0, sample_dt=0.5))
     path = tmp_path / "traj.csv"
     write_trajectory_csv(path, traj, mode_subset=(0, 1))
-    rows = list(csv.reader(path.open()))
+    with open(path, newline="") as handle:
+        rows = list(csv.reader(handle))
     assert rows[0] == ["t", "H", "Q", "E", "re0", "im0", "re1", "im1"]
     assert len(rows) == 1 + traj.times.size
     assert float(rows[1][2]) == pytest.approx(traj.Q[0])  # 17 digits round-trip
@@ -125,7 +130,8 @@ def test_trajectory_and_track_csv(tmp_path):
     track = track_modulation(traj, 0.4)
     tpath = tmp_path / "track.csv"
     write_track_csv(tpath, track)
-    trows = list(csv.reader(tpath.open()))
+    with open(tpath, newline="") as handle:
+        trows = list(csv.reader(handle))
     assert trows[0][-1] == "energy_budget_error"
     assert len(trows) == 1 + track.times.size
     assert float(trows[1][2]) == pytest.approx(0.4, abs=1e-10)
@@ -146,6 +152,8 @@ def test_cli_validation_exit_two(capsys):
         ["simulate", "--rel-tol", "nan"],
         ["simulate", "--seed", "-1"],
         ["simulate", "--delta", "nan"],
+        # the step falls like 1/delta^2, so this run would take about 1.5e5 steps
+        ["simulate", "--delta", "1000"],
         ["simulate", "--t-end", "inf"],
         ["simulate", "--t-end", "1e9"],
         # scipy would run at its floor 2.2e-14 and the metadata would say 1e-20
@@ -177,12 +185,16 @@ def test_cli_numerical_failure_exit_three(capsys):
 
 
 def test_cli_spectrum_reports_reduction(tmp_path, capsys):
-    # each stability line and spectrum.json entry names the solve that ran
-    assert main(["spectrum", "--n", "128", "--out", str(tmp_path)]) == 0
-    lines = [line for line in capsys.readouterr().out.splitlines() if "Omega err" in line]
+    # each stability line and spectrum.json entry names the solve that ran, and
+    # both say once that the suite raised N to its floor of 128
+    assert main(["spectrum", "--n", "16", "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out.count("truncation N=128") == 1
+    lines = [line for line in out if "Omega err" in line]
     assert len(lines) == 6
     assert all(" solve" in line for line in lines)
     report = json.loads((tmp_path / "spectrum.json").read_text())
+    assert report["n_modes"] == 128
     assert {p: e["reduction"] for p, e in report["ground"].items()} == dict.fromkeys(
         ("0.0", "0.3", "0.6"), "definite"
     )

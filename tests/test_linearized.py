@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from conformalflow.lab import main
 from conformalflow.linearized import (
     MAX_IDENTITY_ORDER,
     OperatorPair,
@@ -99,8 +100,8 @@ def test_positive_eigenvector_of_Lplus():
 @pytest.mark.parametrize("p", [0.0, 0.3, 0.6])
 def test_ground_spectra_integer_ladder(p):
     ops = build_ground_ops(p, 128)
-    minus = spectrum(ops, "minus").eigenvalues[:12]
-    plus = spectrum(ops, "plus").eigenvalues[:12]
+    minus = spectrum(ops.Lminus)[:12]
+    plus = spectrum(ops.Lplus)[:12]
     lam = 2 * (1 + p * p) / (1 - p * p)
     np.testing.assert_allclose(minus, [0, 0] + [-m for m in range(1, 11)], atol=1e-6)
     np.testing.assert_allclose(plus, [lam, 0] + [-m for m in range(1, 11)], atol=1e-6)
@@ -112,25 +113,32 @@ def test_ground_spectra_integer_ladder(p):
 def test_spectrum_subset_matches_full_solve(p, n_modes):
     # the top-count solve returns the leading count of the full solve
     ops = build_ground_ops(p, n_modes)
-    for which in ("plus", "minus"):
-        full = spectrum(ops, which).eigenvalues
+    for mat in (ops.Lplus, ops.Lminus):
+        full = spectrum(mat)
         scale = max(float(np.max(np.abs(full))), 1.0)
         for count in (1, 12, n_modes):
-            top = spectrum(ops, which, count)
-            assert top.eigenvalues.shape == top.residuals.shape == (count,)
-            assert top.eigenvectors.shape == (n_modes, count)
-            np.testing.assert_allclose(top.eigenvalues, full[:count], rtol=0, atol=1e-12 * scale)
-            assert np.max(top.residuals) <= 1e-10 * scale
+            top = spectrum(mat, count)
+            assert top.shape == (count,)
+            np.testing.assert_allclose(top, full[:count], rtol=0, atol=1e-12 * scale)
         for count in (0, n_modes + 1):
             with pytest.raises(ValueError):
-                spectrum(ops, which, count)
+                spectrum(mat, count)
 
 
-@short_truncation
-def test_spectrum_rejects_bad_selector():
-    ops = build_ground_ops(0.2, 16)
-    with pytest.raises(ValueError):
-        spectrum(ops, "both")
+def test_spectrum_residual_contract(monkeypatch, capsys):
+    # eigenvalues shifted off their eigenvectors break the contract, and the
+    # CLI reports it as a numerical failure
+    eigh = scipy.linalg.eigh
+
+    def shifted(*args, **kwargs):
+        vals, vecs = eigh(*args, **kwargs)
+        return vals + 1e-3, vecs
+
+    monkeypatch.setattr(scipy.linalg, "eigh", shifted)
+    with pytest.raises(ArithmeticError, match="residual contract"):
+        spectrum(build_ground_ops(0.3, 128).Lplus)
+    assert main(["spectrum"]) == 3
+    assert "numerical failure" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("p", [0.0, 0.3, 0.6])
@@ -274,11 +282,11 @@ def test_single_mode_signature_counts():
     for mode in (0, 1, 2):
         n_modes = 40
         ops = build_single_mode_ops(mode, 1.0, n_modes)
-        for which, pos_want, zeros_want in (
-            ("plus", mode + 1, mode + 1),
-            ("minus", mode, mode + 2),
+        for mat, pos_want, zeros_want in (
+            (ops.Lplus, mode + 1, mode + 1),
+            (ops.Lminus, mode, mode + 2),
         ):
-            vals = spectrum(ops, which).eigenvalues
+            vals = spectrum(mat)
             pos = int(np.sum(vals > 1e-8))
             zero = int(np.sum(np.abs(vals) <= 1e-8))
             assert (pos, zero) == (pos_want, zeros_want)
@@ -316,17 +324,16 @@ def test_suite_helpers_reject_out_of_range_orders():
 @pytest.mark.parametrize("n_modes", [8, 128, 512])
 @pytest.mark.parametrize("p", [0.0, 0.3, 0.6, 0.95])
 def test_power_table_is_bitwise_elementwise_power(p, n_modes):
-    # reference: p raised element-wise over the N x N exponent grids
+    # reference: p raised element-wise over the N x N exponent grids, and
+    # L+- = 2(T - H) - M +- w w^T with w = M A(p)
     n = np.arange(n_modes)
     toeplitz = p ** np.abs(np.subtract.outer(n, n))
     hankel = p ** (np.add.outer(n, n) + 2.0)
-    pn = p**n
-    rank_one = 2.0 * p * p * np.outer(pn, pn)
-    weighted = (1.0 - p * p) ** 2 * np.outer((n + 1.0) * pn, (n + 1.0) * pn)
-    diag = np.diag(n + 1.0)
+    w = (n + 1) * ((1.0 - p * p) * p**n)
+    symmetric = 2.0 * (toeplitz - hankel) - np.diag(n + 1.0)
     ops = build_ground_ops(p, n_modes)
-    assert np.array_equal(ops.Lplus, 2.0 * toeplitz - rank_one + weighted - diag)
-    assert np.array_equal(ops.Lminus, 2.0 * toeplitz - rank_one - weighted - diag)
+    assert np.array_equal(ops.Lplus, symmetric + np.outer(w, w))
+    assert np.array_equal(ops.Lminus, symmetric - np.outer(w, w))
     assert np.array_equal(toeplitz_core(p, n_modes), toeplitz - hankel)
 
 
