@@ -91,7 +91,7 @@ ORACLE_CHECK_TOL = 1e-10
 class IntegratorConfig:
     rel_tol: float = 1e-10
     t_end: float = 10.0
-    sample_dt: float = 0.1
+    sample_dt: float = 0.5
 
     def __post_init__(self) -> None:
         for name in ("rel_tol", "t_end", "sample_dt"):

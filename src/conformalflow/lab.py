@@ -10,7 +10,8 @@ CLI subcommands: simulate | spectrum | inequality | decompose | drift-study
 and config-file keys pass only the values given, so the config dataclasses
 hold the only defaults.  Exit codes: 0 success, 2 validation failure, 3
 numerical failure (any ``ArithmeticError``, the base of ``FlowError`` and
-``NoConvergence``).
+``NoConvergence``, or a result of spectrum, inequality or verify-identities
+past its bound).
 """
 
 from __future__ import annotations
@@ -168,6 +169,14 @@ def run_inequality_scan(
 #: ground-state parameters p and single-mode indices the spectrum suite checks
 SPECTRUM_P_GRID = (0.0, 0.3, 0.6)
 SPECTRUM_SINGLE_MODES = (0, 1, 2)
+#: spectrum exits 3 past these bounds.  Eigenvalue, frequency and commutator
+#: errors: worst 2.8e-14 / 6.4e-14 / 1.2e-13 at N = 128 / 512 / 1024
+SPECTRUM_TOL = 1e-8
+#: ladder and mu-ladder eigen-residuals: worst 2.1e-12
+LADDER_TOL = 1e-9
+#: appendix identities and the mode-energy relation (worst 4.9e-16 and
+#: 1.6e-16); verify-identities applies it too
+IDENTITY_TOL = 1e-12
 
 
 def run_spectrum_suite(n_modes: int = 128) -> dict:
@@ -226,6 +235,43 @@ def run_spectrum_suite(n_modes: int = 128) -> dict:
             "unstable": stab.unstable,
         }
     return report
+
+
+def _spectrum_failures(report: dict) -> list[str]:
+    """Names of the spectrum-suite report's entries that miss the closed forms."""
+    bounds = dict.fromkeys(("minus_err", "plus_err", "omega_err", "commutator_max"), SPECTRUM_TOL)
+    bounds |= dict.fromkeys(("ladder_max_residual", "mu_max_residual"), LADDER_TOL)
+    failed = []
+    for group in ("ground", "single_mode"):
+        for key, entry in report[group].items():
+            # an entry holds some of the keys (ladders exist for p > 0 only);
+            # "not <=" also catches NaN
+            failed += [
+                f"{group} {key} {name}"
+                for name, tol in bounds.items()
+                if name in entry and not entry[name] <= tol
+            ]
+            if entry["unstable"]:
+                failed.append(f"{group} {key} unstable")
+    for p, entry in report["ground"].items():
+        if (entry["zero_geometric"], entry["jordan_partners"]) != (3, 1):
+            failed.append(f"ground {p} kernel")
+    for mode, entry in report["single_mode"].items():
+        if entry["count_got"] != entry["count_expected"]:
+            failed.append(f"single_mode {mode} count")
+    for p, entry in report["identities"].items():
+        energy = entry["mode_energy"]
+        errors = {
+            # np.max, unlike max, returns NaN wherever a NaN sits
+            "appendix": np.max(list(entry["appendix"].values())),
+            "mode_energy": np.max(
+                [abs(energy["orthogonality"]), energy["inner_rel_err"], energy["series_rel_err"]]
+            ),
+        }
+        failed += [
+            f"identities {p} {name}" for name, err in errors.items() if not err <= IDENTITY_TOL
+        ]
+    return failed
 
 
 def _single_mode_omegas(mode: int, n_modes: int) -> np.ndarray:
@@ -417,8 +463,7 @@ def main(argv: list[str] | None = None) -> int:
         # flags override the config file
         given = {**(_read_config_file(config) if config else {}), **given}
         run = {f.name: given.pop(f.name) for f in fields(IntegratorConfig) if f.name in given}
-        sample_dt = min(0.5, run.get("t_end", IntegratorConfig.t_end))
-        integrator = IntegratorConfig(**run, sample_dt=sample_dt)
+        integrator = IntegratorConfig(**run)
         cfg = ExperimentConfig(kind=command, integrator=integrator, **given)
         if cfg.out_dir is not None:
             cfg.out_dir.mkdir(parents=True, exist_ok=True)
@@ -460,6 +505,9 @@ def _dispatch(cfg: ExperimentConfig) -> int:
         _print_spectrum_report(report)
         if out_dir is not None:
             _write_json(out_dir / "spectrum.json", report)
+        if failed := _spectrum_failures(report):
+            print(f"spectrum outside its bounds: {', '.join(failed)}", file=sys.stderr)
+            return 3
     elif cfg.kind == "inequality":
         report = run_inequality_scan(seed=cfg.seed)
         print(
@@ -503,7 +551,7 @@ def _dispatch(cfg: ExperimentConfig) -> int:
             f"mode-energy relation at p=0.5: inner rel err {relation['inner_rel_err']:.3e}, "
             f"orthogonality {relation['orthogonality']:.3e}"
         )
-        if worst > 1e-12:
+        if worst > IDENTITY_TOL:
             return 3
     return 0
 

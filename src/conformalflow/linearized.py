@@ -70,7 +70,8 @@ LADDER_SEED = 0
 #: appendix_identities sums each infinite tail until its terms drop below this
 TAIL_EPS = 1e-22
 #: most tail terms appendix_identities may sum: it holds (n_max + 1) x kmax
-#: temporaries, a 16 MiB peak at n_max = 50 and kmax near this bound (p = 0.995)
+#: temporaries, a 16 MiB peak at n_max = 50 and kmax near this bound (p = 0.995);
+#: also the most modes mode_energy_relation may sum, which rejects p >= 0.9964
 MAX_TAIL_TERMS = 10_000
 #: largest n_max appendix_identities accepts: its work grows like n_max^2 kmax,
 #: and at this order with kmax near MAX_TAIL_TERMS a call takes about 1 s
@@ -494,11 +495,15 @@ def mode_energy_relation(p: float) -> dict[str, float]:
     of the h^1 mass (1+p^2)/(1-p^2) and is strictly positive for p > 0.  The
     related series sum (n+1)^2 p^{2n} [n(1-p^2) - 2p^2] = 2p^2 / (1-p^2)^3 is
     checked as well; it differs from the inner product by a factor p/(1-p^2).
+    A p so close to 1 that the sums need more than MAX_TAIL_TERMS modes raises
+    ``ValueError``.
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
     # enough modes that the truncated sums are exact to double precision
     n_modes = max(64, int(np.ceil(np.log(1e-16) / np.log(p))) + 8)
+    if n_modes > MAX_TAIL_TERMS:
+        raise ValueError(f"{n_modes} modes at p = {p}; at most {MAX_TAIL_TERMS}")
     m_diag = np.arange(1, n_modes + 1, dtype=np.float64)
     n = np.arange(n_modes, dtype=np.float64)
     ground = ground_amplitudes(p, n_modes)

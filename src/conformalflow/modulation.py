@@ -76,10 +76,8 @@ class ModulationFrame:
         return self.theta + self.mu
 
     def reconstruct(self) -> np.ndarray:
-        n = np.arange(self.a.size)
-        ground = ground_amplitudes(self.p, self.a.size)
-        inner = self.c * ground + self.a + 1j * self.b
-        return np.exp(1j * (self.theta + self.mu + self.mu * n)) * inner
+        inner = self.c * ground_amplitudes(self.p, self.a.size) + self.a + 1j * self.b
+        return gauge_apply(inner, self.theta_orbit, self.mu)
 
     def constraint_residuals(self) -> np.ndarray:
         """The imposed orthogonality constraints at (a, b): four with mu, else
@@ -113,49 +111,36 @@ def decompose_p0(alpha: np.ndarray) -> ModulationFrame:
         raise NoConvergence(f"state too far from the p = 0 orbit: |alpha_0| = {c:.4g}")
     theta = float(np.angle(alpha[0]))
     rotated = np.exp(-1j * theta) * alpha
-    a = rotated.real.copy()
-    b = rotated.imag.copy()
     # alpha_0 sits entirely in (c, theta); the constraints a_0 = b_0 = 0 are exact
-    a[0] = 0.0
-    b[0] = 0.0
-    frame = ModulationFrame(c, 0.0, theta, 0.0, a, b, mu_defined=False)
-    frame.residual_history.append(0.0)
-    return frame
+    rotated[0] = 0.0
+    a, b = rotated.real.copy(), rotated.imag.copy()
+    return ModulationFrame(c, 0.0, theta, 0.0, a, b, mu_defined=False, residual_history=[0.0])
 
 
 def _root_map_and_jacobian(
     x: np.ndarray, alpha: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """F(c, p, theta, mu; alpha), its 4x4 Jacobian and the remainder a + i b."""
+    """F(c, p, theta, mu; alpha), its 4x4 Jacobian and the remainder a + i b.
+
+    With z = e^{-i (theta + mu M)} alpha the root map is one complex residual
+    G_k = <MA^(k), z> - c <MA^(k), A>, k = 0, 1 (A^(k) the k-th p-derivative),
+    with dG_k/dc = -<MA^(k), A>, dG_k/dp = <MA^(k+1), z> - c(<MA^(k+1), A> +
+    <MA^(k), A'>), dG_k/dtheta = -i <MA^(k), z> and dG_k/dmu = -i <MA^(k), Mz>.
+    F = (Re G, Im G) and J = (Re dG; Im dG).
+    """
     c, p, theta, mu = x
     n_modes = alpha.size
-    n = np.arange(n_modes)
-    m_diag = n + 1.0
+    m_diag = np.arange(1, n_modes + 1, dtype=np.float64)
     ground = ground_amplitudes(p, n_modes)
     dground = ground_derivative(p, n_modes)
-    ddground = ground_second_derivative(p, n_modes)
-    wa = m_diag * ground
-    wda = m_diag * dground
-    wdda = m_diag * ddground
-
-    rotated = np.exp(-1j * (theta + mu * (n + 1.0))) * alpha
-    u, v = rotated.real, rotated.imag
-    f_vec = np.array(
-        [wa @ u - c * (wa @ ground), wda @ u - c * (wda @ ground), wa @ v, wda @ v]
-    )
-    du_dtheta, dv_dtheta = v, -u
-    du_dmu, dv_dmu = m_diag * v, -m_diag * u
-    jac = np.empty((4, 4))
-    jac[:, 0] = [-(wa @ ground), -(wda @ ground), 0.0, 0.0]
-    jac[:, 1] = [
-        wda @ u - c * ((wda @ ground) + (wa @ dground)),
-        wdda @ u - c * ((wdda @ ground) + (wda @ dground)),
-        wda @ v,
-        wdda @ v,
-    ]
-    jac[:, 2] = [wa @ du_dtheta, wda @ du_dtheta, wa @ dv_dtheta, wda @ dv_dtheta]
-    jac[:, 3] = [wa @ du_dmu, wda @ du_dmu, wa @ dv_dmu, wda @ dv_dmu]
-    return f_vec, jac, rotated - c * ground
+    # rows M A, M A', M A''
+    weights = m_diag * np.array([ground, dground, ground_second_derivative(p, n_modes)])
+    z = np.exp(-1j * (theta + mu * m_diag)) * alpha
+    w_z, w_a, w_da = weights @ z, weights @ ground, weights @ dground
+    g = w_z[:2] - c * w_a[:2]
+    dg_dp = w_z[1:] - c * (w_a[1:] + w_da[:2])
+    dg = np.column_stack([-w_a[:2], dg_dp, -1j * w_z[:2], -1j * (weights[:2] @ (m_diag * z))])
+    return np.concatenate([g.real, g.imag]), np.vstack([dg.real, dg.imag]), z - c * ground
 
 
 def decompose(
@@ -202,14 +187,12 @@ def decompose(
             f"no convergence after {NEWTON_MAX_ITER} iterations (residual {history[-1]:.3e})"
         )
 
-    c, p, theta, mu = x
+    c, p, theta, mu = map(float, x)
     if abs(c - 1.0) > DELTA0:
         raise NoConvergence(f"converged outside the orbit neighborhood: c = {c:.4g}")
     # the last iteration evaluated the root map at the converged x
     a, b = remainder.real.copy(), remainder.imag.copy()
-    frame = ModulationFrame(float(c), float(p), float(theta), float(mu), a, b)
-    frame.residual_history = history
-    return frame
+    return ModulationFrame(c, p, theta, mu, a, b, residual_history=history)
 
 
 def _coarse_scan(coeffs: np.ndarray) -> np.ndarray:
@@ -293,7 +276,8 @@ def track_modulation(traj: TrajectoryRecord, p_init: float) -> ModulationTrack:
         c^2 (1+p^2)/(1-p^2) + ||Ma||^2 + ||Mb||^2 - E(alpha(0)).
     """
     e_ref = traj.E[0]
-    cols = {k: [] for k in ("c", "p", "theta", "mu", "d12", "d1", "res", "ebud")}
+    m_diag = np.arange(1, traj.states.shape[1] + 1, dtype=np.float64)
+    rows = []  # one per sample, in ModulationTrack's field order after times
     prev: ModulationFrame | None = None
     for idx, state in enumerate(traj.states):
         try:
@@ -303,28 +287,12 @@ def track_modulation(traj: TrajectoryRecord, p_init: float) -> ModulationTrack:
                 f"modulation tracking failed at sample {idx} (t = {traj.times[idx]:.6g}): {exc}"
             ) from exc
         prev = frame
-        m_diag = np.arange(1, state.size + 1, dtype=np.float64)
         e_model = (
             frame.c**2 * (1.0 + frame.p**2) / (1.0 - frame.p**2)
             + np.sum((m_diag * frame.a) ** 2)
             + np.sum((m_diag * frame.b) ** 2)
         )
-        cols["c"].append(frame.c)
-        cols["p"].append(frame.p)
-        cols["theta"].append(frame.theta)
-        cols["mu"].append(frame.mu)
-        cols["d12"].append(orbit_distance(state, frame.p, 0.5).distance)
-        cols["d1"].append(orbit_distance(state, frame.p, 1.0).distance)
-        cols["res"].append(float(np.max(np.abs(frame.constraint_residuals()))))
-        cols["ebud"].append(e_model - e_ref)
-    return ModulationTrack(
-        times=traj.times.copy(),
-        c=np.array(cols["c"]),
-        p=np.array(cols["p"]),
-        theta=np.array(cols["theta"]),
-        mu=np.array(cols["mu"]),
-        dist_h12=np.array(cols["d12"]),
-        dist_h1=np.array(cols["d1"]),
-        constraint_residual=np.array(cols["res"]),
-        energy_budget_error=np.array(cols["ebud"]),
-    )
+        dists = [orbit_distance(state, frame.p, s).distance for s in (0.5, 1.0)]
+        residual = np.max(np.abs(frame.constraint_residuals()))
+        rows.append((frame.c, frame.p, frame.theta, frame.mu, *dists, residual, e_model - e_ref))
+    return ModulationTrack(traj.times.copy(), *np.array(rows).T)

@@ -11,11 +11,15 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 def test_demos_exit_zero():
     assert DEMOS
-    # started together, one BLAS thread each so that they share the CPUs
+    # started together, one BLAS thread each so that they share the CPUs; -W error
+    # carries pyproject's warnings-as-errors rule into the subprocesses
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
     procs = {
         demo.name: subprocess.Popen(
-            [sys.executable, str(demo)], env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE
+            [sys.executable, "-W", "error", str(demo)],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
         )
         for demo in DEMOS
     }

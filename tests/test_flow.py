@@ -124,7 +124,7 @@ def test_zero_state_stays_zero():
         warnings.simplefilter("error")
         traj = integrate(np.zeros(8), IntegratorConfig())
     assert not np.any(traj.states)
-    assert traj.times.size == 101
+    assert traj.times.size == 21
 
 
 def test_conservation_short_run():

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from conformalflow import lab
 from conformalflow.flow import ORACLE_CHECK_STRIDE, IntegratorConfig, integrate
 from conformalflow.lab import (
     MAX_DELTA,
@@ -205,6 +206,18 @@ def test_cli_spectrum_reports_reduction(tmp_path, capsys):
     }
 
 
+def test_cli_spectrum_exits_three_past_its_bounds(tmp_path, monkeypatch, capsys):
+    # single-mode frequencies 1e-6 off the closed form: the report is still
+    # written, and one stderr line names what failed
+    closed_form = lab._single_mode_omegas
+    monkeypatch.setattr(lab, "_single_mode_omegas", lambda mode, n: closed_form(mode, n) + 1e-6)
+    assert main(["spectrum", "--out", str(tmp_path)]) == 3
+    assert (tmp_path / "spectrum.json").is_file()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert all(f"single_mode {mode} omega_err" in err[0] for mode in (0, 1, 2))
+
+
 def test_cli_simulate_writes_outputs(tmp_path, capsys):
     code = main(
         ["simulate", "--n", "24", "--p0", "0.3", "--delta", "1e-4", "--t-end", "1", "--out", str(tmp_path)]
@@ -256,7 +269,7 @@ def test_cli_config_file_with_flag_override(tmp_path, capsys):
 
 def test_cli_entry_point_installed():
     proc = subprocess.run(
-        [sys.executable, "-m", "conformalflow.lab", "verify-identities"],
+        [sys.executable, "-W", "error", "-m", "conformalflow.lab", "verify-identities"],
         capture_output=True,
         text=True,
     )

@@ -529,6 +529,9 @@ def test_mode_energy_relation():
     assert report["expected_inner"] == pytest.approx(16.0 / 9.0)
     with pytest.raises(ValueError):
         mode_energy_relation(0.0)
+    # the truncation grows like 1 / (1 - p); bounded by MAX_TAIL_TERMS, not by memory
+    with pytest.raises(ValueError):
+        mode_energy_relation(1.0 - 1e-12)
 
 
 def test_truncation_tail_warning():

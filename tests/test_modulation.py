@@ -7,6 +7,7 @@ from conformalflow.flow import IntegratorConfig, integrate
 from conformalflow.modulation import (
     NoConvergence,
     _coarse_scan,
+    _root_map_and_jacobian,
     decompose,
     decompose_p0,
     orbit_distance,
@@ -46,6 +47,23 @@ def test_decompose_reconstructs_perturbed_state():
     # Newton converges quadratically: final residual tiny, few iterations
     assert frame.residual_history[-1] <= 1e-13
     assert len(frame.residual_history) <= 12
+
+
+@pytest.mark.parametrize("n_modes", [32, 512])
+@pytest.mark.parametrize("p", [0.03, 0.3, 0.6])
+def test_root_map_jacobian_matches_central_differences(n_modes, p):
+    # p = 0.03 sits just above P_DEGENERATE; x is off the root in every parameter
+    alpha = gauge_apply(ground_amplitudes(p, n_modes) + perturbation(70, n_modes, 1e-3), 0.7, -0.3)
+    x = np.array([1.01, p + 0.005, 1.02, -0.31])
+    _, jac, _ = _root_map_and_jacobian(x, alpha)
+    h = 1e-6
+    central = np.empty((4, 4))
+    for k in range(4):
+        step = h * np.eye(4)[k]
+        f_plus = _root_map_and_jacobian(x + step, alpha)[0]
+        f_minus = _root_map_and_jacobian(x - step, alpha)[0]
+        central[:, k] = (f_plus - f_minus) / (2 * h)
+    assert np.max(np.abs(jac - central)) <= 1e-7 * np.max(np.abs(jac))
 
 
 def test_decompose_p0_closed_form():
