@@ -197,6 +197,7 @@ def run_spectrum_suite(n_modes: int = 128) -> dict:
             "plus_err": float(np.max(np.abs(top_plus - expect_plus))),
             "omega_err": float(np.max(np.abs(np.sort(got_omega) - np.sort(expect_omega)))),
             "reduction": stab.reduction,
+            "coupled": stab.coupled,
             "zero_geometric": stab.zero_geometric,
             "jordan_partners": stab.jordan_partners,
             "unstable": stab.unstable,
@@ -230,6 +231,7 @@ def run_spectrum_suite(n_modes: int = 128) -> dict:
         report["single_mode"][mode] = {
             "omega_err": err,
             "reduction": stab.reduction,
+            "coupled": stab.coupled,
             "count_got": int(got.size),
             "count_expected": int(expected.size),
             "unstable": stab.unstable,
@@ -514,11 +516,12 @@ def _dispatch(cfg: ExperimentConfig) -> int:
             f"min gap over random states: {report['min_gap_random']:.3e}; "
             f"max |gap| on geometric states: {report['max_gap_geometric']:.3e}"
         )
-        if report["min_gap_random"] < -1e-10 or report["max_gap_geometric"] > 1e-9:
-            print("energy bound violated beyond tolerance", file=sys.stderr)
-            return 3
         if out_dir is not None:
             _write_json(out_dir / "inequality.json", report)
+        # "not <=" also catches NaN
+        if not (-1e-10 <= report["min_gap_random"] and report["max_gap_geometric"] <= 1e-9):
+            print("energy bound violated beyond tolerance", file=sys.stderr)
+            return 3
     elif cfg.kind == "decompose":
         frame = modulation.decompose(_perturbed_ground(cfg, cfg.seed), cfg.p0)
         res = float(np.max(np.abs(frame.constraint_residuals())))
@@ -540,18 +543,18 @@ def _dispatch(cfg: ExperimentConfig) -> int:
             print("all ensemble members failed", file=sys.stderr)
             return 3
     elif cfg.kind == "verify-identities":
-        worst = 0.0
+        errors = []
         for p in (0.3, 0.5, 0.7):
-            report = linearized.appendix_identities(p, 50)
-            local = max(report.values())
-            worst = max(worst, local)
-            print(f"p={p}: max relative error {local:.3e}")
+            # np.max, unlike max, returns NaN wherever a NaN sits
+            errors.append(np.max(list(linearized.appendix_identities(p, 50).values())))
+            print(f"p={p}: max relative error {errors[-1]:.3e}")
         relation = linearized.mode_energy_relation(0.5)
         print(
             f"mode-energy relation at p=0.5: inner rel err {relation['inner_rel_err']:.3e}, "
             f"orthogonality {relation['orthogonality']:.3e}"
         )
-        if worst > IDENTITY_TOL:
+        if not (worst := np.max(errors)) <= IDENTITY_TOL:
+            print(f"identities outside their bound: max relative error {worst:.3e}", file=sys.stderr)
             return 3
     return 0
 
@@ -561,7 +564,8 @@ def _print_spectrum_report(report: dict) -> None:
     for p, entry in report["ground"].items():
         print(
             f"ground p={p}: L- err {entry['minus_err']:.2e}, L+ err {entry['plus_err']:.2e}, "
-            f"Omega err {entry['omega_err']:.2e} ({entry['reduction']} solve), "
+            f"Omega err {entry['omega_err']:.2e} "
+            f"({entry['reduction']} solve, coupled {entry['coupled']}), "
             f"kernel {entry['zero_geometric']}+"
             f"{entry['jordan_partners']} (unstable={entry['unstable']})"
         )
@@ -569,7 +573,8 @@ def _print_spectrum_report(report: dict) -> None:
         print(
             f"single mode N={mode}: Omega err {entry['omega_err']:.2e} "
             f"({entry['count_got']}/{entry['count_expected']} frequencies, "
-            f"{entry['reduction']} solve, unstable={entry['unstable']})"
+            f"{entry['reduction']} solve, coupled {entry['coupled']}, "
+            f"unstable={entry['unstable']})"
         )
 
 

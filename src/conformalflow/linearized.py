@@ -31,6 +31,19 @@ factorisation of -L- and certifies it on every call: the trailing Schur
 complement the factorisation leaves out must be at rounding level.  When it
 is not (an indefinite L-, as for the single-mode states above the lowest),
 the nonsymmetric eigenvalues of P are computed instead.
+
+Both solvers first read the order r of the coupled block from the zero
+pattern (``_coupled_order``): the smallest r with every off-diagonal
+nonzero in the leading r x r block.  The operator is then exactly block
+diagonal, so only that block is solved densely and the N - r diagonal tail
+is appended in closed form: the entries of L for ``spectrum``, and
+L-_ii L+_ii / M_i^2 for P.  At p = 0 and for single mode 0 r is 0, for
+single modes 1 and 2 it is 3 and 5; the ground operators at p > 0 are dense
+(r = N, no tail).  The definite reduction factors and multiplies copies of
+the block with every entry below ``_FLUSH`` max |entry| set to zero, so that
+the geometrically decaying entries at p > 0 form no subnormal products
+(about 2x faster at p = 0.3 and N = 512); its Schur-complement certificate
+is still taken against the operator as built.
 """
 
 from __future__ import annotations
@@ -65,6 +78,14 @@ STABILITY_TOL = 1e-8
 #: the definite reduction holds when the Schur complement left out of the
 #: pivoted Cholesky factor of -L- is below this times max |entry|
 _DEFINITE_TOL = 1e-12
+#: the definite reduction works on copies of -L-, L+ and L+ Y whose entries
+#: below this times the copy's max |entry| are set to zero.  Its square 1e-300
+#: is still a normal double, so no product of two kept entries is subnormal.
+#: Each copy lies within N _FLUSH of its scale in norm (5e-148 at N = 512), so
+#: by Weyl's inequality an eigenvalue of the symmetric reduced matrix moves by
+#: at most about that fraction of its scale, and by at most the square root of
+#: it through the Cholesky factor of -L-: both far below rounding
+_FLUSH = 1e-150
 #: Philox key of ladder_check's random test vector
 LADDER_SEED = 0
 #: appendix_identities sums each infinite tail until its terms drop below this
@@ -96,14 +117,15 @@ class OperatorPair:
 @dataclass
 class StabilityReport:
     omegas: np.ndarray  # nonnegative frequencies of the +-i Omega pairs, ascending
-    # eigenvalues Omega^2 of M^-1 L- M^-1 L+ (should be >= 0): real, the r
-    # nonzero ones ascending and then N - r exact zeros, when reduction is
+    # eigenvalues Omega^2 of M^-1 L- M^-1 L+ (should be >= 0): real, the
+    # nonzero ones ascending and then the exact zeros, when reduction is
     # "definite"; complex and unordered when it is "general"
     p_eigenvalues: np.ndarray
     zero_geometric: int
     jordan_partners: int
     unstable: bool
     reduction: str  # "definite" (certified symmetric solve) or "general"
+    coupled: int  # order of the leading block solved densely; the rest is diagonal
 
 
 def build_ground_ops(p: float, n_modes: int) -> OperatorPair:
@@ -140,49 +162,82 @@ def build_single_mode_ops(mode: int, c: float, n_modes: int) -> OperatorPair:
     return OperatorPair(scale * (symmetric + coupling), scale * (symmetric - coupling), n + 1.0, None)
 
 
+def _coupled_order(*mats: np.ndarray) -> int:
+    """Smallest r such that every off-diagonal nonzero of ``mats`` lies in the leading r x r block."""
+    coupled = np.zeros(mats[0].shape[0], dtype=bool)
+    for mat in mats:
+        off = mat != 0.0
+        np.fill_diagonal(off, False)
+        coupled |= off.any(axis=0) | off.any(axis=1)
+    indices = np.flatnonzero(coupled)
+    return int(indices[-1]) + 1 if indices.size else 0
+
+
 def spectrum(mat: np.ndarray, count: int | None = None) -> np.ndarray:
     """Eigenvalues of the symmetric operator ``mat``, descending, with residual contract.
 
     With ``count`` given, only the ``count`` largest are computed; the
     residual contract and its scale max |eigenvalue| then refer to those
-    only.  ``count=None`` solves for all N.  An eigenpair residual above
-    1e-10 max(max |eigenvalue|, 1) raises ``ArithmeticError``.
+    only.  ``count=None`` solves for all N.  Only the coupled leading block is
+    solved densely (module docstring); its eigenpair residuals above 1e-10
+    max(max |eigenvalue|, 1) raise ``ArithmeticError``.  The diagonal tail's
+    eigenpairs are unit vectors with zero residual.
     """
     n_modes = mat.shape[0]
     if count is None:
-        vals, vecs = scipy.linalg.eigh(mat)
-    elif 1 <= count <= n_modes:
-        vals, vecs = scipy.linalg.eigh(mat, subset_by_index=[n_modes - count, n_modes - 1])
-    else:
+        count = n_modes
+    elif not 1 <= count <= n_modes:
         raise ValueError(f"count must lie in 1..{n_modes}, got {count}")
-    order = np.argsort(vals)[::-1]
-    vals, vecs = vals[order], vecs[:, order]
-    op_norm = float(np.max(np.abs(vals))) if vals.size else 0.0
-    residuals = np.linalg.norm(mat @ vecs - vecs * vals, axis=0)
-    if np.any(residuals > 1e-10 * max(op_norm, 1.0)):
-        raise ArithmeticError("eigendecomposition residual contract violated")
-    return vals
+    order = _coupled_order(mat)
+    block = mat[:order, :order]
+    # the block holds at most min(count, order) of the top count
+    need = min(count, order)
+    vals = np.empty(0)
+    if need:
+        vals, vecs = scipy.linalg.eigh(block, subset_by_index=[order - need, order - 1])
+        op_norm = float(np.max(np.abs(vals)))
+        residuals = np.linalg.norm(block @ vecs - vecs * vals, axis=0)
+        if np.any(residuals > 1e-10 * max(op_norm, 1.0)):
+            raise ArithmeticError("eigendecomposition residual contract violated")
+    return np.sort(np.concatenate([vals, np.diagonal(mat)[order:]]))[::-1][:count]
 
 
 def stability_spectrum(ops: OperatorPair) -> StabilityReport:
     """Frequencies of the linearized flow from P = M^-1 L- M^-1 L+.
 
-    Eigenvalues of P are Omega^2 = -Lambda^2.  When L- <= 0 (the ground
-    state, the lowest single mode) they are real and come from one symmetric
-    solve of size rank(L-) (module docstring); a negative one marks
-    instability.  When the reduction's certificate fails, the eigenvalues of
-    P itself are computed, and a negative real part or a significant
-    imaginary part marks instability (or truncation failure).  ``reduction``
-    says which solve ran.  For the ground state the kernel structure (three
-    eigenvectors, one Jordan partner) is verified explicitly.
+    Eigenvalues of P are Omega^2 = -Lambda^2.  Only the coupled leading block
+    of the pair is solved densely; the diagonal tail's eigenvalues are
+    L-_ii L+_ii / M_i^2 (module docstring).  When L- <= 0 (the ground state,
+    the lowest single mode) they are real and the block's come from one
+    symmetric solve of size rank(L-); a negative one marks instability.
+    When the reduction's certificate fails on the block, or a tail entry of
+    L- is positive, the eigenvalues of the block of P itself are computed,
+    and a negative real part or a significant imaginary part marks
+    instability (or truncation failure).  ``reduction`` says which solve
+    ran and ``coupled`` the order of the block.  For the ground state the
+    kernel structure (three eigenvectors, one Jordan partner) is verified
+    explicitly on the whole operators.
     """
-    vals = _definite_eigenvalues(ops)
-    reduction = "definite"
-    if vals is None:
+    order = _coupled_order(ops.Lplus, ops.Lminus)
+    lplus, lminus, m_diag = ops.Lplus[:order, :order], ops.Lminus[:order, :order], ops.M[:order]
+    minus_tail = np.diagonal(ops.Lminus)[order:]
+    tail = minus_tail * np.diagonal(ops.Lplus)[order:] / ops.M[order:] ** 2
+    minus_scale = float(np.max(np.abs(ops.Lminus)))
+    # -L- >= 0 holds on the tail when no diagonal entry is negative beyond tolerance
+    vals = None
+    if np.all(minus_tail <= _DEFINITE_TOL * minus_scale):
+        vals = _definite_eigenvalues(lplus, lminus, m_diag, minus_scale)
+    if vals is not None:
+        reduction = "definite"
+        # the block's order - rank(L-) zero eigenvalues are the padding
+        vals = np.concatenate([vals, tail])
+        nonzero = np.sort(vals[vals != 0.0])
+        vals = np.concatenate([nonzero, np.zeros(ops.n_modes - nonzero.size)])
+    else:
         reduction = "general"
-        minv = 1.0 / ops.M
-        compose = (minv[:, None] * ops.Lminus) @ (minv[:, None] * ops.Lplus)
-        vals = np.linalg.eigvals(compose)
+        minv = 1.0 / m_diag
+        compose = (minv[:, None] * lminus) @ (minv[:, None] * lplus)
+        vals = np.concatenate([np.linalg.eigvals(compose), tail])
     scale = max(float(np.max(np.abs(vals))), 1.0)
     tol = STABILITY_TOL * scale
     unstable = bool(np.any(vals.real < -tol) or np.any(np.abs(vals.imag) > tol))
@@ -205,21 +260,31 @@ def stability_spectrum(ops: OperatorPair) -> StabilityReport:
         jres = np.linalg.norm(0.5 * (ops.Lplus @ ground) - weighted) / np.linalg.norm(weighted)
         if jres < 1e-7:
             jordan = 1
-    return StabilityReport(omegas, vals, zero_geometric, jordan, unstable, reduction)
+    return StabilityReport(omegas, vals, zero_geometric, jordan, unstable, reduction, order)
 
 
-def _definite_eigenvalues(ops: OperatorPair) -> np.ndarray | None:
-    """Eigenvalues of P by the definite reduction, or None when its certificate fails.
+def _flush(mat: np.ndarray) -> np.ndarray:
+    """Set the entries of ``mat`` below _FLUSH max |entry| to zero, in place; returns ``mat``."""
+    magnitude = np.abs(mat)
+    mat[magnitude < _FLUSH * magnitude.max(initial=0.0)] = 0.0
+    return mat
 
-    dpstrf factors A = -L- in place, Pi^T A Pi = G G^T with rank r.  The
-    certificate: no argument error, and the Schur complement left unfactored,
-    (Pi^T A Pi)[r:, r:] - G[r:] G[r:]^T, within _DEFINITE_TOL max |A| of zero;
-    dpstrf's own stopping rule would pass an indefinite remainder with a small
-    diagonal.  The r x r matrix is -Y^T L+ Y with Y = M^-1 Pi G.
+
+def _definite_eigenvalues(
+    lplus: np.ndarray, lminus: np.ndarray, m_diag: np.ndarray, scale: float
+) -> np.ndarray | None:
+    """The rank(L-) nonzero eigenvalues of P, ascending, by the definite
+    reduction, or None when its certificate fails.
+
+    dpstrf factors A = -L- (flushed) in place, Pi^T A Pi = G G^T with rank r.
+    The certificate: no argument error, and the Schur complement left
+    unfactored, (Pi^T A Pi)[r:, r:] - G[r:] G[r:]^T with A as given, within
+    _DEFINITE_TOL ``scale`` of zero; dpstrf's own stopping rule would pass an
+    indefinite remainder with a small diagonal.  The r x r matrix is
+    -Y^T L+ Y with Y = M^-1 Pi G.
     """
-    n_modes = ops.n_modes
-    buf = np.negative(ops.Lminus, order="F")
-    scale = max(float(buf.max()), -float(buf.min()))
+    n_modes = m_diag.size
+    buf = _flush(np.negative(lminus, order="F"))
     # a semidefinite A has no negative diagonal entry; dpstrf would leave such
     # an entry in the trailing block and fail the certificate there, later
     if np.any(np.diagonal(buf) < -_DEFINITE_TOL * scale):
@@ -232,17 +297,16 @@ def _definite_eigenvalues(ops: OperatorPair) -> np.ndarray | None:
     lead[~np.tri(n_modes, rank, dtype=bool)] = 0.0
     tail = piv[rank:]
     # the unfactored block, rebuilt from L- because dpstrf may have updated it in part
-    trailing = -ops.Lminus[np.ix_(tail, tail)] - lead[rank:] @ lead[rank:].T
+    trailing = -lminus[np.ix_(tail, tail)] - lead[rank:] @ lead[rank:].T
     if not np.all(np.abs(trailing) <= _DEFINITE_TOL * scale):
         return None
     y = np.empty((n_modes, rank))
     y[piv] = lead
     del buf, factor, lead
-    y /= ops.M[:, None]
-    reduced = y.T @ (ops.Lplus @ y)
+    y /= m_diag[:, None]
+    reduced = y.T @ _flush(_flush(lplus.copy()) @ y)
     del y
-    vals = -scipy.linalg.eigvalsh(reduced, overwrite_a=True, check_finite=False)[::-1]
-    return np.concatenate([vals, np.zeros(n_modes - rank)])
+    return -scipy.linalg.eigvalsh(reduced, overwrite_a=True, check_finite=False)[::-1]
 
 
 def commutators(ops: OperatorPair, inner: int) -> tuple[float, float]:

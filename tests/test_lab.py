@@ -146,6 +146,36 @@ def test_cli_verify_identities_exit_zero(capsys):
     assert "max relative error" in out
 
 
+def test_cli_verify_identities_exits_three_on_nan(monkeypatch, capsys):
+    # a NaN in the last key: Python's max(0.0, nan) is 0.0 and would pass it
+    identities = lab.linearized.appendix_identities
+
+    def last_key_nan(p, n_max):
+        return {**identities(p, n_max), "folded_weighted": float("nan")}
+
+    monkeypatch.setattr(lab.linearized, "appendix_identities", last_key_nan)
+    assert main(["verify-identities"]) == 3
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "gaps",
+    [
+        {"min_gap_random": -1.0, "max_gap_geometric": 0.0},
+        {"min_gap_random": float("nan"), "max_gap_geometric": 0.0},
+        {"min_gap_random": 0.0, "max_gap_geometric": float("nan")},
+    ],
+)
+def test_cli_inequality_exits_three_past_its_bound(gaps, tmp_path, monkeypatch, capsys):
+    # the report is written before the verdict, and one stderr line gives it;
+    # "not <=" also catches a NaN gap
+    monkeypatch.setattr(lab, "run_inequality_scan", lambda seed: dict(gaps))
+    assert main(["inequality", "--out", str(tmp_path)]) == 3
+    written = json.loads((tmp_path / "inequality.json").read_text())
+    assert list(written) == list(gaps)
+    assert capsys.readouterr().err.count("\n") == 1
+
+
 def test_cli_validation_exit_two(capsys):
     for argv in (
         ["simulate", "--p0", "1.5"],
@@ -204,6 +234,18 @@ def test_cli_spectrum_reports_reduction(tmp_path, capsys):
         "1": "general",
         "2": "general",
     }
+
+
+def test_cli_spectrum_reports_coupled_block(tmp_path, capsys):
+    # the order of the block solved densely, on each stability line and entry
+    assert main(["spectrum", "--n", "16", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "spectrum.json").read_text())
+    want = {"0.0": 0, "0.3": 128, "0.6": 128}
+    assert {p: e["coupled"] for p, e in report["ground"].items()} == want
+    assert {m: e["coupled"] for m, e in report["single_mode"].items()} == {"0": 0, "1": 3, "2": 5}
+    out = capsys.readouterr().out
+    assert "(definite solve, coupled 0)" in out
+    assert "general solve, coupled 5," in out
 
 
 def test_cli_spectrum_exits_three_past_its_bounds(tmp_path, monkeypatch, capsys):

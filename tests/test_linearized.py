@@ -8,8 +8,10 @@ import scipy.linalg
 
 from conformalflow.lab import main
 from conformalflow.linearized import (
+    _FLUSH,
     MAX_IDENTITY_ORDER,
     OperatorPair,
+    _coupled_order,
     appendix_identities,
     build_ground_ops,
     build_single_mode_ops,
@@ -205,6 +207,81 @@ def test_stability_reduction_matches_eigvals(name, n_modes):
     piv = piv - 1
     residual = a_mat[np.ix_(piv, piv)] - lead @ lead.T
     assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(a_mat)
+
+
+@short_truncation
+@pytest.mark.parametrize("n_modes", [16, 512])
+def test_coupled_order_of_suite_operators(n_modes):
+    # diagonal at p = 0 and for mode 0, a 3 x 3 and 5 x 5 block for modes 1
+    # and 2, dense for the ground state at p > 0
+    coupled = {"ground-0.0": 0, "ground-0.3": n_modes, "ground-0.6": n_modes}
+    coupled |= {"mode-0": 0, "mode-1": 3, "mode-2": 5}
+    for name, (build, _) in SUITE_OPERATORS.items():
+        ops = build(n_modes)
+        want = coupled[name]
+        assert _coupled_order(ops.Lplus, ops.Lminus) == want, name
+        assert _coupled_order(ops.Lplus) == _coupled_order(ops.Lminus) == want, name
+        assert stability_spectrum(ops).coupled == want, name
+
+
+def _block_coupled_pair(order, n_modes, positive_tail):
+    """Random symmetric L+- whose off-diagonal entries lie in the leading
+    order x order block.  L- <= 0 with rank order - 1 on the block and an
+    exact zero on every third tail entry; with ``positive_tail`` its last
+    diagonal entry, which lies in the tail, is positive instead."""
+    rng = np.random.Generator(np.random.Philox(key=order))
+    plus = np.diag(rng.standard_normal(n_modes))
+    block = rng.standard_normal((order, order))
+    plus[:order, :order] = block + block.T
+    minus = np.diag(-rng.random(n_modes))
+    zeros = np.arange(order, n_modes, 3)
+    minus[zeros, zeros] = 0.0
+    factor = rng.standard_normal((order, max(order - 1, 0)))
+    minus[:order, :order] = -factor @ factor.T
+    if positive_tail:
+        minus[-1, -1] = 0.5
+    return OperatorPair(plus, minus, np.arange(1.0, n_modes + 1), None)
+
+
+@pytest.mark.parametrize(
+    ("order", "positive_tail"),
+    # at order N there is no tail to hold a positive entry
+    [(order, False) for order in (0, 1, 3, 23, 24)] + [(order, True) for order in (0, 1, 3, 23)],
+)
+def test_decoupled_solves_match_full_solves(order, positive_tail):
+    # a block of order 1 has no off-diagonal entry, so its order reads 0
+    n_modes = 24
+    ops = _block_coupled_pair(order, n_modes, positive_tail)
+    report = stability_spectrum(ops)
+    assert report.coupled == (order if order > 1 else 0)
+    assert report.reduction == ("general" if positive_tail else "definite")
+    _assert_matches_eigvals(report, ops)
+    if not positive_tail:
+        # the documented order: the nonzero values ascending, then exact zeros
+        vals = report.p_eigenvalues
+        nonzero = vals[vals != 0.0]
+        assert np.all(np.diff(nonzero) >= 0.0)
+        assert np.all(vals[nonzero.size :] == 0.0)
+    for mat in (ops.Lplus, ops.Lminus):
+        want = scipy.linalg.eigh(mat, eigvals_only=True)[::-1]
+        scale = max(float(np.max(np.abs(want))), 1.0)
+        for count in (1, 12, n_modes):
+            got = spectrum(mat, count)
+            assert got.shape == (count,)
+            assert np.max(np.abs(got - want[:count])) <= 1e-10 * scale
+
+
+def test_flushed_solve_matches_unflushed_oracle():
+    # at p = 0.3 and N = 512 both operators have entries below the flush
+    # threshold (0.3^511 is about 1e-267), so the definite reduction solves
+    # flushed copies; the oracle solves the operators as built
+    ops = build_ground_ops(0.3, 512)
+    for mat in (ops.Lplus, ops.Lminus):
+        magnitude = np.abs(mat)
+        assert np.any((magnitude > 0.0) & (magnitude < _FLUSH * magnitude.max()))
+    report = stability_spectrum(ops)
+    assert (report.reduction, report.coupled) == ("definite", 512)
+    _assert_matches_eigvals(report, ops)
 
 
 @short_truncation
