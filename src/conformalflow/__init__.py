@@ -15,6 +15,10 @@ A run chooses its settings through ``IntegratorConfig`` and
 caps and seeds are upper-case module-level names; the residual contract and
 kernel verdicts of ``linearized``, the condition bound of ``modulation`` and
 the verdicts of ``lab``'s commands stay inline.
+
+Importing the package loads numpy and nothing else.  scipy is imported on
+first use: ``scipy.integrate`` by ``flow.integrate`` and ``scipy.linalg`` by
+the dense solves of ``linearized``.
 """
 
 from .flow import (

@@ -20,6 +20,10 @@ with lambda = 1, is a fixed point there, so the steps follow only the motion
 off the orbit.  Samples inside a step come from the solver's dense output, a
 sample on a step end is the step's state, and each is mapped back exactly by
 alpha = exp(-i lambda t) beta.
+
+scipy.integrate is imported by the first ``integrate`` call, not with the
+module: ``DOP853`` is bound as a module attribute then, or by the first
+``flow.DOP853`` lookup, so that importing the package loads numpy only.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import DOP853
 
 from .kernel import weighted_field
 from .observables import charge, energy_fast, higher_charge
@@ -42,6 +45,24 @@ __all__ = [
     "integrate",
     "FlowError",
 ]
+
+
+def _solver_class() -> type:
+    """scipy's DOP853, imported and bound as the module attribute ``DOP853`` on first use."""
+    global DOP853
+    try:
+        return DOP853
+    except NameError:
+        from scipy.integrate import DOP853
+
+        return DOP853
+
+
+def __getattr__(name: str):
+    # PEP 562: flow.DOP853 can be read, or replaced, before the first integrate
+    if name == "DOP853":
+        return _solver_class()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class FlowError(ArithmeticError):
@@ -172,7 +193,7 @@ def integrate(alpha0: np.ndarray, cfg: IntegratorConfig) -> TrajectoryRecord:
     h_min, h_max = math.inf, 0.0
     oracle_errs = []
     with np.errstate(over="ignore", invalid="ignore"):
-        solver = DOP853(
+        solver = _solver_class()(
             rhs, 0.0, y, cfg.t_end, max_step=MAX_STEP, rtol=cfg.rel_tol, atol=ABS_TOL
         )
         while solver.status == "running":

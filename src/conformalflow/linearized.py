@@ -44,6 +44,10 @@ the block with every entry below ``_FLUSH`` max |entry| set to zero, so that
 the geometrically decaying entries at p > 0 form no subnormal products
 (about 2x faster at p = 0.3 and N = 512); its Schur-complement certificate
 is still taken against the operator as built.
+
+scipy.linalg is imported on first use, inside the functions that call it
+(``spectrum``, the definite reduction and ``coercivity``), so that importing
+the package loads numpy only.
 """
 
 from __future__ import annotations
@@ -51,7 +55,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .state import ground_amplitudes, ground_derivative
 
@@ -183,6 +186,8 @@ def spectrum(mat: np.ndarray, count: int | None = None) -> np.ndarray:
     max(max |eigenvalue|, 1) raise ``ArithmeticError``.  The diagonal tail's
     eigenpairs are unit vectors with zero residual.
     """
+    import scipy.linalg
+
     n_modes = mat.shape[0]
     if count is None:
         count = n_modes
@@ -283,6 +288,8 @@ def _definite_eigenvalues(
     indefinite remainder with a small diagonal.  The r x r matrix is
     -Y^T L+ Y with Y = M^-1 Pi G.
     """
+    import scipy.linalg
+
     n_modes = m_diag.size
     buf = _flush(np.negative(lminus, order="F"))
     # a semidefinite A has no negative diagonal entry; dpstrf would leave such
@@ -463,6 +470,8 @@ def mu_ladder(p: float, m_max: int, n_modes: int) -> MuLadderReport:
 def coercivity(ops: OperatorPair) -> tuple[float, float]:
     """Largest h^{1/2}-Rayleigh quotients of L+- on the symplectically
     orthogonal subspace {<MA, a> = <MA', a> = 0}; both must be negative."""
+    import scipy.linalg
+
     if ops.p is None:
         raise ValueError("coercivity is defined for ground-state operators")
     n_modes = ops.n_modes

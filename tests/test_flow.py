@@ -209,6 +209,15 @@ def test_step_counts_are_exact(monkeypatch):
     assert 0 < traj.h_min <= traj.h_max <= flow.MAX_STEP
 
 
+def test_integrate_binds_scipy_solver():
+    # scipy.integrate is imported by the first integrate, which binds
+    # flow.DOP853 to scipy's class, the one test_step_counts_are_exact replaces
+    integrate(random_state(37, 8), IntegratorConfig(t_end=0.5, sample_dt=0.25))
+    import scipy.integrate
+
+    assert flow.DOP853 is scipy.integrate.DOP853
+
+
 def test_samples_hit_t_end_exactly():
     traj = integrate(random_state(25, 8), IntegratorConfig(t_end=1.3, sample_dt=0.4))
     assert traj.times[-1] == pytest.approx(1.3, abs=1e-15)

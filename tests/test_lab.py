@@ -158,6 +158,20 @@ def test_cli_verify_identities_exits_three_on_nan(monkeypatch, capsys):
     assert capsys.readouterr().err.count("\n") == 1
 
 
+def test_cli_verify_identities_judges_mode_energy_relation(monkeypatch, capsys):
+    # the relation the command prints is part of its verdict, by the rule the
+    # spectrum suite applies: |orthogonality| and both relative errors
+    relation = lab.linearized.mode_energy_relation
+
+    def broken(p):
+        return {**relation(p), "inner_rel_err": float("nan"), "orthogonality": 1.0}
+
+    monkeypatch.setattr(lab.linearized, "mode_energy_relation", broken)
+    assert main(["verify-identities"]) == 3
+    err = capsys.readouterr().err
+    assert err == "verify-identities outside its bounds: identities 0.5 mode_energy\n"
+
+
 @pytest.mark.parametrize(
     "gaps",
     [

@@ -1,14 +1,39 @@
-"""Package surface: every name a module exports exists, every error is numerical."""
+"""Package surface: every name a module exports exists, every error is numerical,
+and importing the package loads no scipy."""
 
 import importlib
 import inspect
+import json
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import conformalflow
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(conformalflow.__path__))
+ROOT = Path(__file__).resolve().parent.parent
+
+# prints the scipy modules loaded after the import and after each command
+_COLD_START = """
+import contextlib, io, json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import conformalflow
+loaded = {"import": scipy_modules()}
+from conformalflow.lab import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["verify-identities"])]
+    loaded["verify-identities"] = scipy_modules()
+    codes.append(main(["spectrum", "--n", "128", "--out", sys.argv[1]]))
+    loaded["spectrum"] = scipy_modules()
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
 
 
 def test_modules_are_discovered():
@@ -34,3 +59,23 @@ def test_module_exceptions_are_arithmetic(name):
         if issubclass(cls, BaseException) and cls.__module__ == module.__name__
     ]
     assert [cls for cls in defined if not issubclass(cls, ArithmeticError)] == []
+
+
+def test_cold_start_imports_scipy_only_where_used(tmp_path):
+    # a fresh interpreter: the import and verify-identities load no scipy, and
+    # spectrum loads scipy.linalg but no integrator
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", _COLD_START, str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0, 0]
+    loaded = result["loaded"]
+    assert loaded["import"] == []
+    assert loaded["verify-identities"] == []
+    assert [m for m in loaded["spectrum"] if m.startswith("scipy.integrate")] == []
+    assert "scipy.linalg" in loaded["spectrum"]
