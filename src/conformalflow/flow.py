@@ -21,9 +21,8 @@ off the orbit.  Samples inside a step come from the solver's dense output, a
 sample on a step end is the step's state, and each is mapped back exactly by
 alpha = exp(-i lambda t) beta.
 
-scipy.integrate is imported by the first ``integrate`` call, not with the
-module: ``DOP853`` is bound as a module attribute then, or by the first
-``flow.DOP853`` lookup, so that importing the package loads numpy only.
+``integrate`` imports scipy's DOP853 when it runs, not with the module, so
+that importing the package loads numpy only.
 """
 
 from __future__ import annotations
@@ -45,24 +44,6 @@ __all__ = [
     "integrate",
     "FlowError",
 ]
-
-
-def _solver_class() -> type:
-    """scipy's DOP853, imported and bound as the module attribute ``DOP853`` on first use."""
-    global DOP853
-    try:
-        return DOP853
-    except NameError:
-        from scipy.integrate import DOP853
-
-        return DOP853
-
-
-def __getattr__(name: str):
-    # PEP 562: flow.DOP853 can be read, or replaced, before the first integrate
-    if name == "DOP853":
-        return _solver_class()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class FlowError(ArithmeticError):
@@ -171,6 +152,8 @@ def integrate(alpha0: np.ndarray, cfg: IntegratorConfig) -> TrajectoryRecord:
     The flow is time-reversible: t -> conj(alpha(T - t)) solves it too, so a
     backward run is a forward run from the conjugated end state.
     """
+    from scipy.integrate import DOP853
+
     y = np.asarray(alpha0, dtype=np.complex128).copy()
     if not np.all(np.isfinite(y.view(np.float64))):
         raise FlowError("initial state contains NaN/Inf")
@@ -193,7 +176,7 @@ def integrate(alpha0: np.ndarray, cfg: IntegratorConfig) -> TrajectoryRecord:
     h_min, h_max = math.inf, 0.0
     oracle_errs = []
     with np.errstate(over="ignore", invalid="ignore"):
-        solver = _solver_class()(
+        solver = DOP853(
             rhs, 0.0, y, cfg.t_end, max_step=MAX_STEP, rtol=cfg.rel_tol, atol=ABS_TOL
         )
         while solver.status == "running":

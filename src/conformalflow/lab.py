@@ -6,12 +6,12 @@ the canonical output format for series; one JSON writer serves the reports
 (metadata.json, spectrum.json, inequality.json, summary.json).
 
 CLI subcommands: simulate | spectrum | inequality | decompose | drift-study
-| verify-identities.  Each setting is declared once, in ``_SETTINGS``; flags
-and config-file keys pass only the values given, so the config dataclasses
-hold the only defaults.  Exit codes: 0 success, 2 validation failure, 3
-numerical failure (any ``ArithmeticError``, the base of ``FlowError`` and
-``NoConvergence``, or a result of spectrum, inequality or verify-identities
-past its bound).
+| verify-identities.  Each setting is declared once, in ``_SETTINGS``, and each
+command once, in ``_COMMANDS``, with the settings it reads: it accepts no other
+flag or config-file key, and ``<command> --help`` lists them.  Only the values
+given pass on, so the config dataclasses hold the only defaults.  Exit codes:
+0 success, 2 validation failure, 3 numerical failure (any ``ArithmeticError``,
+the base of ``FlowError`` and ``NoConvergence``) or a result past its bounds.
 """
 
 from __future__ import annotations
@@ -427,8 +427,18 @@ _SETTINGS = {
     "ensemble": ("ensemble", int),
 }
 
+#: every command, once: name -> the _SETTINGS flags it reads, the only ones it accepts
+_COMMANDS = {
+    "simulate": ("n", "p0", "delta", "seed", "t-end", "rel-tol", "out"),
+    "spectrum": ("n", "out"),
+    "inequality": ("seed", "out"),
+    "decompose": ("n", "p0", "delta", "seed"),
+    "drift-study": tuple(_SETTINGS),
+    "verify-identities": (),
+}
 
-def _read_config_file(path: str) -> dict:
+
+def _read_config_file(path: str, reads: tuple[str, ...]) -> dict:
     """Config fields from ``key = value`` lines, converted as the flags are."""
     values = {}
     for raw in Path(path).read_text().splitlines():
@@ -438,9 +448,9 @@ def _read_config_file(path: str) -> dict:
         if "=" not in line:
             raise ValueError(f"bad config line: {raw!r}")
         key, _, text = (part.strip() for part in line.partition("="))
-        if (setting := _SETTINGS.get(key.replace("_", "-"))) is None:
-            raise ValueError(f"unknown config key: {key}")
-        name, kind = setting
+        if (flag := key.replace("_", "-")) not in reads:
+            raise ValueError(f"config key not read by this command: {key}")
+        name, kind = _SETTINGS[flag]
         try:
             values[name] = kind(text)
         except ValueError:
@@ -453,16 +463,18 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="conformalflow",
         description="Numerical laboratory for the truncated conformal flow on the 3-sphere.",
     )
-    commands = "simulate spectrum inequality decompose drift-study verify-identities".split()
-    parser.add_argument("command", choices=commands)
-    parser.add_argument("--config", help="key = value config file")
-    for flag, (name, kind) in _SETTINGS.items():
-        # a flag not given sets nothing, so the dataclass default holds; the
-        # metavar is derived from the flag, as argparse does without a dest
-        metavar = flag.upper().replace("-", "_")
-        parser.add_argument(
-            f"--{flag}", dest=name, type=kind, metavar=metavar, default=argparse.SUPPRESS
-        )
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command, reads in _COMMANDS.items():
+        sub = commands.add_parser(command)
+        sub.add_argument("--config", help="key = value config file")
+        for flag in reads:
+            # a flag not given sets nothing, so the dataclass default holds; the
+            # metavar is derived from the flag, as argparse does without a dest
+            name, kind = _SETTINGS[flag]
+            metavar = flag.upper().replace("-", "_")
+            sub.add_argument(
+                f"--{flag}", dest=name, type=kind, metavar=metavar, default=argparse.SUPPRESS
+            )
     return parser
 
 
@@ -471,7 +483,7 @@ def main(argv: list[str] | None = None) -> int:
     command, config = given.pop("command"), given.pop("config")
     try:
         # flags override the config file
-        given = {**(_read_config_file(config) if config else {}), **given}
+        given = {**(_read_config_file(config, _COMMANDS[command]) if config else {}), **given}
         run = {f.name: given.pop(f.name) for f in fields(IntegratorConfig) if f.name in given}
         integrator = IntegratorConfig(**run)
         cfg = ExperimentConfig(kind=command, integrator=integrator, **given)
@@ -482,13 +494,18 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     try:
-        return _dispatch(cfg)
+        failed = _dispatch(cfg)
     except ArithmeticError as exc:  # FlowError, NoConvergence and the residual contracts
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    if failed:
+        print(f"{command} outside its bounds: {', '.join(failed)}", file=sys.stderr)
+        return 3
+    return 0
 
 
-def _dispatch(cfg: ExperimentConfig) -> int:
+def _dispatch(cfg: ExperimentConfig) -> list[str]:
+    """Run the command, print and write its results; return the checks it failed."""
     out_dir = cfg.out_dir
     if cfg.kind == "simulate":
         alpha0 = _perturbed_ground(cfg, cfg.seed)
@@ -515,9 +532,7 @@ def _dispatch(cfg: ExperimentConfig) -> int:
         _print_spectrum_report(report)
         if out_dir is not None:
             _write_json(out_dir / "spectrum.json", report)
-        if failed := _spectrum_failures(report):
-            print(f"spectrum outside its bounds: {', '.join(failed)}", file=sys.stderr)
-            return 3
+        return _spectrum_failures(report)
     elif cfg.kind == "inequality":
         report = run_inequality_scan(seed=cfg.seed)
         print(
@@ -526,10 +541,11 @@ def _dispatch(cfg: ExperimentConfig) -> int:
         )
         if out_dir is not None:
             _write_json(out_dir / "inequality.json", report)
-        # "not <=" also catches NaN
-        if not (-1e-10 <= report["min_gap_random"] and report["max_gap_geometric"] <= 1e-9):
-            print("energy bound violated beyond tolerance", file=sys.stderr)
-            return 3
+        bounds = {
+            "min_gap_random": (-1e-10, report["min_gap_random"]),
+            "max_gap_geometric": (report["max_gap_geometric"], 1e-9),
+        }
+        return [name for name, (low, high) in bounds.items() if not low <= high]  # NaN fails
     elif cfg.kind == "decompose":
         frame = modulation.decompose(_perturbed_ground(cfg, cfg.seed), cfg.p0)
         res = float(np.max(np.abs(frame.constraint_residuals())))
@@ -539,17 +555,15 @@ def _dispatch(cfg: ExperimentConfig) -> int:
         )
     elif cfg.kind == "drift-study":
         result = run_drift_study(cfg)
-        if "ensemble" in result:
-            ens = result["ensemble"]
-            print(
-                f"runs={cfg.ensemble} failed={result['n_failed']} "
-                f"sup_dist_h12={ens['sup_dist_h12']:.3e} sup_dist_h1={ens['sup_dist_h1']:.3e} "
-                f"min_p={ens['min_p']:.6g} max_p_drop={ens['max_p_drop']:.3e} "
-                f"theorem_ratio={ens['max_theorem_ratio']:.3g}"
-            )
-        else:
-            print("all ensemble members failed", file=sys.stderr)
-            return 3
+        if "ensemble" not in result:  # every member failed
+            return ["n_failed"]
+        ens = result["ensemble"]
+        print(
+            f"runs={cfg.ensemble} failed={result['n_failed']} "
+            f"sup_dist_h12={ens['sup_dist_h12']:.3e} sup_dist_h1={ens['sup_dist_h1']:.3e} "
+            f"min_p={ens['min_p']:.6g} max_p_drop={ens['max_p_drop']:.3e} "
+            f"theorem_ratio={ens['max_theorem_ratio']:.3g}"
+        )
     elif cfg.kind == "verify-identities":
         appendix = {p: linearized.appendix_identities(p, 50) for p in (0.3, 0.5, 0.7)}
         for p, errors in appendix.items():
@@ -559,10 +573,8 @@ def _dispatch(cfg: ExperimentConfig) -> int:
             f"mode-energy relation at p=0.5: inner rel err {relation['inner_rel_err']:.3e}, "
             f"orthogonality {relation['orthogonality']:.3e}"
         )
-        if failed := _identity_failures(appendix, {0.5: relation}):
-            print(f"verify-identities outside its bounds: {', '.join(failed)}", file=sys.stderr)
-            return 3
-    return 0
+        return _identity_failures(appendix, {0.5: relation})
+    return []
 
 
 def _print_spectrum_report(report: dict) -> None:

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -188,12 +189,12 @@ def test_step_counts_are_exact(monkeypatch):
     calls, dense_steps = [], []
     monkeypatch.setattr(flow, "vector_field_fast", lambda a: calls.append(None) or correct(a))
 
-    class CountingDOP853(flow.DOP853):
+    class CountingDOP853(scipy.integrate.DOP853):
         def dense_output(self):
             dense_steps.append(self.t)
             return super().dense_output()
 
-    monkeypatch.setattr(flow, "DOP853", CountingDOP853)
+    monkeypatch.setattr(scipy.integrate, "DOP853", CountingDOP853)
     cfg = IntegratorConfig(t_end=0.5, sample_dt=0.25)
     traj = integrate(random_state(29, 16), cfg)
     assert traj.rejected > 0
@@ -207,15 +208,6 @@ def test_step_counts_are_exact(monkeypatch):
     assert len(calls) == 2 + 12 * (traj.accepted + traj.rejected) + 3 * len(dense_steps)
     assert traj.rhs_evals == len(calls)
     assert 0 < traj.h_min <= traj.h_max <= flow.MAX_STEP
-
-
-def test_integrate_binds_scipy_solver():
-    # scipy.integrate is imported by the first integrate, which binds
-    # flow.DOP853 to scipy's class, the one test_step_counts_are_exact replaces
-    integrate(random_state(37, 8), IntegratorConfig(t_end=0.5, sample_dt=0.25))
-    import scipy.integrate
-
-    assert flow.DOP853 is scipy.integrate.DOP853
 
 
 def test_samples_hit_t_end_exactly():

@@ -2,14 +2,17 @@
 
 import csv
 import json
+import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conformalflow import lab
-from conformalflow.flow import ORACLE_CHECK_STRIDE, IntegratorConfig, integrate
+from conformalflow.flow import ORACLE_CHECK_STRIDE, FlowError, IntegratorConfig, integrate
 from conformalflow.lab import (
     MAX_DELTA,
     MAX_MODES,
@@ -25,6 +28,8 @@ from conformalflow.lab import (
 )
 from conformalflow.modulation import track_modulation
 from conformalflow.state import ground_amplitudes, weighted_norm
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_perturbation_is_deterministic():
@@ -324,12 +329,63 @@ def test_cli_config_file_with_flag_override(tmp_path, capsys):
 
 
 def test_cli_entry_point_installed():
-    proc = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "conformalflow.lab", "verify-identities"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
+    # the module runs as a program, from an uninstalled checkout too, and
+    # every command's --help exits 0
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for args in (["verify-identities"], *([command, "--help"] for command in lab._COMMANDS)):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "conformalflow.lab", *args],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, args
+
+
+@pytest.mark.parametrize("flag", lab._SETTINGS)
+@pytest.mark.parametrize("command", lab._COMMANDS)
+def test_cli_accepts_only_the_settings_a_command_reads(command, flag, tmp_path, capsys):
+    # a flag or config key the command does not read exits 2, as a bad value does
+    reads = lab._COMMANDS[command]
+    name, kind = lab._SETTINGS[flag]
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{flag} = 1\n")
+    if flag in reads:
+        given = vars(lab._build_parser().parse_args([command, f"--{flag}", "1"]))
+        assert given[name] == kind("1")
+        assert lab._read_config_file(str(config), reads) == {name: kind("1")}
+        return
+    with pytest.raises(SystemExit) as exc:
+        main([command, f"--{flag}", "1"])
+    assert exc.value.code == 2
+    assert main([command, "--config", str(config)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == f"invalid configuration: config key not read by this command: {flag}"
+
+
+def test_readme_command_table_matches_the_cli():
+    readme = (ROOT / "README.md").read_text()
+    table = readme.split("| command | reads |\n| --- | --- |\n")[1].split("\n\n")[0]
+    listed = {}
+    for row in table.splitlines():
+        command, reads = row.strip("| ").split(" | ")
+        flags = lab._SETTINGS if reads == "all eight" else re.findall(r"`--([a-z0-9-]+)`", reads)
+        listed[command.strip("`")] = set(flags)
+    assert listed == {command: set(reads) for command, reads in lab._COMMANDS.items()}
+
+
+def test_cli_drift_study_exits_three_when_every_member_fails(tmp_path, monkeypatch, capsys):
+    # the summary is still written, and one stderr line gives the verdict
+    def fail(alpha0, cfg):
+        raise FlowError("forced failure")
+
+    monkeypatch.setattr(lab, "integrate", fail)
+    argv = ["drift-study", "--n", "8", "--ensemble", "3", "--t-end", "1", "--out", str(tmp_path)]
+    assert main(argv) == 3
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["n_failed"] == 3
+    assert "ensemble" not in summary
+    assert capsys.readouterr().err == "drift-study outside its bounds: n_failed\n"
 
 
 def test_cli_config_file_matches_flags(tmp_path):
@@ -341,8 +397,8 @@ def test_cli_config_file_matches_flags(tmp_path):
         "n = 24\np0 = 0.3\ndelta = 1e-4\nseed = 5\nt-end = 1\nrel_tol = 1e-9\n"
         f"ensemble = 3\nout = {out}\n"
     )
-    assert main(["simulate", "--config", str(config)]) == 0
-    from_file = json.loads((out / "metadata.json").read_text())["config"]
+    assert main(["drift-study", "--config", str(config)]) == 0
+    from_file = json.loads((out / "summary.json").read_text())["config"]
     flags = [
         "--n", "24",
         "--p0", "0.3",
@@ -353,8 +409,8 @@ def test_cli_config_file_matches_flags(tmp_path):
         "--ensemble", "3",
         "--out", str(out),
     ]  # fmt: skip
-    assert main(["simulate", *flags]) == 0
-    from_flags = json.loads((out / "metadata.json").read_text())["config"]
+    assert main(["drift-study", *flags]) == 0
+    from_flags = json.loads((out / "summary.json").read_text())["config"]
     assert from_file == from_flags
     assert from_flags["integrator"] == {"rel_tol": 1e-9, "t_end": 1.0, "sample_dt": 0.5}
     assert (from_flags["n_modes"], from_flags["seed"], from_flags["ensemble"]) == (24, 5, 3)
