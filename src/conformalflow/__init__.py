@@ -29,7 +29,7 @@ from .flow import (
     vector_field_fast,
     vector_field_naive,
 )
-from .kernel import layer_cumulative_sums, weighted_field
+from .kernel import layer_cumulative_sums, layer_square_sums, weighted_field
 from .linearized import (
     OperatorPair,
     appendix_identities,

@@ -143,6 +143,11 @@ def _perturbed_ground(cfg: ExperimentConfig, seed: int) -> np.ndarray:
     return base + generate_perturbation(PerturbationSpec(delta=cfg.delta), seed, cfg.n_modes)
 
 
+#: states per stacked gap call of the inequality scan; bounds its memory (at
+#: 10 000 states, N = 32 peak RSS grew 2.6 MiB over one-state calls, 4.6 at 1000)
+SCAN_CHUNK = 500
+
+
 def run_inequality_scan(
     n_random: int = 10_000,
     n_geometric: int = 100,
@@ -150,20 +155,24 @@ def run_inequality_scan(
     seed: int = 0,
 ) -> dict:
     """Energy-bound scan: min(Q^2 - H) over random states and the saturation
-    residual on random truncated geometric sequences."""
+    residual on random truncated geometric sequences.
+
+    States are drawn one by one from the seeded stream and their gaps taken
+    in stacks of at most ``SCAN_CHUNK``.
+    """
     rng = _rng(seed)
-    min_gap = np.inf
-    for _ in range(n_random):
-        alpha = _uniform_disc(rng, n_modes)
-        min_gap = min(min_gap, gap(alpha))
-    max_sat = 0.0
+    minima = [np.inf]  # np.min keeps a NaN gap, so the verdict fails on it
+    for start in range(0, n_random, SCAN_CHUNK):
+        chunk = [_uniform_disc(rng, n_modes) for _ in range(min(SCAN_CHUNK, n_random - start))]
+        minima.append(np.min(gap(np.array(chunk))))
     geo_n = 160  # |p|^N < 1e-13 for |p| <= 0.8
+    geometric = []
     for _ in range(n_geometric):
         p = 0.8 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
         c = _uniform_disc(rng, 1)[0]
-        alpha = c * p ** np.arange(geo_n)
-        max_sat = max(max_sat, abs(gap(alpha)))
-    return {"min_gap_random": float(min_gap), "max_gap_geometric": float(max_sat)}
+        geometric.append(c * p ** np.arange(geo_n))
+    max_sat = np.max(np.abs(gap(np.array(geometric).reshape(-1, geo_n))), initial=0.0)
+    return {"min_gap_random": float(np.min(minima)), "max_gap_geometric": float(max_sat)}
 
 
 #: ground-state parameters p and single-mode indices the spectrum suite checks
@@ -301,6 +310,7 @@ class DriftRunSummary:
     max_p_drop: float = np.nan
     theorem_ratio: float = np.nan  # sup dist_h1 / (delta + (p0 - p)^{1/2})
     max_energy_budget_error: float = np.nan
+    newton_iters: int = 0  # over all frames of the track
     error: str = ""
     # integrator counters, from TrajectoryRecord.telemetry()
     accepted: int = 0
@@ -341,6 +351,7 @@ def run_drift_study(cfg: ExperimentConfig) -> dict:
             max_p_drop=float(np.max(drop)),
             theorem_ratio=float(np.max(track.dist_h1 / denom)),
             max_energy_budget_error=float(np.max(np.abs(track.energy_budget_error))),
+            newton_iters=int(np.sum(track.newton_iters)),
             **traj.telemetry(),
         )
         runs.append(summary)
@@ -401,6 +412,7 @@ def write_track_csv(path: Path, track: modulation.ModulationTrack) -> None:
             "dist_h12": track.dist_h12,
             "dist_h1": track.dist_h1,
             "residual": track.constraint_residual,
+            "newton_iters": track.newton_iters,
             "energy_budget_error": track.energy_budget_error,
         },
     )

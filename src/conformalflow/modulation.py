@@ -265,6 +265,7 @@ class ModulationTrack:
     dist_h1: np.ndarray
     constraint_residual: np.ndarray
     energy_budget_error: np.ndarray  # E-expansion identity residual per sample
+    newton_iters: np.ndarray  # entries of each frame's residual_history
 
 
 def track_modulation(traj: TrajectoryRecord, p_init: float) -> ModulationTrack:
@@ -278,6 +279,7 @@ def track_modulation(traj: TrajectoryRecord, p_init: float) -> ModulationTrack:
     e_ref = traj.E[0]
     m_diag = np.arange(1, traj.states.shape[1] + 1, dtype=np.float64)
     rows = []  # one per sample, in ModulationTrack's field order after times
+    iters = []
     prev: ModulationFrame | None = None
     for idx, state in enumerate(traj.states):
         try:
@@ -287,6 +289,7 @@ def track_modulation(traj: TrajectoryRecord, p_init: float) -> ModulationTrack:
                 f"modulation tracking failed at sample {idx} (t = {traj.times[idx]:.6g}): {exc}"
             ) from exc
         prev = frame
+        iters.append(len(frame.residual_history))
         e_model = (
             frame.c**2 * (1.0 + frame.p**2) / (1.0 - frame.p**2)
             + np.sum((m_diag * frame.a) ** 2)
@@ -295,4 +298,4 @@ def track_modulation(traj: TrajectoryRecord, p_init: float) -> ModulationTrack:
         dists = [orbit_distance(state, frame.p, s).distance for s in (0.5, 1.0)]
         residual = np.max(np.abs(frame.constraint_residuals()))
         rows.append((frame.c, frame.p, frame.theta, frame.mu, *dists, residual, e_model - e_ref))
-    return ModulationTrack(traj.times.copy(), *np.array(rows).T)
+    return ModulationTrack(traj.times.copy(), *np.array(rows).T, np.array(iters))

@@ -2,18 +2,21 @@
 
 ``energy_naive`` is the trusted cubic-cost oracle taken straight from the
 quadruple-sum definition; ``energy_fast`` is the quadratic-cost production
-path.  H is homogeneous of degree 2 in conj(alpha), so by Euler's identity
-H = sum_n conj(alpha_n) (n+1) F_n: the fast energy is one inner product with
-``kernel.weighted_field``, the same contraction of the layer-cumulative
-pair-sum table that gives the vector field.  The two paths are kept
-independent so that every fast-path bug shows up as a disagreement.
+path, the sum of squares H = sum_l sum_s |C_l(s)|^2 of the layered pair
+sums, walked by ``kernel.layer_square_sums`` without the N x N table that
+the vector field contracts.  The two paths are kept independent so that
+every fast-path bug shows up as a disagreement.
+
+Every quantity but ``energy_naive`` and ``hankel_identity_check`` takes one
+state (and returns a float) or a stack of states along the last axis (and
+returns an array, one value per state).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .kernel import weighted_field
+from .kernel import layer_square_sums
 
 __all__ = [
     "charge",
@@ -31,18 +34,23 @@ PALINDROME_TOL = 1e-12
 IMAG_TOL = 1e-12
 
 
-def charge(alpha: np.ndarray) -> float:
+def _per_state(values: np.ndarray) -> float | np.ndarray:
+    """A float for one state, the array for a stack."""
+    return float(values) if values.ndim == 0 else values
+
+
+def charge(alpha: np.ndarray) -> float | np.ndarray:
     """Q(alpha) = sum (n+1) |alpha_n|^2."""
     alpha = np.asarray(alpha)
-    n = np.arange(alpha.size)
-    return float(np.sum((n + 1.0) * np.abs(alpha) ** 2))
+    n = np.arange(alpha.shape[-1])
+    return _per_state(np.sum((n + 1.0) * np.abs(alpha) ** 2, axis=-1))
 
 
-def higher_charge(alpha: np.ndarray) -> float:
+def higher_charge(alpha: np.ndarray) -> float | np.ndarray:
     """E(alpha) = sum (n+1)^2 |alpha_n|^2."""
     alpha = np.asarray(alpha)
-    n = np.arange(alpha.size)
-    return float(np.sum((n + 1.0) ** 2 * np.abs(alpha) ** 2))
+    n = np.arange(alpha.shape[-1])
+    return _per_state(np.sum((n + 1.0) ** 2 * np.abs(alpha) ** 2, axis=-1))
 
 
 def energy_naive(alpha: np.ndarray) -> float:
@@ -72,18 +80,17 @@ def energy_naive(alpha: np.ndarray) -> float:
     return float(acc.real)
 
 
-def energy_fast(alpha: np.ndarray) -> float:
-    """Quartic energy H = Re <alpha, weighted_field(alpha)> (Euler's identity)."""
-    alpha = np.asarray(alpha, dtype=np.complex128)
-    return float(np.vdot(alpha, weighted_field(alpha)).real)
+def energy_fast(alpha: np.ndarray) -> float | np.ndarray:
+    """Quartic energy H = sum_l sum_s |C_l(s)|^2 by one table-free layer walk; O(N^2) a state."""
+    return _per_state(layer_square_sums(alpha))
 
 
-def gap(alpha: np.ndarray) -> float:
+def gap(alpha: np.ndarray) -> float | np.ndarray:
     """G(alpha) = Q(alpha)^2 - H(alpha); nonnegative, zero on geometric states."""
     return charge(alpha) ** 2 - energy_fast(alpha)
 
 
-def functional_K(alpha: np.ndarray, lam: float) -> float:
+def functional_K(alpha: np.ndarray, lam: float) -> float | np.ndarray:
     """K(alpha) = H(alpha)/2 - lambda Q(alpha); standing waves are its critical points."""
     return 0.5 * energy_fast(alpha) - lam * charge(alpha)
 

@@ -232,3 +232,28 @@ def test_linearized_rhs_matches_full_flow():
     dbeta = -1j * (vector_field_fast(beta) - beta)
     np.testing.assert_allclose(dbeta.real / eps, da, atol=3e-5)
     np.testing.assert_allclose(dbeta.imag / eps, db, atol=3e-5)
+
+
+def test_integrate_takes_energies_in_two_calls(monkeypatch):
+    # energy0 for lambda, then one stacked call for every later sample
+    correct = flow.energy_fast
+    shapes = []
+    monkeypatch.setattr(flow, "energy_fast", lambda a: shapes.append(np.shape(a)) or correct(a))
+    traj = integrate(random_state(32, 12), IntegratorConfig(t_end=2.0, sample_dt=0.25))
+    assert shapes == [(12,), (8, 12)]
+    np.testing.assert_array_equal(traj.H, [correct(state) for state in traj.states])
+
+
+def test_conservation_guard_trips_on_damping(monkeypatch):
+    # d beta/dt gains -gamma beta: Q and E decay like exp(-2 gamma t)
+    # (the inline oracle would see the damping as a field mismatch first)
+    monkeypatch.setattr(flow, "ORACLE_MAX_MODES", 0)
+    correct = flow.vector_field_fast
+    monkeypatch.setattr(flow, "vector_field_fast", lambda a: correct(a) - 1e-5j * a)
+    cfg = IntegratorConfig(t_end=2.0, sample_dt=0.5)
+    with pytest.raises(FlowError, match="Q drifted"):
+        integrate(0.3 * random_state(33, 12), cfg)
+    # a damping too weak to pass CONSERVATION_TOL by t_end runs through
+    monkeypatch.setattr(flow, "vector_field_fast", lambda a: correct(a) - 1e-9j * a)
+    traj = integrate(0.3 * random_state(33, 12), cfg)
+    assert 1e-9 < traj.max_relative_drift()["Q"] < flow.CONSERVATION_TOL

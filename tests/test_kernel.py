@@ -104,7 +104,7 @@ def test_field_equals_prefix_gather(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 48, 512])
 def test_energy_matches_layer_square_sum(n):
-    # Euler's identity against the earlier H = sum_{l,s} |C_l(s)|^2
+    # the table-free walk against H = sum_{l,s} |C_l(s)|^2 of the earlier layered table C
     alpha = random_state(80 + n, n)
     want = float(np.sum(np.abs(row_copy_build(alpha)) ** 2))
     assert energy_fast(alpha) == pytest.approx(want, rel=1e-13, abs=0)

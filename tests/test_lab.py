@@ -26,7 +26,8 @@ from conformalflow.lab import (
     write_track_csv,
     write_trajectory_csv,
 )
-from conformalflow.modulation import track_modulation
+from conformalflow.modulation import decompose, track_modulation
+from conformalflow.observables import gap
 from conformalflow.state import ground_amplitudes, weighted_norm
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -96,6 +97,34 @@ def test_inequality_scan_bounds():
     assert report["max_gap_geometric"] <= 1e-9
 
 
+def test_inequality_scan_equals_a_per_state_loop(monkeypatch):
+    # the stacked scan draws the same stream state by state, and a stacked
+    # gap is bitwise the gap of each state alone; chunks of 64 leave a
+    # partial last chunk
+    rng = np.random.Generator(np.random.Philox(key=3))
+    random_gaps = []
+    for _ in range(500):
+        radius, phase = np.sqrt(rng.random(32)), 2.0 * np.pi * rng.random(32)
+        random_gaps.append(gap(radius * np.exp(1j * phase)))
+    geometric_gaps = []
+    for _ in range(20):
+        p = 0.8 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
+        c = np.sqrt(rng.random(1)) * np.exp(2j * np.pi * rng.random(1))
+        geometric_gaps.append(gap(c[0] * p ** np.arange(160)))
+
+    calls = []
+    monkeypatch.setattr(lab, "gap", lambda states: calls.append(gap(states)) or calls[-1])
+    monkeypatch.setattr(lab, "SCAN_CHUNK", 64)
+    report = run_inequality_scan(n_random=500, n_geometric=20, seed=3)
+    assert [len(values) for values in calls] == [64] * 7 + [52, 20]
+    np.testing.assert_array_equal(np.concatenate(calls[:-1]), random_gaps)
+    np.testing.assert_array_equal(calls[-1], geometric_gaps)
+    assert report == {
+        "min_gap_random": min(random_gaps),
+        "max_gap_geometric": max(abs(g) for g in geometric_gaps),
+    }
+
+
 def test_drift_study_small_ensemble(tmp_path):
     cfg = ExperimentConfig(
         kind="drift-study",
@@ -120,6 +149,10 @@ def test_drift_study_small_ensemble(tmp_path):
         # N = 32 runs the inline oracle; NaN stands for "no check ran"
         assert run["oracle_checks"] == run["accepted"] // ORACLE_CHECK_STRIDE
         assert run["oracle_checks"] > 0 or np.isnan(run["oracle_max_rel_err"])
+        # at least one Newton iteration per sample frame, three samples
+        assert run["newton_iters"] >= 3
+    seed11 = np.loadtxt(tmp_path / "track_11.csv", delimiter=",", skiprows=1)
+    assert payload["runs"][0]["newton_iters"] == seed11[:, -2].sum()
 
 
 def test_trajectory_and_track_csv(tmp_path):
@@ -143,6 +176,13 @@ def test_trajectory_and_track_csv(tmp_path):
     assert float(trows[1][2]) == pytest.approx(0.4, abs=1e-10)
     budget = [float(row[-1]) for row in trows[1:]]
     assert budget == track.energy_budget_error.tolist()  # 17 digits round-trip
+    # one count of Newton iterations per frame, written as an integer
+    assert trows[0][-2] == "newton_iters"
+    prev, want = None, []
+    for state in traj.states:  # the continuation track_modulation runs
+        prev = decompose(state, 0.4 if prev is None else prev.p, seed_frame=prev)
+        want.append(str(len(prev.residual_history)))
+    assert [row[-2] for row in trows[1:]] == want
 
 
 def test_cli_verify_identities_exit_zero(capsys):

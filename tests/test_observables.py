@@ -137,3 +137,48 @@ def test_hankel_identity_property(half_len, seed):
 def test_energy_agreement_property(n, seed):
     alpha = random_state(seed, n)
     assert energy_fast(alpha) == pytest.approx(energy_naive(alpha), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_stacked_energy_matches_naive_row_by_row(n):
+    stack = np.array([random_state(200 + 10 * n + row, n) for row in range(5)])
+    got = energy_fast(stack)
+    assert got.shape == (5,)
+    for value, alpha in zip(got, stack):
+        assert value == pytest.approx(energy_naive(alpha), rel=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=48),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=0, max_value=2**31),
+)
+def test_stacked_energy_agreement_property(n, rows, seed):
+    stack = np.array([random_state(seed + row, n) for row in range(rows)])
+    want = [energy_naive(alpha) for alpha in stack]
+    np.testing.assert_allclose(energy_fast(stack), want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 33, 160])
+def test_stacked_energy_rows_are_independent(n):
+    # a row's energy is bitwise the same alone, in any stack, in any position
+    stack = np.array([random_state(300 + row, n) for row in range(9)])
+    full = energy_fast(stack)
+    alone = np.array([energy_fast(alpha) for alpha in stack])
+    np.testing.assert_array_equal(full, alone)
+    np.testing.assert_array_equal(energy_fast(stack[3:7]), full[3:7])
+    np.testing.assert_array_equal(energy_fast(stack[::-2]), full[::-2])
+    grid = energy_fast(stack[:8].reshape(2, 4, n))
+    np.testing.assert_array_equal(grid, full[:8].reshape(2, 4))
+
+
+def test_stacked_quantities_shapes_and_types():
+    empty = np.zeros((0, 6), dtype=complex)
+    for fn in (energy_fast, charge, higher_charge, gap):
+        out = fn(empty)
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
+        assert type(fn(random_state(9, 6))) is float
+    stack = np.array([random_state(10 + row, 6) for row in range(3)])
+    for fn in (energy_fast, charge, higher_charge, gap):
+        np.testing.assert_array_equal(fn(stack), [fn(alpha) for alpha in stack])

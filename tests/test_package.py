@@ -1,5 +1,5 @@
 """Package surface: every name a module exports exists, every error is numerical,
-and importing the package loads no scipy."""
+and importing the package loads no scipy and no numpy.fft."""
 
 import importlib
 import inspect
@@ -17,7 +17,8 @@ import conformalflow
 MODULES = sorted(info.name for info in pkgutil.iter_modules(conformalflow.__path__))
 ROOT = Path(__file__).resolve().parent.parent
 
-# prints the scipy modules loaded after the import and after each command
+# prints the scipy modules loaded after the import and after each command,
+# and the numpy.fft modules loaded by the import
 _COLD_START = """
 import contextlib, io, json, sys
 
@@ -26,6 +27,7 @@ def scipy_modules():
 
 import conformalflow
 loaded = {"import": scipy_modules()}
+loaded["import numpy.fft"] = sorted(m for m in sys.modules if m.startswith("numpy.fft"))
 from conformalflow.lab import main
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(["verify-identities"])]
@@ -63,7 +65,8 @@ def test_module_exceptions_are_arithmetic(name):
 
 def test_cold_start_imports_scipy_only_where_used(tmp_path):
     # a fresh interpreter: the import and verify-identities load no scipy, and
-    # spectrum loads scipy.linalg but no integrator
+    # spectrum loads scipy.linalg but no integrator; the import loads no
+    # numpy.fft either, which only the energy walk uses
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-c", _COLD_START, str(tmp_path)],
@@ -76,6 +79,7 @@ def test_cold_start_imports_scipy_only_where_used(tmp_path):
     assert result["codes"] == [0, 0]
     loaded = result["loaded"]
     assert loaded["import"] == []
+    assert loaded["import numpy.fft"] == []
     assert loaded["verify-identities"] == []
     assert [m for m in loaded["spectrum"] if m.startswith("scipy.integrate")] == []
     assert "scipy.linalg" in loaded["spectrum"]
