@@ -2,7 +2,7 @@
 
 Modules
 -------
-kernel       N x N layer-cumulative pair-sum table behind the fast vector field and energy
+kernel       N x N pair-sum table behind the fast vector field; table-free energy walk
 state        states, the gauge action, ground-state family
 observables  conserved quantities H, Q, E, the gap, the Hankel identity
 flow         vector field (naive and fast), co-rotating DOP853 integration
@@ -21,55 +21,12 @@ first use: ``scipy.integrate`` by ``flow.integrate`` and ``scipy.linalg`` by
 the dense solves of ``linearized``.
 """
 
-from .flow import (
-    FlowError,
-    IntegratorConfig,
-    TrajectoryRecord,
-    integrate,
-    vector_field_fast,
-    vector_field_naive,
-)
-from .kernel import layer_cumulative_sums, layer_square_sums, weighted_field
-from .linearized import (
-    OperatorPair,
-    appendix_identities,
-    build_ground_ops,
-    build_single_mode_ops,
-    coercivity,
-    commutators,
-    ladder_check,
-    mode_energy_relation,
-    mu_ladder,
-    spectrum,
-    stability_spectrum,
-    toeplitz_core,
-)
-from .modulation import (
-    DegenerateJacobian,
-    ModulationFrame,
-    ModulationTrack,
-    NoConvergence,
-    OrbitDistanceResult,
-    decompose,
-    decompose_p0,
-    orbit_distance,
-    track_modulation,
-)
-from .observables import (
-    charge,
-    energy_fast,
-    energy_naive,
-    functional_K,
-    gap,
-    hankel_identity_check,
-    higher_charge,
-)
-from .state import (
-    gauge_apply,
-    ground_amplitudes,
-    ground_derivative,
-    ground_second_derivative,
-    weighted_norm,
-)
+# each module's __all__ is the package surface
+from .kernel import *
+from .state import *
+from .observables import *
+from .flow import *
+from .linearized import *
+from .modulation import *
 
 __version__ = "0.1.0"

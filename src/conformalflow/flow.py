@@ -33,7 +33,7 @@ that importing the package loads numpy only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -112,8 +112,9 @@ class IntegratorConfig:
             # NaN fails both comparisons; a NaN tolerance would stall the step control
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        if self.rel_tol < MIN_REL_TOL:
-            raise ValueError(f"rel_tol must be at least {MIN_REL_TOL:.3g}, got {self.rel_tol}")
+        # at rel_tol >= 1 the error control rejects no step and only MAX_STEP sets h
+        if not MIN_REL_TOL <= self.rel_tol < 1:
+            raise ValueError(f"rel_tol must lie in [{MIN_REL_TOL:.3g}, 1), got {self.rel_tol}")
         # every sample state is kept, so the sample count bounds the memory
         if round(self.t_end / self.sample_dt) > MAX_SAMPLES:
             raise ValueError(
@@ -123,6 +124,9 @@ class IntegratorConfig:
 
 @dataclass
 class TrajectoryRecord:
+    """The sampled series, then the run's counters; a record built from the
+    series alone holds the counters of a run that took no step."""
+
     times: np.ndarray
     states: np.ndarray  # shape (n_samples, N)
     H: np.ndarray
@@ -145,16 +149,8 @@ class TrajectoryRecord:
         return out
 
     def telemetry(self) -> dict[str, float]:
-        """Step and evaluation counters of the run, for summaries and metadata."""
-        return {
-            "accepted": self.accepted,
-            "rejected": self.rejected,
-            "rhs_evals": self.rhs_evals,
-            "h_min": self.h_min,
-            "h_max": self.h_max,
-            "oracle_checks": self.oracle_checks,
-            "oracle_max_rel_err": self.oracle_max_rel_err,
-        }
+        """The counters, every field after the five series, for summaries and metadata."""
+        return {f.name: getattr(self, f.name) for f in fields(self)[5:]}
 
 
 def integrate(alpha0: np.ndarray, cfg: IntegratorConfig) -> TrajectoryRecord:

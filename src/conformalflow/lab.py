@@ -143,17 +143,17 @@ def _perturbed_ground(cfg: ExperimentConfig, seed: int) -> np.ndarray:
     return base + generate_perturbation(PerturbationSpec(delta=cfg.delta), seed, cfg.n_modes)
 
 
+#: the inequality scan's random states, their truncation N, and its random
+#: truncated geometric sequences
+SCAN_RANDOM_STATES = 10_000
+SCAN_MODES = 32
+SCAN_GEOMETRIC_STATES = 100
 #: states per stacked gap call of the inequality scan; bounds its memory (at
 #: 10 000 states, N = 32 peak RSS grew 2.6 MiB over one-state calls, 4.6 at 1000)
 SCAN_CHUNK = 500
 
 
-def run_inequality_scan(
-    n_random: int = 10_000,
-    n_geometric: int = 100,
-    n_modes: int = 32,
-    seed: int = 0,
-) -> dict:
+def run_inequality_scan(seed: int) -> dict:
     """Energy-bound scan: min(Q^2 - H) over random states and the saturation
     residual on random truncated geometric sequences.
 
@@ -162,12 +162,13 @@ def run_inequality_scan(
     """
     rng = _rng(seed)
     minima = [np.inf]  # np.min keeps a NaN gap, so the verdict fails on it
-    for start in range(0, n_random, SCAN_CHUNK):
-        chunk = [_uniform_disc(rng, n_modes) for _ in range(min(SCAN_CHUNK, n_random - start))]
+    for start in range(0, SCAN_RANDOM_STATES, SCAN_CHUNK):
+        count = min(SCAN_CHUNK, SCAN_RANDOM_STATES - start)
+        chunk = [_uniform_disc(rng, SCAN_MODES) for _ in range(count)]
         minima.append(np.min(gap(np.array(chunk))))
     geo_n = 160  # |p|^N < 1e-13 for |p| <= 0.8
     geometric = []
-    for _ in range(n_geometric):
+    for _ in range(SCAN_GEOMETRIC_STATES):
         p = 0.8 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
         c = _uniform_disc(rng, 1)[0]
         geometric.append(c * p ** np.arange(geo_n))
@@ -178,6 +179,8 @@ def run_inequality_scan(
 #: ground-state parameters p and single-mode indices the spectrum suite checks
 SPECTRUM_P_GRID = (0.0, 0.3, 0.6)
 SPECTRUM_SINGLE_MODES = (0, 1, 2)
+#: the lowest truncation the spectrum suite runs at
+SPECTRUM_MIN_MODES = 128
 #: spectrum exits 3 past these bounds.  Eigenvalue, frequency and commutator
 #: errors: worst 2.8e-14 / 6.4e-14 / 1.2e-13 at N = 128 / 512 / 1024
 SPECTRUM_TOL = 1e-8
@@ -188,8 +191,10 @@ LADDER_TOL = 1e-9
 IDENTITY_TOL = 1e-12
 
 
-def run_spectrum_suite(n_modes: int = 128) -> dict:
-    """Closed-form spectral checks over SPECTRUM_P_GRID and SPECTRUM_SINGLE_MODES."""
+def run_spectrum_suite(n_modes: int) -> dict:
+    """Closed-form spectral checks over SPECTRUM_P_GRID and SPECTRUM_SINGLE_MODES,
+    at truncation ``n_modes`` raised to at least SPECTRUM_MIN_MODES."""
+    n_modes = max(n_modes, SPECTRUM_MIN_MODES)
     report: dict = {"n_modes": n_modes, "ground": {}, "single_mode": {}, "identities": {}}
     for p in SPECTRUM_P_GRID:
         ops = linearized.build_ground_ops(p, n_modes)
@@ -302,6 +307,9 @@ def _single_mode_omegas(mode: int, n_modes: int) -> np.ndarray:
 
 @dataclass
 class DriftRunSummary:
+    """One drift-study member; its summary.json record is these fields
+    followed by the run's ``TrajectoryRecord.telemetry()``."""
+
     seed: int
     ok: bool
     sup_dist_h12: float = np.nan
@@ -312,14 +320,6 @@ class DriftRunSummary:
     max_energy_budget_error: float = np.nan
     newton_iters: int = 0  # over all frames of the track
     error: str = ""
-    # integrator counters, from TrajectoryRecord.telemetry()
-    accepted: int = 0
-    rejected: int = 0
-    rhs_evals: int = 0
-    h_min: float = np.nan
-    h_max: float = np.nan
-    oracle_checks: int = 0
-    oracle_max_rel_err: float = np.nan
 
 
 def run_drift_study(cfg: ExperimentConfig) -> dict:
@@ -330,7 +330,7 @@ def run_drift_study(cfg: ExperimentConfig) -> dict:
     ``track_<seed>.csv`` per member and ``summary.json``.
     """
     out_dir = cfg.out_dir
-    runs: list[DriftRunSummary] = []
+    runs: list[dict] = []
     wall_start = time.perf_counter()
     for member in range(cfg.ensemble):
         seed = cfg.seed + member
@@ -338,7 +338,9 @@ def run_drift_study(cfg: ExperimentConfig) -> dict:
             traj = integrate(_perturbed_ground(cfg, seed), cfg.integrator)
             track = modulation.track_modulation(traj, cfg.p0)
         except ArithmeticError as exc:
-            runs.append(DriftRunSummary(seed=seed, ok=False, error=str(exc)))
+            # a failed member reports the counters of a record that took no step
+            no_steps = TrajectoryRecord(*[np.empty(0)] * 5).telemetry()
+            runs.append(asdict(DriftRunSummary(seed=seed, ok=False, error=str(exc))) | no_steps)
             continue
         drop = cfg.p0 - track.p
         denom = cfg.delta + np.sqrt(np.clip(drop, 0.0, None))
@@ -352,26 +354,25 @@ def run_drift_study(cfg: ExperimentConfig) -> dict:
             theorem_ratio=float(np.max(track.dist_h1 / denom)),
             max_energy_budget_error=float(np.max(np.abs(track.energy_budget_error))),
             newton_iters=int(np.sum(track.newton_iters)),
-            **traj.telemetry(),
         )
-        runs.append(summary)
+        runs.append(asdict(summary) | traj.telemetry())
         if out_dir is not None:
             write_track_csv(out_dir / f"track_{seed}.csv", track)
-    ok_runs = [r for r in runs if r.ok]
+    ok_runs = [r for r in runs if r["ok"]]
     result = {
         "config": asdict(cfg),
         "wall_time_s": time.perf_counter() - wall_start,
-        "runs": [asdict(r) for r in runs],
+        "runs": runs,
         "n_failed": len(runs) - len(ok_runs),
     }
     if ok_runs:
         result["ensemble"] = {
-            "sup_dist_h12": max(r.sup_dist_h12 for r in ok_runs),
-            "sup_dist_h1": max(r.sup_dist_h1 for r in ok_runs),
-            "min_p": min(r.min_p for r in ok_runs),
-            "max_p_drop": max(r.max_p_drop for r in ok_runs),
-            "max_theorem_ratio": max(r.theorem_ratio for r in ok_runs),
-            "max_energy_budget_error": max(r.max_energy_budget_error for r in ok_runs),
+            "sup_dist_h12": max(r["sup_dist_h12"] for r in ok_runs),
+            "sup_dist_h1": max(r["sup_dist_h1"] for r in ok_runs),
+            "min_p": min(r["min_p"] for r in ok_runs),
+            "max_p_drop": max(r["max_p_drop"] for r in ok_runs),
+            "max_theorem_ratio": max(r["theorem_ratio"] for r in ok_runs),
+            "max_energy_budget_error": max(r["max_energy_budget_error"] for r in ok_runs),
         }
     if out_dir is not None:
         _write_json(out_dir / "summary.json", result)
@@ -401,21 +402,10 @@ def write_trajectory_csv(
 
 
 def write_track_csv(path: Path, track: modulation.ModulationTrack) -> None:
-    _write_columns(
-        path,
-        {
-            "t": track.times,
-            "c": track.c,
-            "p": track.p,
-            "theta": track.theta,
-            "mu": track.mu,
-            "dist_h12": track.dist_h12,
-            "dist_h1": track.dist_h1,
-            "residual": track.constraint_residual,
-            "newton_iters": track.newton_iters,
-            "energy_budget_error": track.energy_budget_error,
-        },
-    )
+    """One column per ``ModulationTrack`` field, in field order."""
+    renamed = {"times": "t", "constraint_residual": "residual"}
+    columns = {renamed.get(f.name, f.name): getattr(track, f.name) for f in fields(track)}
+    _write_columns(path, columns)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -524,10 +514,13 @@ def _dispatch(cfg: ExperimentConfig) -> list[str]:
         wall = time.perf_counter()
         traj = integrate(alpha0, cfg.integrator)
         drift = traj.max_relative_drift()
+        telemetry = traj.telemetry()
+        counters = " ".join(
+            f"{name}={value:.3e}" if isinstance(value, float) else f"{name}={value}"
+            for name, value in telemetry.items()
+        )
         print(
-            f"t_end={traj.times[-1]:g} accepted={traj.accepted} rejected={traj.rejected} "
-            f"rhs_evals={traj.rhs_evals} h_min={traj.h_min:.3e} h_max={traj.h_max:.3e} "
-            f"oracle_checks={traj.oracle_checks} oracle_max_rel_err={traj.oracle_max_rel_err:.3e} "
+            f"t_end={traj.times[-1]:g} {counters} "
             f"drift H={drift['H']:.3e} Q={drift['Q']:.3e} E={drift['E']:.3e}"
         )
         if out_dir is not None:
@@ -536,11 +529,11 @@ def _dispatch(cfg: ExperimentConfig) -> list[str]:
                 "config": asdict(cfg),
                 "wall_time_s": time.perf_counter() - wall,
                 "drift": drift,
-                "telemetry": traj.telemetry(),
+                "telemetry": telemetry,
             }
             _write_json(out_dir / "metadata.json", metadata)
     elif cfg.kind == "spectrum":
-        report = run_spectrum_suite(n_modes=max(cfg.n_modes, 128))
+        report = run_spectrum_suite(cfg.n_modes)
         _print_spectrum_report(report)
         if out_dir is not None:
             _write_json(out_dir / "spectrum.json", report)

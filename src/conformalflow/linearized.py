@@ -292,10 +292,6 @@ def _definite_eigenvalues(
 
     n_modes = m_diag.size
     buf = _flush(np.negative(lminus, order="F"))
-    # a semidefinite A has no negative diagonal entry; dpstrf would leave such
-    # an entry in the trailing block and fail the certificate there, later
-    if np.any(np.diagonal(buf) < -_DEFINITE_TOL * scale):
-        return None
     factor, piv, rank, info = scipy.linalg.lapack.dpstrf(buf, lower=1, overwrite_a=1)
     if info < 0:
         return None

@@ -256,6 +256,8 @@ def orbit_distance(alpha: np.ndarray, p: float, s: float) -> OrbitDistanceResult
 
 @dataclass
 class ModulationTrack:
+    """One entry per sample in each field; the field order is the track CSV's column order."""
+
     times: np.ndarray
     c: np.ndarray
     p: np.ndarray
@@ -264,8 +266,8 @@ class ModulationTrack:
     dist_h12: np.ndarray
     dist_h1: np.ndarray
     constraint_residual: np.ndarray
-    energy_budget_error: np.ndarray  # E-expansion identity residual per sample
     newton_iters: np.ndarray  # entries of each frame's residual_history
+    energy_budget_error: np.ndarray  # E-expansion identity residual per sample
 
 
 def track_modulation(traj: TrajectoryRecord, p_init: float) -> ModulationTrack:
@@ -278,7 +280,7 @@ def track_modulation(traj: TrajectoryRecord, p_init: float) -> ModulationTrack:
     """
     e_ref = traj.E[0]
     m_diag = np.arange(1, traj.states.shape[1] + 1, dtype=np.float64)
-    rows = []  # one per sample, in ModulationTrack's field order after times
+    rows = []  # one per sample: ModulationTrack's float fields, in order
     iters = []
     prev: ModulationFrame | None = None
     for idx, state in enumerate(traj.states):
@@ -298,4 +300,5 @@ def track_modulation(traj: TrajectoryRecord, p_init: float) -> ModulationTrack:
         dists = [orbit_distance(state, frame.p, s).distance for s in (0.5, 1.0)]
         residual = np.max(np.abs(frame.constraint_residuals()))
         rows.append((frame.c, frame.p, frame.theta, frame.mu, *dists, residual, e_model - e_ref))
-    return ModulationTrack(traj.times.copy(), *np.array(rows).T, np.array(iters))
+    *columns, budget = np.array(rows).T
+    return ModulationTrack(traj.times.copy(), *columns, np.array(iters), budget)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import conformalflow as cf
+from conformalflow import lab
 from conformalflow.lab import (
     PerturbationSpec,
     generate_perturbation,
@@ -27,9 +28,13 @@ def report(num: int, name: str, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {num:02d} {name}: {status} ({detail})", file=sys.stderr, flush=True)
 
 
-def test_criterion_01_energy_bound():
+def test_criterion_01_energy_bound(monkeypatch):
+    # 10 000 random states and 100 geometric sequences at N = 32, seed 0
+    monkeypatch.setattr(lab, "SCAN_RANDOM_STATES", 10_000)
+    monkeypatch.setattr(lab, "SCAN_GEOMETRIC_STATES", 100)
+    monkeypatch.setattr(lab, "SCAN_MODES", 32)
     start = time.perf_counter()
-    scan = run_inequality_scan(n_random=10_000, n_geometric=100, n_modes=32, seed=0)
+    scan = run_inequality_scan(seed=0)
     elapsed = time.perf_counter() - start
     ok = (
         scan["min_gap_random"] >= -1e-10

@@ -1,5 +1,6 @@
 """Vector field oracle agreement and integrator behavior."""
 
+import math
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from conformalflow import flow
 from conformalflow.flow import (
     FlowError,
     IntegratorConfig,
+    TrajectoryRecord,
     integrate,
     vector_field_fast,
     vector_field_naive,
@@ -94,12 +96,16 @@ def test_integrator_config_validation():
         # below DOP853's floor scipy would silently raise the tolerance
         {"rel_tol": 1e-20},
         {"rel_tol": 0.5 * flow.MIN_REL_TOL},
+        # the error control would accept every step; only MAX_STEP would bound h
+        {"rel_tol": 1.0},
+        {"rel_tol": 1e300},
     ):
         with pytest.raises(ValueError):
             IntegratorConfig(**override)
     # the edges that stay valid
     IntegratorConfig(t_end=flow.MAX_SAMPLES * 0.5, sample_dt=0.5)
     IntegratorConfig(rel_tol=flow.MIN_REL_TOL)
+    IntegratorConfig(rel_tol=np.nextafter(1.0, 0.0))
 
 
 def test_integrate_rejects_nan_input():
@@ -160,6 +166,23 @@ def test_oracle_check_runs_inline(monkeypatch):
     telemetry = traj.telemetry()
     assert telemetry["oracle_checks"] == traj.oracle_checks
     assert telemetry["oracle_max_rel_err"] == traj.oracle_max_rel_err
+
+
+def test_telemetry_is_the_counters_after_the_series():
+    # a record of the series alone holds the counters of a run that took no step
+    record = TrajectoryRecord(*[np.empty(0)] * 5)
+    telemetry = record.telemetry()
+    assert list(telemetry) == [
+        "accepted",
+        "rejected",
+        "rhs_evals",
+        "h_min",
+        "h_max",
+        "oracle_checks",
+        "oracle_max_rel_err",
+    ]
+    assert [telemetry[k] for k in ("accepted", "rejected", "rhs_evals", "oracle_checks")] == [0] * 4
+    assert all(math.isnan(telemetry[k]) for k in ("h_min", "h_max", "oracle_max_rel_err"))
 
 
 def test_oracle_check_catches_wrong_field(monkeypatch):

@@ -2,10 +2,12 @@
 
 import csv
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -91,8 +93,16 @@ def test_experiment_config_validation():
     ExperimentConfig(seed=2**128 - 1, ensemble=2)
 
 
-def test_inequality_scan_bounds():
-    report = run_inequality_scan(n_random=500, n_geometric=20, seed=3)
+def _small_scan(monkeypatch):
+    """The scan shrunk to 500 random and 20 geometric states at N = 32."""
+    monkeypatch.setattr(lab, "SCAN_RANDOM_STATES", 500)
+    monkeypatch.setattr(lab, "SCAN_GEOMETRIC_STATES", 20)
+    monkeypatch.setattr(lab, "SCAN_MODES", 32)
+
+
+def test_inequality_scan_bounds(monkeypatch):
+    _small_scan(monkeypatch)
+    report = run_inequality_scan(seed=3)
     assert report["min_gap_random"] >= -1e-10
     assert report["max_gap_geometric"] <= 1e-9
 
@@ -115,7 +125,8 @@ def test_inequality_scan_equals_a_per_state_loop(monkeypatch):
     calls = []
     monkeypatch.setattr(lab, "gap", lambda states: calls.append(gap(states)) or calls[-1])
     monkeypatch.setattr(lab, "SCAN_CHUNK", 64)
-    report = run_inequality_scan(n_random=500, n_geometric=20, seed=3)
+    _small_scan(monkeypatch)
+    report = run_inequality_scan(seed=3)
     assert [len(values) for values in calls] == [64] * 7 + [52, 20]
     np.testing.assert_array_equal(np.concatenate(calls[:-1]), random_gaps)
     np.testing.assert_array_equal(calls[-1], geometric_gaps)
@@ -171,7 +182,19 @@ def test_trajectory_and_track_csv(tmp_path):
     write_track_csv(tpath, track)
     with open(tpath, newline="") as handle:
         trows = list(csv.reader(handle))
-    assert trows[0][-1] == "energy_budget_error"
+    # ModulationTrack's field order, with times and constraint_residual renamed
+    assert trows[0] == [
+        "t",
+        "c",
+        "p",
+        "theta",
+        "mu",
+        "dist_h12",
+        "dist_h1",
+        "residual",
+        "newton_iters",
+        "energy_budget_error",
+    ]
     assert len(trows) == 1 + track.times.size
     assert float(trows[1][2]) == pytest.approx(0.4, abs=1e-10)
     budget = [float(row[-1]) for row in trows[1:]]
@@ -248,6 +271,8 @@ def test_cli_validation_exit_two(capsys):
         ["simulate", "--t-end", "1e9"],
         # scipy would run at its floor 2.2e-14 and the metadata would say 1e-20
         ["simulate", "--rel-tol", "1e-20"],
+        # at rel_tol >= 1 the error control would reject no step
+        ["simulate", "--n", "8", "--rel-tol", "1e300"],
         ["drift-study", "--ensemble", "0"],
         ["drift-study", "--delta", "0"],
         ["drift-study", "--seed", str(2**128 - 1), "--ensemble", "2"],
@@ -332,6 +357,8 @@ def test_cli_simulate_writes_outputs(tmp_path, capsys):
     assert telemetry["rhs_evals"] > 12 * telemetry["accepted"] > 0
     assert 0 < telemetry["h_min"] <= telemetry["h_max"]
     summary = capsys.readouterr().out
+    # the run's counters in TrajectoryRecord's field order, then the drifts
+    assert re.findall(r"(\w+)=", summary) == ["t_end", *telemetry, "H", "Q", "E"]
     assert f"rhs_evals={telemetry['rhs_evals']} " in summary
     assert f"h_max={telemetry['h_max']:.3e} " in summary
     assert telemetry["oracle_checks"] == telemetry["accepted"] // ORACLE_CHECK_STRIDE
@@ -425,6 +452,13 @@ def test_cli_drift_study_exits_three_when_every_member_fails(tmp_path, monkeypat
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["n_failed"] == 3
     assert "ensemble" not in summary
+    # a failed record: the summary's fields, then the counters of a run that took no step
+    record = summary["runs"][0]
+    assert list(record)[:-7] == [f.name for f in fields(lab.DriftRunSummary)]
+    counters = {name: record[name] for name in list(record)[-7:]}
+    no_steps = {"accepted": 0, "rejected": 0, "rhs_evals": 0, "h_min": math.nan}
+    no_steps |= {"h_max": math.nan, "oracle_checks": 0, "oracle_max_rel_err": math.nan}
+    assert json.dumps(counters) == json.dumps(no_steps)
     assert capsys.readouterr().err == "drift-study outside its bounds: n_failed\n"
 
 

@@ -50,6 +50,16 @@ def test_module_all_resolves(name):
     assert [attr for attr in module.__all__ if not hasattr(module, attr)] == []
 
 
+def test_package_reexports_the_library_modules():
+    # every module but the CLI's lab publishes its __all__ at package level
+    library = [name for name in MODULES if name != "lab"]
+    assert len(library) == 6
+    for name in library:
+        module = importlib.import_module(f"conformalflow.{name}")
+        stale = [a for a in module.__all__ if getattr(conformalflow, a, None) is not getattr(module, a)]
+        assert stale == [], name
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_module_exceptions_are_arithmetic(name):
     # the CLI maps ArithmeticError to exit 3; any other exception class
