@@ -1,8 +1,8 @@
 """Conservation demo: integrate a random state and watch H, Q, E stand still.
 
-A random unit-charge state at N = 64 is evolved to t = 50 with scipy's
-DOP853 in the co-rotating frame; samples between step ends come from the
-solver's dense output. The three conserved quantities are printed at a few
+A random unit-charge state at N = 64 is evolved to t = 50 with DOP853 in
+the co-rotating frame; samples between step ends come from the stepper's
+dense output. The three conserved quantities are printed at a few
 sample times together with the final relative drift and the run's step and
 field-evaluation counts.
 """

@@ -17,8 +17,8 @@ kernel verdicts of ``linearized``, the condition bound of ``modulation`` and
 the verdicts of ``lab``'s commands stay inline.
 
 Importing the package loads numpy and nothing else.  scipy is imported on
-first use: ``scipy.integrate`` by ``flow.integrate`` and ``scipy.linalg`` by
-the dense solves of ``linearized``.
+first use, ``scipy.linalg`` by the dense solves of ``linearized``; integrating
+loads no scipy, because ``flow`` steps its own numpy port of DOP853.
 """
 
 # each module's __all__ is the package surface

@@ -18,6 +18,7 @@ from conformalflow.flow import (
     vector_field_fast,
     vector_field_naive,
 )
+from conformalflow.lab import PerturbationSpec, generate_perturbation
 from conformalflow.linearized import build_ground_ops
 from conformalflow.observables import charge
 from conformalflow.state import gauge_apply, ground_amplitudes
@@ -93,7 +94,7 @@ def test_integrator_config_validation():
         {"t_end": np.inf},
         {"sample_dt": -np.inf},
         {"t_end": 1e9, "sample_dt": 0.5},
-        # below DOP853's floor scipy would silently raise the tolerance
+        # below DOP853's floor of 100 eps the error estimate is rounding
         {"rel_tol": 1e-20},
         {"rel_tol": 0.5 * flow.MIN_REL_TOL},
         # the error control would accept every step; only MAX_STEP would bound h
@@ -203,21 +204,23 @@ def test_nan_mid_run_raises(monkeypatch):
         return correct(alpha) * (np.nan if len(calls) > 40 else 1.0)
 
     monkeypatch.setattr(flow, "vector_field_fast", poisoned)
-    with pytest.raises(FlowError, match="DOP853 failed"):
+    with pytest.raises(FlowError, match="DOP853 failed at t = .*: non-finite error estimate"):
         integrate(0.3 * random_state(27, 12), IntegratorConfig(t_end=2.0, sample_dt=0.5))
+    # the attempt that met the NaN ends, and no smaller step is tried
+    assert len(calls) - 41 <= 12
 
 
 def test_step_counts_are_exact(monkeypatch):
     correct = flow.vector_field_fast
     calls, dense_steps = [], []
     monkeypatch.setattr(flow, "vector_field_fast", lambda a: calls.append(None) or correct(a))
+    dense_output = flow._DOP853.dense_output
 
-    class CountingDOP853(scipy.integrate.DOP853):
-        def dense_output(self):
-            dense_steps.append(self.t)
-            return super().dense_output()
+    def counting_dense_output(self):
+        dense_steps.append(self.t)
+        return dense_output(self)
 
-    monkeypatch.setattr(scipy.integrate, "DOP853", CountingDOP853)
+    monkeypatch.setattr(flow._DOP853, "dense_output", counting_dense_output)
     cfg = IntegratorConfig(t_end=0.5, sample_dt=0.25)
     traj = integrate(random_state(29, 16), cfg)
     assert traj.rejected > 0
@@ -225,12 +228,86 @@ def test_step_counts_are_exact(monkeypatch):
     assert traj.oracle_checks == 0
     # t = 0.25 falls strictly inside one step; t = 0.5 is the last step end
     assert len(dense_steps) == 1
-    # one solver for the whole run: the initial field, one probe to choose the
+    # one stepper for the whole run: the initial field, one probe to choose the
     # first step, 12 per attempted step, and DOP853's 3 extra dense-output
     # stages once per step that interpolates a sample
     assert len(calls) == 2 + 12 * (traj.accepted + traj.rejected) + 3 * len(dense_steps)
     assert traj.rhs_evals == len(calls)
     assert 0 < traj.h_min <= traj.h_max <= flow.MAX_STEP
+
+
+def test_dop853_coefficients_are_scipys():
+    from scipy.integrate._ivp import dop853_coefficients as ref
+
+    assert np.array_equal(flow._A, ref.A)
+    assert np.array_equal(flow._B, ref.B)
+    assert np.array_equal(flow._E3, ref.E3)
+    assert np.array_equal(flow._E5, ref.E5)
+    assert np.array_equal(flow._D, ref.D)
+
+
+class ScipyDOP853:
+    """scipy's DOP853 behind the stepper interface ``integrate`` drives."""
+
+    def __init__(self, fun, y, t_bound, rtol):
+        self.solver = scipy.integrate.DOP853(
+            lambda t, y: fun(y), 0.0, y, t_bound, max_step=flow.MAX_STEP, rtol=rtol, atol=flow.ABS_TOL
+        )
+        self.accepted = self.rejected = 0
+
+    def step(self):
+        nfev = self.solver.nfev
+        message = self.solver.step()
+        if self.solver.status == "failed":
+            raise FlowError(f"DOP853 failed at t = {self.solver.t:.6g}: {message}")
+        self.accepted += 1
+        # every attempt, accepted or not, costs 12 evaluations
+        self.rejected += (self.solver.nfev - nfev) // 12 - 1
+
+    @property
+    def h(self):
+        return self.solver.step_size
+
+    def __getattr__(self, name):  # t, y, nfev, dense_output
+        return getattr(self.solver, name)
+
+
+def _lab_state(p0, delta, seed, n):
+    base = ground_amplitudes(p0, n).astype(np.complex128)
+    return base + generate_perturbation(PerturbationSpec(delta=delta), seed, n)
+
+
+@pytest.mark.parametrize(
+    "alpha0, cfg",
+    [
+        # rejected steps, a sample inside a step and one on the last step end
+        (random_state(29, 16), IntegratorConfig(t_end=0.5, sample_dt=0.25)),
+        # many samples inside each step, at a loose tolerance
+        (0.3 * random_state(5, 12), IntegratorConfig(rel_tol=1e-6, t_end=3.0, sample_dt=0.1)),
+        # near A(p), as simulate and the track workload run
+        (_lab_state(0.5, 1e-3, 20170623, 128), IntegratorConfig(t_end=1.0, sample_dt=0.1)),
+        (_lab_state(0.3, 1e-4, 1608072270, 48), IntegratorConfig(t_end=10.0, sample_dt=0.5)),
+        # the exact fixed point A(0) (--p0 0 --delta 0): zero field, first step 1e-6
+        (_lab_state(0.0, 0.0, 1, 64), IntegratorConfig(t_end=1.0, sample_dt=0.25)),
+    ],
+    ids=["rejections", "dense", "track-like", "drift-like", "fixed-point"],
+)
+def test_stepper_is_bitwise_scipys(monkeypatch, alpha0, cfg):
+    ours = integrate(alpha0, cfg)
+    monkeypatch.setattr(flow, "_DOP853", ScipyDOP853)
+    theirs = integrate(alpha0, cfg)
+    assert np.array_equal(ours.states, theirs.states)
+    counters = ("accepted", "rejected", "rhs_evals", "h_min", "h_max")
+    assert [getattr(ours, k) for k in counters] == [getattr(theirs, k) for k in counters]
+
+
+def test_fixed_point_steps_from_1e_6():
+    # A(0) is exactly fixed in the co-rotating frame: the field and every error
+    # estimate vanish, so the first step is 1e-6 and each next one ten times longer
+    alpha0 = _lab_state(0.0, 0.0, 1, 64)
+    assert not np.any(flow.vector_field_fast(alpha0) - alpha0)
+    traj = integrate(alpha0, IntegratorConfig(t_end=1.0, sample_dt=0.25))
+    assert (traj.h_min, traj.rejected, traj.accepted) == (1e-6, 0, 7)
 
 
 def test_samples_hit_t_end_exactly():

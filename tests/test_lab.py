@@ -269,7 +269,7 @@ def test_cli_validation_exit_two(capsys):
         ["simulate", "--delta", "1000"],
         ["simulate", "--t-end", "inf"],
         ["simulate", "--t-end", "1e9"],
-        # scipy would run at its floor 2.2e-14 and the metadata would say 1e-20
+        # below DOP853's floor of 100 eps (2.2e-14) the error estimate is rounding
         ["simulate", "--rel-tol", "1e-20"],
         # at rel_tol >= 1 the error control would reject no step
         ["simulate", "--n", "8", "--rel-tol", "1e300"],

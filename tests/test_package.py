@@ -20,7 +20,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # prints the scipy modules loaded after the import and after each command,
 # and the numpy.fft modules loaded by the import
 _COLD_START = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
@@ -32,6 +32,12 @@ from conformalflow.lab import main
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(["verify-identities"])]
     loaded["verify-identities"] = scipy_modules()
+    out = os.path.join(sys.argv[1], "simulate")
+    codes.append(main(["simulate", "--n", "8", "--t-end", "0.5", "--out", out]))
+    loaded["simulate"] = scipy_modules()
+    out = os.path.join(sys.argv[1], "drift")
+    codes.append(main(["drift-study", "--n", "8", "--ensemble", "1", "--t-end", "0.5", "--out", out]))
+    loaded["drift-study"] = scipy_modules()
     codes.append(main(["spectrum", "--n", "128", "--out", sys.argv[1]]))
     loaded["spectrum"] = scipy_modules()
 print(json.dumps({"codes": codes, "loaded": loaded}))
@@ -74,9 +80,10 @@ def test_module_exceptions_are_arithmetic(name):
 
 
 def test_cold_start_imports_scipy_only_where_used(tmp_path):
-    # a fresh interpreter: the import and verify-identities load no scipy, and
-    # spectrum loads scipy.linalg but no integrator; the import loads no
-    # numpy.fft either, which only the energy walk uses
+    # a fresh interpreter: the import, verify-identities and the integrating
+    # commands simulate and drift-study load no scipy, and spectrum loads
+    # scipy.linalg but no integrator; the import loads no numpy.fft either,
+    # which only the energy walk uses
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-c", _COLD_START, str(tmp_path)],
@@ -86,10 +93,12 @@ def test_cold_start_imports_scipy_only_where_used(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert result["codes"] == [0, 0]
+    assert result["codes"] == [0, 0, 0, 0]
     loaded = result["loaded"]
     assert loaded["import"] == []
     assert loaded["import numpy.fft"] == []
     assert loaded["verify-identities"] == []
+    assert loaded["simulate"] == []
+    assert loaded["drift-study"] == []
     assert [m for m in loaded["spectrum"] if m.startswith("scipy.integrate")] == []
     assert "scipy.linalg" in loaded["spectrum"]
