@@ -162,6 +162,8 @@ def integrate(alpha0: np.ndarray, cfg: IntegratorConfig) -> TrajectoryRecord:
     backward run is a forward run from the conjugated end state.
     """
     y = np.asarray(alpha0, dtype=np.complex128).copy()
+    if y.ndim != 1 or y.size == 0:
+        raise ValueError(f"the initial state must be a non-empty 1-D vector, got shape {y.shape}")
     if not np.all(np.isfinite(y.view(np.float64))):
         raise FlowError("initial state contains NaN/Inf")
     n_modes = y.size

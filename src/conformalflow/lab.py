@@ -182,7 +182,7 @@ SPECTRUM_SINGLE_MODES = (0, 1, 2)
 #: the lowest truncation the spectrum suite runs at
 SPECTRUM_MIN_MODES = 128
 #: spectrum exits 3 past these bounds.  Eigenvalue, frequency and commutator
-#: errors: worst 2.8e-14 / 6.4e-14 / 1.2e-13 at N = 128 / 512 / 1024
+#: errors: worst 2.8e-14 at N = 128, 512 and 1024
 SPECTRUM_TOL = 1e-8
 #: ladder and mu-ladder eigen-residuals: worst 2.1e-12
 LADDER_TOL = 1e-9

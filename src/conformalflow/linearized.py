@@ -15,11 +15,22 @@ ladder that locates the negative eigenvalues at the negative integers, the
 commutation relations, coercivity on the symplectically orthogonal subspace,
 and the closed-form summation identities these facts rest on.
 
-``toeplitz_core`` evaluates the powers p^0 .. p^{2N} once and indexes that
-table: raising p element-wise over the N x N exponent grids gives bitwise
-the same entries at several times the cost, most of it in underflowing
-powers.  ``spectrum(mat, count)`` returns the eigenvalues of one operator,
-optionally only the top ``count``, which is all the spectrum suite reports.
+``toeplitz_core`` evaluates the powers p^0 .. p^{2N} once and reads both of
+its terms as sliding windows of that table: raising p element-wise over the
+N x N exponent grids gives bitwise the same entries at several times the
+cost, most of it in underflowing powers.  L0 and then L+ are formed in place
+on that array and L- = L0 - w w^T beside it, bitwise equal to the sums of
+dense terms.
+
+``spectrum(mat, count)`` returns the eigenvalues of one operator, optionally
+only the top ``count``, which is all the spectrum suite reports.  The ladder
+eigenvectors behind the top of the ground spectra decay like poly(n) p^n, so
+that top is first taken from a leading K x K block, K = max(64, 2 count + 2)
+doubling while K <= N/4, under a certificate on the whole matrix (Kahan's
+residual bound, a Gershgorin bound, Haynsworth's inertia additivity and
+Weyl's inequality; ``_leading_top``), and from the whole matrix when no K
+certifies.  At p = 0.3 and N = 512 a call takes about 1.5 ms against 20 ms
+for the whole solve (one BLAS thread); at N = 512 and p >= 0.8 none certifies.
 
 The stability problem P = M^-1 L- M^-1 L+ is nonsymmetric, but a
 constrained maximiser of the energy has L- <= 0, so -L- = X X^T with X of
@@ -55,6 +66,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .state import ground_amplitudes, ground_derivative
 
@@ -89,6 +101,8 @@ _DEFINITE_TOL = 1e-12
 #: at most about that fraction of its scale, and by at most the square root of
 #: it through the Cholesky factor of -L-: both far below rounding
 _FLUSH = 1e-150
+#: order of the first leading block spectrum tries for the top of a spectrum
+_LEADING_MIN = 64
 #: Philox key of ladder_check's random test vector
 LADDER_SEED = 0
 #: appendix_identities sums each infinite tail until its terms drop below this
@@ -143,10 +157,12 @@ def build_ground_ops(p: float, n_modes: int) -> OperatorPair:
             stacklevel=2,
         )
     m_diag = np.arange(1.0, n_modes + 1)
-    symmetric = 2.0 * toeplitz_core(p, n_modes) - np.diag(m_diag)
+    lplus = _ladder_operator(p, n_modes)  # L0, made L+ in place below
     weighted = m_diag * ground_amplitudes(p, n_modes)
     coupling = np.outer(weighted, weighted)
-    return OperatorPair(symmetric + coupling, symmetric - coupling, m_diag, p)
+    lminus = lplus - coupling
+    lplus += coupling
+    return OperatorPair(lplus, lminus, m_diag, p)
 
 
 def build_single_mode_ops(mode: int, c: float, n_modes: int) -> OperatorPair:
@@ -156,18 +172,29 @@ def build_single_mode_ops(mode: int, c: float, n_modes: int) -> OperatorPair:
     if n_modes <= 2 * mode:
         raise ValueError("truncation must exceed twice the mode index")
     n = np.arange(n_modes)
-    symmetric = np.diag(2.0 * np.minimum(n, mode) + 1.0 - n)
-    # the anti-diagonal i + j = 2 mode, weight min(i, 2 mode - i) + 1
+    diagonal = 2.0 * np.minimum(n, mode) + 1.0 - n
+    # the anti-diagonal i + j = 2 mode, weight min(i, 2 mode - i) + 1; it
+    # crosses the diagonal at (mode, mode), where the two add
     i = np.arange(2 * mode + 1)
-    coupling = np.zeros((n_modes, n_modes))
-    coupling[i, 2 * mode - i] = np.minimum(i, 2 * mode - i) + 1.0
+    band = np.minimum(i, 2 * mode - i) + 1.0
     scale = float(c) ** 2
-    return OperatorPair(scale * (symmetric + coupling), scale * (symmetric - coupling), n + 1.0, None)
+    pair = []
+    for sign in (1.0, -1.0):
+        mat = np.zeros((n_modes, n_modes))
+        mat.flat[:: n_modes + 1] = scale * diagonal
+        mat[i, 2 * mode - i] = scale * (sign * band)
+        mat[mode, mode] = scale * (diagonal[mode] + sign * band[mode])
+        pair.append(mat)
+    return OperatorPair(*pair, n + 1.0, None)
 
 
 def _coupled_order(*mats: np.ndarray) -> int:
     """Smallest r such that every off-diagonal nonzero of ``mats`` lies in the leading r x r block."""
-    coupled = np.zeros(mats[0].shape[0], dtype=bool)
+    n_modes = mats[0].shape[0]
+    # the dense operators end the search at their last row or column
+    if n_modes and any(np.any(mat[-1, :-1]) or np.any(mat[:-1, -1]) for mat in mats):
+        return n_modes
+    coupled = np.zeros(n_modes, dtype=bool)
     for mat in mats:
         off = mat != 0.0
         np.fill_diagonal(off, False)
@@ -185,6 +212,13 @@ def spectrum(mat: np.ndarray, count: int | None = None) -> np.ndarray:
     solved densely (module docstring); its eigenpair residuals above 1e-10
     max(max |eigenvalue|, 1) raise ``ArithmeticError``.  The diagonal tail's
     eigenpairs are unit vectors with zero residual.
+
+    The top ``count`` of a block of order r are first sought in its leading
+    K x K blocks, K = max(64, 2 count + 2) doubling while K <= r/4, and taken
+    only when certified on the whole block by Kahan's residual bound, a
+    Gershgorin bound on the trailing block, Haynsworth's inertia additivity
+    and Weyl's inequality (``_leading_top``); when no K certifies, the block
+    is solved whole.
     """
     import scipy.linalg
 
@@ -197,14 +231,64 @@ def spectrum(mat: np.ndarray, count: int | None = None) -> np.ndarray:
     block = mat[:order, :order]
     # the block holds at most min(count, order) of the top count
     need = min(count, order)
-    vals = np.empty(0)
-    if need:
-        vals, vecs = scipy.linalg.eigh(block, subset_by_index=[order - need, order - 1])
-        op_norm = float(np.max(np.abs(vals)))
+    vals = _leading_top(block, need) if need else np.empty(0)
+    if vals is None:
+        # a symmetric block is its own transpose, which is Fortran-ordered when the
+        # block is a whole C-ordered matrix: LAPACK then reads it without a transposing copy
+        vals, vecs = scipy.linalg.eigh(block.T, subset_by_index=[order - need, order - 1])
         residuals = np.linalg.norm(block @ vecs - vecs * vals, axis=0)
-        if np.any(residuals > 1e-10 * max(op_norm, 1.0)):
+        if np.any(residuals > _residual_bound(vals)):
             raise ArithmeticError("eigendecomposition residual contract violated")
     return np.sort(np.concatenate([vals, np.diagonal(mat)[order:]]))[::-1][:count]
+
+
+def _residual_bound(vals: np.ndarray) -> float:
+    """spectrum's residual contract for the eigenvalues ``vals``."""
+    return 1e-10 * max(float(np.max(np.abs(vals))), 1.0)
+
+
+def _leading_top(mat: np.ndarray, count: int) -> np.ndarray | None:
+    """The ``count`` largest eigenvalues of the symmetric ``mat``, descending,
+    from a certified leading block, or None when no leading block certifies.
+
+    For the leading K x K block A11 with top eigenpairs (mu_i, v_i), the
+    certificate on the whole A = [[A11, B], [B^T, A22]] is:
+    (i) the v_i zero-padded to length N leave a residual ||A V - V Lambda||_F
+    within spectrum's contract, so by Kahan's theorem each mu_i lies that
+    close to a distinct eigenvalue of A; (ii) with sigma halfway between
+    mu_count and mu_count+1, a Gershgorin lower bound gamma > 0 of
+    sigma I - A22 and eps = ||B||_F^2 / gamma: by Haynsworth's inertia
+    additivity the eigenvalues of A above sigma are the negative ones of the
+    Schur complement sigma I - A11 - B (sigma I - A22)^-1 B^T, which by Weyl's
+    inequality lie within eps below those of sigma I - A11, so exactly
+    ``count`` of them when mu_count+1 < sigma - eps.  The half gap must exceed
+    eps plus the contract, so that the distinct eigenvalues of (i) are the
+    ones above sigma.  References: Parlett, The Symmetric Eigenvalue Problem,
+    11-5 (Kahan); Haynsworth, Linear Algebra Appl. 1 (1968) 73.
+    """
+    import scipy.linalg
+
+    order = mat.shape[0]
+    size = max(_LEADING_MIN, 2 * count + 2)
+    while size <= order // 4:
+        vals, vecs = scipy.linalg.eigh(mat[:size, :size], subset_by_index=[size - count - 1, size - 1])
+        # eigh returns count + 1 ascending: the top count, descending, and the next below
+        top, vecs, below = vals[:0:-1], vecs[:, :0:-1], vals[0]
+        bound = _residual_bound(top)
+        residual = mat[:, :size] @ vecs
+        residual[:size] -= vecs * top
+        if np.linalg.norm(residual) <= bound:
+            sigma = 0.5 * (top[-1] + below)
+            tail = mat[size:, size:]
+            diagonal = np.diagonal(tail)
+            off = np.sum(np.abs(tail), axis=1) - np.abs(diagonal)
+            gamma = float(np.min(sigma - diagonal - off))
+            if gamma > 0.0:
+                eps = np.linalg.norm(mat[:size, size:]) ** 2 / gamma
+                if sigma - below > eps + bound:
+                    return top
+        size *= 2
+    return None
 
 
 def stability_spectrum(ops: OperatorPair) -> StabilityReport:
@@ -296,8 +380,7 @@ def _definite_eigenvalues(
     if info < 0:
         return None
     piv -= 1  # LAPACK pivots are 1-based
-    lead = factor[:, :rank]  # G; its strict upper triangle still holds entries of A
-    lead[~np.tri(n_modes, rank, dtype=bool)] = 0.0
+    lead = np.tril(factor[:, :rank])  # G; dpstrf leaves entries of A above its diagonal
     tail = piv[rank:]
     # the unfactored block, rebuilt from L- because dpstrf may have updated it in part
     trailing = -lminus[np.ix_(tail, tail)] - lead[rank:] @ lead[rank:].T
@@ -333,9 +416,21 @@ def commutators(ops: OperatorPair, inner: int) -> tuple[float, float]:
 def toeplitz_core(p: float, n_modes: int) -> np.ndarray:
     """T(p) with entries p^{|n-j|} - p^{n+j+2}; on the constrained subspace
     B+- = 2T and the negative spectrum of L+- equals that of 2T - M."""
-    n = np.arange(n_modes)
     powers = p ** np.arange(2 * n_modes + 1.0)  # every exponent 0 .. 2N the entries use
-    return powers[np.abs(np.subtract.outer(n, n))] - powers[np.add.outer(n, n) + 2]
+    # row n of each is a window of a power vector: p^{|n-j|} from the mirrored
+    # p^{N-1} .. p^1 p^0 p^1 .. p^{N-1} read backwards, p^{n+j+2} from p^2 .. p^{2N}
+    mirrored = np.concatenate((powers[n_modes - 1 : 0 : -1], powers[:n_modes]))
+    toeplitz = sliding_window_view(mirrored, n_modes)[::-1]
+    hankel = sliding_window_view(powers[2:], n_modes)
+    return toeplitz - hankel
+
+
+def _ladder_operator(p: float, n_modes: int) -> np.ndarray:
+    """2T(p) - M, formed in place on a fresh ``toeplitz_core``."""
+    ladder_op = toeplitz_core(p, n_modes)
+    ladder_op *= 2.0
+    ladder_op.flat[:: n_modes + 1] -= np.arange(1.0, n_modes + 1)
+    return ladder_op
 
 
 def _first_ladder_vector(p: float, n_modes: int) -> np.ndarray:
@@ -373,8 +468,7 @@ def ladder_check(p: float, n_modes: int, m_max: int = 10) -> LadderReport:
     """
     if not 1 <= m_max <= n_modes // 2:
         raise ValueError(f"m_max must lie in 1..N/2 = {n_modes // 2}, got {m_max}")
-    t_mat = toeplitz_core(p, n_modes)
-    ladder_op = 2.0 * t_mat - np.diag(np.arange(1, n_modes + 1, dtype=np.float64))
+    ladder_op = _ladder_operator(p, n_modes)
     ground = ground_amplitudes(p, n_modes)
     weighted = np.arange(1, n_modes + 1) * ground
 

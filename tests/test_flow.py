@@ -1,6 +1,7 @@
 """Vector field oracle agreement and integrator behavior."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -113,6 +114,13 @@ def test_integrate_rejects_nan_input():
     bad = np.array([1.0, np.nan], dtype=complex)
     with pytest.raises(FlowError):
         integrate(bad, IntegratorConfig(t_end=1.0, sample_dt=0.5))
+
+
+@pytest.mark.parametrize("state", [np.zeros(0), np.ones((2, 8))], ids=["empty", "2-D"])
+def test_integrate_rejects_non_vector_input(state):
+    # refused before any energy is taken, with the shape in the message
+    with pytest.raises(ValueError, match=re.escape(f"shape {state.shape}")):
+        integrate(state, IntegratorConfig(t_end=1.0, sample_dt=0.5))
 
 
 def test_single_mode_phase_rotation():

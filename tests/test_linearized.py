@@ -12,6 +12,8 @@ from conformalflow.linearized import (
     MAX_IDENTITY_ORDER,
     OperatorPair,
     _coupled_order,
+    _ladder_operator,
+    _leading_top,
     appendix_identities,
     build_ground_ops,
     build_single_mode_ops,
@@ -111,17 +113,22 @@ def test_ground_spectra_integer_ladder(p):
 
 @short_truncation
 @pytest.mark.parametrize("n_modes", [16, 128, 512])
-@pytest.mark.parametrize("p", [0.0, 0.3, 0.6])
+@pytest.mark.parametrize("p", [0.0, 0.1, 0.3, 0.6, 0.8, 0.9, 0.95])
 def test_spectrum_subset_matches_full_solve(p, n_modes):
-    # the top-count solve returns the leading count of the full solve
+    # the top-count solve returns the leading count of the full solve, to
+    # 1e-12 of the top count's own scale
     ops = build_ground_ops(p, n_modes)
     for mat in (ops.Lplus, ops.Lminus):
         full = spectrum(mat)
-        scale = max(float(np.max(np.abs(full))), 1.0)
         for count in (1, 12, n_modes):
             top = spectrum(mat, count)
             assert top.shape == (count,)
+            scale = max(float(np.max(np.abs(full[:count]))), 1.0)
             np.testing.assert_allclose(top, full[:count], rtol=0, atol=1e-12 * scale)
+        # at N = 512 the top 12 come from a certified leading block for the
+        # ladders that decay fast enough, and from the whole solve otherwise
+        if n_modes == 512 and p > 0.0:
+            assert (_leading_top(mat, 12) is not None) == (p <= 0.6)
         for count in (0, n_modes + 1):
             with pytest.raises(ValueError):
                 spectrum(mat, count)
@@ -139,8 +146,54 @@ def test_spectrum_residual_contract(monkeypatch, capsys):
     monkeypatch.setattr(scipy.linalg, "eigh", shifted)
     with pytest.raises(ArithmeticError, match="residual contract"):
         spectrum(build_ground_ops(0.3, 128).Lplus)
+    # at N = 512 every leading block fails its residual, and the whole solve raises
+    with pytest.raises(ArithmeticError, match="residual contract"):
+        spectrum(build_ground_ops(0.3, 512).Lplus, 12)
     assert main(["spectrum"]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def _full_top(mat, count):
+    """Oracle: the count largest eigenvalues of one whole dense solve."""
+    return scipy.linalg.eigh(mat, eigvals_only=True)[::-1][:count]
+
+
+def test_leading_block_finds_planted_tail_eigenvalue():
+    # a diagonal entry of 1.5 deep in the tail puts an eigenvalue between
+    # lambda* and 0, far from the leading modes: Gershgorin rejects every block
+    mat = build_ground_ops(0.3, 512).Lplus.copy()
+    mat[400, 400] = 1.5
+    assert _leading_top(mat, 12) is None
+    got = spectrum(mat, 12)
+    np.testing.assert_allclose(got, _full_top(mat, 12), rtol=0, atol=1e-12 * got[0])
+    assert np.min(np.abs(got - 1.5)) <= 0.5
+
+
+def test_leading_block_margin_rejects_strong_coupling():
+    # L+ at p = 0.3 has top 12 lambda*, 0, -1 .. -10, so sigma = -10.5.  Row 300
+    # is cut loose from its neighbours and given the diagonal sigma - 0.05, then
+    # coupled to row 60, where the leading eigenvectors have decayed below
+    # rounding: every leading block passes the residual, Gershgorin stays
+    # positive, and only the margin ||B||^2 / gamma > 1/2 stops it.  The coupling
+    # lifts the planted value above -10, so a leading solve alone would be wrong.
+    mat = build_ground_ops(0.3, 512).Lplus.copy()
+    mat[300, :] = mat[:, 300] = 0.0
+    mat[300, 300] = -10.55
+    mat[60, 300] = mat[300, 60] = 6.0
+    want = _full_top(mat, 12)
+    leading = scipy.linalg.eigh(mat[:128, :128], eigvals_only=True)[::-1][:12]
+    assert np.max(np.abs(want - leading)) > 0.1
+    assert _leading_top(mat, 12) is None
+    np.testing.assert_allclose(spectrum(mat, 12), want, rtol=0, atol=1e-12 * want[0])
+
+
+def test_leading_block_falls_through_without_decay():
+    rng = np.random.Generator(np.random.Philox(key=21))
+    dense = rng.standard_normal((512, 512))
+    mat = dense + dense.T
+    assert _leading_top(mat, 12) is None
+    want = _full_top(mat, 12)
+    np.testing.assert_allclose(spectrum(mat, 12), want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
 
 @pytest.mark.parametrize("p", [0.0, 0.3, 0.6])
@@ -398,11 +451,11 @@ def test_suite_helpers_reject_out_of_range_orders():
 
 
 @short_truncation
-@pytest.mark.parametrize("n_modes", [8, 128, 512])
-@pytest.mark.parametrize("p", [0.0, 0.3, 0.6, 0.95])
+@pytest.mark.parametrize("n_modes", [8, 16, 128, 512])
+@pytest.mark.parametrize("p", [0.0, 0.1, 0.3, 0.6, 0.9, 0.95])
 def test_power_table_is_bitwise_elementwise_power(p, n_modes):
     # reference: p raised element-wise over the N x N exponent grids, and
-    # L+- = 2(T - H) - M +- w w^T with w = M A(p)
+    # L+- = 2(T - H) - M +- w w^T with w = M A(p), each term a dense N x N array
     n = np.arange(n_modes)
     toeplitz = p ** np.abs(np.subtract.outer(n, n))
     hankel = p ** (np.add.outer(n, n) + 2.0)
@@ -412,6 +465,23 @@ def test_power_table_is_bitwise_elementwise_power(p, n_modes):
     assert np.array_equal(ops.Lplus, symmetric + np.outer(w, w))
     assert np.array_equal(ops.Lminus, symmetric - np.outer(w, w))
     assert np.array_equal(toeplitz_core(p, n_modes), toeplitz - hankel)
+    assert np.array_equal(_ladder_operator(p, n_modes), symmetric)
+
+
+@pytest.mark.parametrize("n_modes", [8, 16, 128, 512])
+@pytest.mark.parametrize("mode", [0, 1, 2])
+def test_single_mode_assembly_is_bitwise_diag_construction(mode, n_modes):
+    # reference: c^2 (diag + band) and c^2 (diag - band), each term a dense N x N array
+    n = np.arange(n_modes)
+    symmetric = np.diag(2.0 * np.minimum(n, mode) + 1.0 - n)
+    i = np.arange(2 * mode + 1)
+    coupling = np.zeros((n_modes, n_modes))
+    coupling[i, 2 * mode - i] = np.minimum(i, 2 * mode - i) + 1.0
+    for c in (1.0, 0.7, -1.3):
+        ops = build_single_mode_ops(mode, c, n_modes)
+        assert np.array_equal(ops.Lplus, c**2 * (symmetric + coupling))
+        assert np.array_equal(ops.Lminus, c**2 * (symmetric - coupling))
+        assert np.array_equal(ops.M, n + 1.0)
 
 
 def test_toeplitz_core_entries():
