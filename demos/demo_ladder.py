@@ -8,10 +8,10 @@ the generalized problem T v = mu M v with mu_m = 1/(m+1).
 
 import numpy as np
 
-from conformalflow import ladder_check, mu_ladder
+from conformalflow import build_ground_ops, ladder_check, mu_ladder
 
 for p in (0.2, 0.5):
-    rep = ladder_check(p, 192, m_max=8)
+    rep = ladder_check(build_ground_ops(p, 192), m_max=8)
     print(f"p = {p}:")
     print(f"  commutation residuals: S {rep.commutation_residual_S:.2e}, "
           f"S* {rep.commutation_residual_Sstar:.2e}")
@@ -20,7 +20,7 @@ for p in (0.2, 0.5):
     print("  eigen residuals m = 1..8:",
           np.array2string(rep.eigen_residuals, formatter={"all": "{:.1e}".format}))
 
-    mu = mu_ladder(p, 4, 256)
+    mu = mu_ladder(build_ground_ops(p, 256), 4)
     print("  mu ladder residuals:",
           np.array2string(mu.residuals, formatter={"all": "{:.1e}".format}))
     c1 = mu.coefficients[1][0]

@@ -17,8 +17,8 @@ from conformalflow import (
 
 for p in (0.0, 0.3, 0.6):
     ops = build_ground_ops(p, 128)
-    minus = spectrum(ops.Lminus)[:8]
-    plus = spectrum(ops.Lplus)[:8]
+    minus = spectrum(ops.Lminus, 8)
+    plus = spectrum(ops.Lplus, 8)
     print(f"p = {p}:")
     print("  L- top:", np.round(minus, 9))
     print("  L+ top:", np.round(plus, 9),

@@ -89,7 +89,9 @@ def generate_perturbation(spec: PerturbationSpec, seed: int, n_modes: int) -> np
 
 def random_state(seed: int, n_modes: int, q_normalize: float | None = None) -> np.ndarray:
     """Random state with entries uniform in the complex unit disc; optionally
-    rescaled to a prescribed charge Q."""
+    rescaled to a prescribed charge Q >= 0."""
+    if q_normalize is not None and not 0.0 <= q_normalize < np.inf:
+        raise ValueError(f"q_normalize must be a finite charge >= 0, got {q_normalize}")
     alpha = _uniform_disc(_rng(seed), n_modes)
     if q_normalize is not None:
         alpha *= np.sqrt(q_normalize / charge(alpha))
@@ -217,10 +219,9 @@ def run_spectrum_suite(n_modes: int) -> dict:
             "unstable": stab.unstable,
         }
         if p > 0:
-            ladder = linearized.ladder_check(p, n_modes)
-            mu = linearized.mu_ladder(p, 6, n_modes)
-            inner = min(64, n_modes // 2)
-            comm = linearized.commutators(ops, inner)
+            ladder = linearized.ladder_check(ops)
+            mu = linearized.mu_ladder(ops, 6)
+            comm = linearized.commutators(ops, 64)
             report["ground"][p].update(
                 {
                     "ladder_max_residual": float(np.max(ladder.eigen_residuals)),

@@ -43,18 +43,18 @@ complement the factorisation leaves out must be at rounding level.  When it
 is not (an indefinite L-, as for the single-mode states above the lowest),
 the nonsymmetric eigenvalues of P are computed instead.
 
-Both solvers first read the order r of the coupled block from the zero
-pattern (``_coupled_order``): the smallest r with every off-diagonal
-nonzero in the leading r x r block.  The operator is then exactly block
-diagonal, so only that block is solved densely and the N - r diagonal tail
-is appended in closed form: the entries of L for ``spectrum``, and
-L-_ii L+_ii / M_i^2 for P.  At p = 0 and for single mode 0 r is 0, for
-single modes 1 and 2 it is 3 and 5; the ground operators at p > 0 are dense
-(r = N, no tail).  The definite reduction factors and multiplies copies of
-the block with every entry below ``_FLUSH`` max |entry| set to zero, so that
-the geometrically decaying entries at p > 0 form no subnormal products
-(about 2x faster at p = 0.3 and N = 512); its Schur-complement certificate
-is still taken against the operator as built.
+``stability_spectrum`` first reads the order r of the coupled block from the
+zero pattern (``_coupled_order``): the smallest r with every off-diagonal
+nonzero in the leading r x r block.  The pair is then exactly block
+diagonal, so only that block is solved densely and the N - r eigenvalues
+L-_ii L+_ii / M_i^2 of the diagonal tail are appended in closed form.  At
+p = 0 and for single mode 0 r is 0, for single modes 1 and 2 it is 3 and 5;
+the ground operators at p > 0 are dense (r = N, no tail).  The definite
+reduction factors and multiplies copies of the block with every entry below
+``_FLUSH`` max |entry| set to zero, so that the geometrically decaying
+entries at p > 0 form no subnormal products (about 2x faster at p = 0.3 and
+N = 512); its Schur-complement certificate is still taken against the
+operator as built.
 
 scipy.linalg is imported on first use, inside the functions that call it
 (``spectrum``, the definite reduction and ``coercivity``), so that importing
@@ -157,7 +157,9 @@ def build_ground_ops(p: float, n_modes: int) -> OperatorPair:
             stacklevel=2,
         )
     m_diag = np.arange(1.0, n_modes + 1)
-    lplus = _ladder_operator(p, n_modes)  # L0, made L+ in place below
+    lplus = toeplitz_core(p, n_modes)  # made L0 = 2T - M and then L+ in place
+    lplus *= 2.0
+    lplus.flat[:: n_modes + 1] -= m_diag
     weighted = m_diag * ground_amplitudes(p, n_modes)
     coupling = np.outer(weighted, weighted)
     lminus = lplus - coupling
@@ -208,17 +210,15 @@ def spectrum(mat: np.ndarray, count: int | None = None) -> np.ndarray:
 
     With ``count`` given, only the ``count`` largest are computed; the
     residual contract and its scale max |eigenvalue| then refer to those
-    only.  ``count=None`` solves for all N.  Only the coupled leading block is
-    solved densely (module docstring); its eigenpair residuals above 1e-10
-    max(max |eigenvalue|, 1) raise ``ArithmeticError``.  The diagonal tail's
-    eigenpairs are unit vectors with zero residual.
+    only.  ``count=None`` solves for all N.  Eigenpair residuals above 1e-10
+    max(max |eigenvalue|, 1) raise ``ArithmeticError``.
 
-    The top ``count`` of a block of order r are first sought in its leading
-    K x K blocks, K = max(64, 2 count + 2) doubling while K <= r/4, and taken
-    only when certified on the whole block by Kahan's residual bound, a
-    Gershgorin bound on the trailing block, Haynsworth's inertia additivity
-    and Weyl's inequality (``_leading_top``); when no K certifies, the block
-    is solved whole.
+    The top ``count`` are first sought in the leading K x K blocks,
+    K = max(64, 2 count + 2) doubling while K <= N/4, and taken only when
+    certified on the whole matrix by Kahan's residual bound, a Gershgorin
+    bound on the trailing block, Haynsworth's inertia additivity and Weyl's
+    inequality (``_leading_top``); when no K certifies, the matrix is solved
+    whole.
     """
     import scipy.linalg
 
@@ -227,19 +227,16 @@ def spectrum(mat: np.ndarray, count: int | None = None) -> np.ndarray:
         count = n_modes
     elif not 1 <= count <= n_modes:
         raise ValueError(f"count must lie in 1..{n_modes}, got {count}")
-    order = _coupled_order(mat)
-    block = mat[:order, :order]
-    # the block holds at most min(count, order) of the top count
-    need = min(count, order)
-    vals = _leading_top(block, need) if need else np.empty(0)
-    if vals is None:
-        # a symmetric block is its own transpose, which is Fortran-ordered when the
-        # block is a whole C-ordered matrix: LAPACK then reads it without a transposing copy
-        vals, vecs = scipy.linalg.eigh(block.T, subset_by_index=[order - need, order - 1])
-        residuals = np.linalg.norm(block @ vecs - vecs * vals, axis=0)
-        if np.any(residuals > _residual_bound(vals)):
-            raise ArithmeticError("eigendecomposition residual contract violated")
-    return np.sort(np.concatenate([vals, np.diagonal(mat)[order:]]))[::-1][:count]
+    vals = _leading_top(mat, count)
+    if vals is not None:
+        return vals
+    # a symmetric matrix is its own transpose, which is Fortran-ordered when the
+    # matrix is C-ordered: LAPACK then reads it without a transposing copy
+    vals, vecs = scipy.linalg.eigh(mat.T, subset_by_index=[n_modes - count, n_modes - 1])
+    residuals = np.linalg.norm(mat @ vecs - vecs * vals, axis=0)
+    if np.any(residuals > _residual_bound(vals)):
+        raise ArithmeticError("eigendecomposition residual contract violated")
+    return vals[::-1]
 
 
 def _residual_bound(vals: np.ndarray) -> float:
@@ -425,14 +422,6 @@ def toeplitz_core(p: float, n_modes: int) -> np.ndarray:
     return toeplitz - hankel
 
 
-def _ladder_operator(p: float, n_modes: int) -> np.ndarray:
-    """2T(p) - M, formed in place on a fresh ``toeplitz_core``."""
-    ladder_op = toeplitz_core(p, n_modes)
-    ladder_op *= 2.0
-    ladder_op.flat[:: n_modes + 1] -= np.arange(1.0, n_modes + 1)
-    return ladder_op
-
-
 def _first_ladder_vector(p: float, n_modes: int) -> np.ndarray:
     """Closed-form eigenvector of 2T - M for eigenvalue -1 (regular at p = 0)."""
     v = np.zeros(n_modes)
@@ -457,20 +446,24 @@ class LadderReport:
     eigen_residuals: np.ndarray  # ||(2T - M) v_m + m v_m|| / ||v_m||, m = 1..m_max
 
 
-def ladder_check(p: float, n_modes: int, m_max: int = 10) -> LadderReport:
-    """Verify the creation/annihilation structure of 2T(p) - M.
+def ladder_check(ops: OperatorPair, m_max: int = 10) -> LadderReport:
+    """Verify the creation/annihilation structure of L0 = 2T(p) - M = (L+ + L-)/2.
 
     On vectors orthogonal to {A(p), M A(p)} the shift S and left-shift S*
-    intertwine 2T - M with itself -+ I; iterating S on the closed-form first
+    intertwine L0 with itself -+ I; iterating S on the closed-form first
     eigenvector generates eigenvalue -m for every m.  The m-th vector is
     shifted m - 1 places, so m_max is at most N/2: beyond that the truncation
     cuts into the shifted vectors (and past N they vanish).
     """
+    if ops.p is None:
+        raise ValueError("ladder_check is defined for ground-state operators")
+    p, n_modes = ops.p, ops.n_modes
     if not 1 <= m_max <= n_modes // 2:
         raise ValueError(f"m_max must lie in 1..N/2 = {n_modes // 2}, got {m_max}")
-    ladder_op = _ladder_operator(p, n_modes)
+    ladder_op = ops.Lplus + ops.Lminus
+    ladder_op *= 0.5
     ground = ground_amplitudes(p, n_modes)
-    weighted = np.arange(1, n_modes + 1) * ground
+    weighted = ops.M * ground
 
     rng = np.random.default_rng(np.random.Philox(key=LADDER_SEED))
     half = n_modes // 2
@@ -518,7 +511,7 @@ class MuLadderReport:
     coefficients: list[np.ndarray]  # expansion of v^(m) over {M^j A}, x_m = 1
 
 
-def mu_ladder(p: float, m_max: int, n_modes: int) -> MuLadderReport:
+def mu_ladder(ops: OperatorPair, m_max: int) -> MuLadderReport:
     """Eigenvectors of T(p) v = mu M v in the polynomial ladder span{M^j A}.
 
     v^(m) = M^m A - sum_{j<m} alpha_j M^j A is fixed by the eigen-condition
@@ -526,11 +519,16 @@ def mu_ladder(p: float, m_max: int, n_modes: int) -> MuLadderReport:
     solve in the ladder basis and the residual is verified on the full
     truncation.
     """
+    if ops.p is None:
+        raise ValueError("mu_ladder is defined for ground-state operators")
     if m_max < 0:
         raise ValueError(f"m_max must be >= 0, got {m_max}")
-    t_mat = toeplitz_core(p, n_modes)
-    m_diag = np.arange(1, n_modes + 1, dtype=np.float64)
-    ground = ground_amplitudes(p, n_modes)
+    n_modes, m_diag = ops.n_modes, ops.M
+    # T = (L0 + M)/2 = (L+ + L- + 2M)/4, formed in place
+    t_mat = ops.Lplus + ops.Lminus
+    t_mat.flat[:: n_modes + 1] += 2.0 * m_diag
+    t_mat *= 0.25
+    ground = ground_amplitudes(ops.p, n_modes)
     basis = [ground.copy()]
     for _ in range(m_max):
         basis.append(m_diag * basis[-1])

@@ -189,7 +189,7 @@ def test_criterion_07_commutators():
 def test_criterion_08_ladder_structure():
     worst_res = worst_angle = 0.0
     for p in (0.1, 0.3, 0.6):
-        rep = cf.ladder_check(p, 192, m_max=10)
+        rep = cf.ladder_check(cf.build_ground_ops(p, 192), m_max=10)
         worst_res = max(worst_res, float(np.max(rep.eigen_residuals)))
         worst_angle = max(worst_angle, rep.v1_shift_angle)
     ok = worst_res <= 1e-9 and worst_angle <= 1e-9

@@ -71,6 +71,19 @@ def test_random_state_q_normalization():
     assert np.sum((n + 1) * np.abs(alpha) ** 2) == pytest.approx(1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize(("q", "shown"), [(-1.0, "-1.0"), (np.nan, "nan"), (np.inf, "inf")])
+def test_random_state_rejects_invalid_charge(q, shown):
+    # a negative charge once gave an all-NaN state after a RuntimeWarning
+    with pytest.raises(ValueError, match=f"got {shown}$"):
+        random_state(1, 4, q_normalize=q)
+
+
+def test_random_state_zero_charge():
+    alpha = random_state(1, 4, q_normalize=0.0)
+    assert np.all(np.isfinite(alpha))
+    assert np.sum(np.arange(1, 5) * np.abs(alpha) ** 2) == 0.0
+
+
 def test_experiment_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(n_modes=4)

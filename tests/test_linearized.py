@@ -12,7 +12,6 @@ from conformalflow.linearized import (
     MAX_IDENTITY_ORDER,
     OperatorPair,
     _coupled_order,
-    _ladder_operator,
     _leading_top,
     appendix_identities,
     build_ground_ops,
@@ -277,6 +276,23 @@ def test_coupled_order_of_suite_operators(n_modes):
         assert stability_spectrum(ops).coupled == want, name
 
 
+@pytest.mark.parametrize("n_modes", [128, 512])
+def test_block_diagonal_spectra(n_modes):
+    # the p = 0 pair and single mode 0 are diagonal: their top 12 are the
+    # diagonal's, bitwise; modes 1 and 2 couple a leading 3 x 3 and 5 x 5 block.
+    # At N = 512 a leading block certifies all four with zero coupling
+    for name in ("ground-0.0", "mode-0", "mode-1", "mode-2"):
+        ops = SUITE_OPERATORS[name][0](n_modes)
+        for mat in (ops.Lplus, ops.Lminus):
+            got = spectrum(mat, 12)
+            if name in ("ground-0.0", "mode-0"):
+                assert np.array_equal(got, np.sort(np.diagonal(mat))[::-1][:12]), name
+            else:
+                np.testing.assert_allclose(got, _full_top(mat, 12), rtol=0, atol=1e-12)
+            if n_modes == 512:
+                assert _leading_top(mat, 12) is not None, name
+
+
 def _block_coupled_pair(order, n_modes, positive_tail):
     """Random symmetric L+- whose off-diagonal entries lie in the leading
     order x order block.  L- <= 0 with rank order - 1 on the block and an
@@ -431,22 +447,24 @@ def test_commutators_vanish_on_inner_block():
         commutators(ops, 100)
 
 
+@short_truncation
 def test_suite_helpers_reject_out_of_range_orders():
     # each would otherwise end in NaN residuals, empty arrays or numpy's
     # zero-size error
+    ops = build_ground_ops(0.3, 64)
     for call, match in (
-        (lambda: ladder_check(0.3, 4), "m_max must lie in 1..N/2"),
-        (lambda: ladder_check(0.3, 64, m_max=33), "m_max must lie in 1..N/2"),
-        (lambda: ladder_check(0.3, 64, m_max=0), "m_max must lie in 1..N/2"),
-        (lambda: mu_ladder(0.3, -1, 64), "m_max must be >= 0"),
+        (lambda: ladder_check(build_ground_ops(0.3, 4)), "m_max must lie in 1..N/2"),
+        (lambda: ladder_check(ops, m_max=33), "m_max must lie in 1..N/2"),
+        (lambda: ladder_check(ops, m_max=0), "m_max must lie in 1..N/2"),
+        (lambda: mu_ladder(ops, -1), "m_max must be >= 0"),
         (lambda: commutators(build_ground_ops(0.5, 128), 0), "inner block must lie in 1..N/2"),
     ):
         with pytest.raises(ValueError, match=match) as err:
             call()
         assert "\n" not in str(err.value)
     # the bounds themselves are accepted
-    assert ladder_check(0.3, 64, m_max=32).eigen_residuals.shape == (32,)
-    assert mu_ladder(0.3, 0, 64).residuals.shape == (1,)
+    assert ladder_check(ops, m_max=32).eigen_residuals.shape == (32,)
+    assert mu_ladder(ops, 0).residuals.shape == (1,)
     assert commutators(build_ground_ops(0.5, 128), 1)[0] <= 1e-8
 
 
@@ -465,7 +483,6 @@ def test_power_table_is_bitwise_elementwise_power(p, n_modes):
     assert np.array_equal(ops.Lplus, symmetric + np.outer(w, w))
     assert np.array_equal(ops.Lminus, symmetric - np.outer(w, w))
     assert np.array_equal(toeplitz_core(p, n_modes), toeplitz - hankel)
-    assert np.array_equal(_ladder_operator(p, n_modes), symmetric)
 
 
 @pytest.mark.parametrize("n_modes", [8, 16, 128, 512])
@@ -492,7 +509,7 @@ def test_toeplitz_core_entries():
 
 @pytest.mark.parametrize("p", [0.1, 0.3, 0.6])
 def test_ladder_structure(p):
-    report = ladder_check(p, 192)
+    report = ladder_check(build_ground_ops(p, 192))
     assert report.commutation_residual_S <= 1e-11
     assert report.commutation_residual_Sstar <= 1e-11
     assert report.v1_residual <= 1e-10
@@ -503,13 +520,13 @@ def test_ladder_structure(p):
 def test_ladder_first_vector_at_p_zero():
     # 2T(0) - M = diag(1, 0, -1, -2, ...), so the eigenvalue -1 eigenvector
     # degenerates to e_2 and the closed form must stay regular at p = 0
-    report = ladder_check(0.0, 32)
+    report = ladder_check(build_ground_ops(0.0, 32))
     assert report.v1_residual <= 1e-14
 
 
 @pytest.mark.parametrize("p", [0.2, 0.5])
 def test_mu_ladder(p):
-    report = mu_ladder(p, 8, 256)
+    report = mu_ladder(build_ground_ops(p, 256), 8)
     np.testing.assert_allclose(report.mus, 1.0 / (np.arange(9) + 1.0))
     # the {M^j A} basis is badly conditioned at high m and small p
     assert np.max(report.residuals) <= 1e-8
@@ -523,7 +540,7 @@ def test_mu_ladder_second_vector_coefficients():
     # m = 2: v = M^2 A + 3(1+p^2)/(1-p^2) MA - 2(1+p^2+p^4)/(1-p^2)^2 A,
     # up to the overall sign convention of the intermediate coefficient
     p = 0.4
-    report = mu_ladder(p, 3, 256)
+    report = mu_ladder(build_ground_ops(p, 256), 3)
     c0, c1, c2 = report.coefficients[2]
     assert c2 == 1.0
     assert abs(c1) == pytest.approx(3 * (1 + p * p) / (1 - p * p), rel=1e-8)
@@ -554,6 +571,13 @@ def test_solvability_inner_product():
 def test_coercivity_requires_ground_state():
     with pytest.raises(ValueError):
         coercivity(build_single_mode_ops(0, 1.0, 16))
+
+
+def test_ladder_checks_require_ground_state():
+    ops = build_single_mode_ops(0, 1.0, 16)
+    for call in (ladder_check, lambda pair: mu_ladder(pair, 2)):
+        with pytest.raises(ValueError, match="defined for ground-state operators"):
+            call(ops)
 
 
 @pytest.mark.parametrize("p", [0.3, 0.5, 0.7])
