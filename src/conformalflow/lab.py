@@ -205,8 +205,8 @@ def run_spectrum_suite(n_modes: int) -> dict:
         lam_star = 2.0 * (1.0 + p * p) / (1.0 - p * p)
         expect_minus = np.array([0.0, 0.0] + [-m for m in range(1, 11)])
         expect_plus = np.array([lam_star, 0.0] + [-m for m in range(1, 11)])
-        stab = linearized.stability_spectrum(ops)
         expect_omega = np.array([(m - 1) / (m + 1) for m in range(2, 11)])
+        stab = linearized.stability_spectrum(ops, expect_omega.size)
         got_omega = stab.omegas[: expect_omega.size]
         report["ground"][p] = {
             "minus_err": float(np.max(np.abs(top_minus - expect_minus))),
@@ -214,6 +214,7 @@ def run_spectrum_suite(n_modes: int) -> dict:
             "omega_err": float(np.max(np.abs(np.sort(got_omega) - np.sort(expect_omega)))),
             "reduction": stab.reduction,
             "coupled": stab.coupled,
+            "solved": stab.solved,
             "zero_geometric": stab.zero_geometric,
             "jordan_partners": stab.jordan_partners,
             "unstable": stab.unstable,
@@ -247,6 +248,7 @@ def run_spectrum_suite(n_modes: int) -> dict:
             "omega_err": err,
             "reduction": stab.reduction,
             "coupled": stab.coupled,
+            "solved": stab.solved,
             "count_got": int(got.size),
             "count_expected": int(expected.size),
             "unstable": stab.unstable,
@@ -589,7 +591,7 @@ def _print_spectrum_report(report: dict) -> None:
         print(
             f"ground p={p}: L- err {entry['minus_err']:.2e}, L+ err {entry['plus_err']:.2e}, "
             f"Omega err {entry['omega_err']:.2e} "
-            f"({entry['reduction']} solve, coupled {entry['coupled']}), "
+            f"({entry['reduction']} solve, coupled {entry['coupled']}, solved {entry['solved']}), "
             f"kernel {entry['zero_geometric']}+"
             f"{entry['jordan_partners']} (unstable={entry['unstable']})"
         )
@@ -597,7 +599,7 @@ def _print_spectrum_report(report: dict) -> None:
         print(
             f"single mode N={mode}: Omega err {entry['omega_err']:.2e} "
             f"({entry['count_got']}/{entry['count_expected']} frequencies, "
-            f"{entry['reduction']} solve, coupled {entry['coupled']}, "
+            f"{entry['reduction']} solve, coupled {entry['coupled']}, solved {entry['solved']}, "
             f"unstable={entry['unstable']})"
         )
 

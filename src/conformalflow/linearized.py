@@ -26,7 +26,7 @@ dense terms.
 only the top ``count``, which is all the spectrum suite reports.  The ladder
 eigenvectors behind the top of the ground spectra decay like poly(n) p^n, so
 that top is first taken from a leading K x K block, K = max(64, 2 count + 2)
-doubling while K <= N/4, under a certificate on the whole matrix (Kahan's
+doubling while K < N/2, under a certificate on the whole matrix (Kahan's
 residual bound, a Gershgorin bound, Haynsworth's inertia additivity and
 Weyl's inequality; ``_leading_top``), and from the whole matrix when no K
 certifies.  At p = 0.3 and N = 512 a call takes about 1.5 ms against 20 ms
@@ -42,6 +42,20 @@ factorisation of -L- and certifies it on every call: the trailing Schur
 complement the factorisation leaves out must be at rounding level.  When it
 is not (an indefinite L-, as for the single-mode states above the lowest),
 the nonsymmetric eigenvalues of P are computed instead.
+
+``stability_spectrum(ops, count)`` returns only the ``count`` lowest
+eigenvalues of P, which is all the spectrum suite reports (count = 9).  The
+factorisation pivots the largest diagonal entries of -L-, the high modes,
+first, so the eigenvectors of the lowest Omega, which decay like poly(n) p^n,
+sit in the trailing block of the reduced matrix.  Its columns are reversed
+before it is formed, so that the bottom of P is the top of a matrix whose
+low modes lead, and ``spectrum``'s certified leading block returns it: the
+values are then exactly the lowest of the whole operator, and "no eigenvalue
+below -tol" is still decided over all N.  At N = 512 a block of order 64
+certifies at p = 0.3 and one of order 128 at p = 0.6 (the reduced matrix has
+order 510): a call takes about 23 ms against 40 ms at p = 0.3 with the whole
+``eigvalsh`` (one BLAS thread).  At N = 512 and p >= 0.8 none certifies,
+and at N = 128 none fits, so the reduced matrix is solved whole.
 
 ``stability_spectrum`` first reads the order r of the coupled block from the
 zero pattern (``_coupled_order``): the smallest r with every off-diagonal
@@ -143,6 +157,10 @@ class StabilityReport:
     unstable: bool
     reduction: str  # "definite" (certified symmetric solve) or "general"
     coupled: int  # order of the leading block solved densely; the rest is diagonal
+    # order of the matrix whose eigenvalues were computed: the certified leading
+    # block of the reduced matrix, the whole reduced matrix (rank L-), or the
+    # coupled block of P when reduction is "general"
+    solved: int
 
 
 def build_ground_ops(p: float, n_modes: int) -> OperatorPair:
@@ -214,12 +232,18 @@ def spectrum(mat: np.ndarray, count: int | None = None) -> np.ndarray:
     max(max |eigenvalue|, 1) raise ``ArithmeticError``.
 
     The top ``count`` are first sought in the leading K x K blocks,
-    K = max(64, 2 count + 2) doubling while K <= N/4, and taken only when
+    K = max(64, 2 count + 2) doubling while K < N/2, and taken only when
     certified on the whole matrix by Kahan's residual bound, a Gershgorin
     bound on the trailing block, Haynsworth's inertia additivity and Weyl's
     inequality (``_leading_top``); when no K certifies, the matrix is solved
     whole.
     """
+    return _top_block(mat, count)[0]
+
+
+def _top_block(mat: np.ndarray, count: int | None) -> tuple[np.ndarray, int]:
+    """``spectrum(mat, count)`` and the order of the block it solved: the
+    certified leading K, or N for the whole matrix."""
     import scipy.linalg
 
     n_modes = mat.shape[0]
@@ -227,16 +251,16 @@ def spectrum(mat: np.ndarray, count: int | None = None) -> np.ndarray:
         count = n_modes
     elif not 1 <= count <= n_modes:
         raise ValueError(f"count must lie in 1..{n_modes}, got {count}")
-    vals = _leading_top(mat, count)
-    if vals is not None:
-        return vals
+    found = _leading_top(mat, count)
+    if found is not None:
+        return found
     # a symmetric matrix is its own transpose, which is Fortran-ordered when the
     # matrix is C-ordered: LAPACK then reads it without a transposing copy
     vals, vecs = scipy.linalg.eigh(mat.T, subset_by_index=[n_modes - count, n_modes - 1])
     residuals = np.linalg.norm(mat @ vecs - vecs * vals, axis=0)
     if np.any(residuals > _residual_bound(vals)):
         raise ArithmeticError("eigendecomposition residual contract violated")
-    return vals[::-1]
+    return vals[::-1], n_modes
 
 
 def _residual_bound(vals: np.ndarray) -> float:
@@ -244,9 +268,11 @@ def _residual_bound(vals: np.ndarray) -> float:
     return 1e-10 * max(float(np.max(np.abs(vals))), 1.0)
 
 
-def _leading_top(mat: np.ndarray, count: int) -> np.ndarray | None:
+def _leading_top(mat: np.ndarray, count: int) -> tuple[np.ndarray, int] | None:
     """The ``count`` largest eigenvalues of the symmetric ``mat``, descending,
-    from a certified leading block, or None when no leading block certifies.
+    and the order K of the certified leading block they came from, or None
+    when no leading block certifies.  K doubles from max(64, 2 count + 2)
+    while K < N/2: 64 and 128 for N = 510 and 512, also 256 for N = 1024.
 
     For the leading K x K block A11 with top eigenpairs (mu_i, v_i), the
     certificate on the whole A = [[A11, B], [B^T, A22]] is:
@@ -267,7 +293,7 @@ def _leading_top(mat: np.ndarray, count: int) -> np.ndarray | None:
 
     order = mat.shape[0]
     size = max(_LEADING_MIN, 2 * count + 2)
-    while size <= order // 4:
+    while size < order // 2:
         vals, vecs = scipy.linalg.eigh(mat[:size, :size], subset_by_index=[size - count - 1, size - 1])
         # eigh returns count + 1 ascending: the top count, descending, and the next below
         top, vecs, below = vals[:0:-1], vecs[:, :0:-1], vals[0]
@@ -283,12 +309,12 @@ def _leading_top(mat: np.ndarray, count: int) -> np.ndarray | None:
             if gamma > 0.0:
                 eps = np.linalg.norm(mat[:size, size:]) ** 2 / gamma
                 if sigma - below > eps + bound:
-                    return top
+                    return top, size
         size *= 2
     return None
 
 
-def stability_spectrum(ops: OperatorPair) -> StabilityReport:
+def stability_spectrum(ops: OperatorPair, count: int | None = None) -> StabilityReport:
     """Frequencies of the linearized flow from P = M^-1 L- M^-1 L+.
 
     Eigenvalues of P are Omega^2 = -Lambda^2.  Only the coupled leading block
@@ -296,31 +322,41 @@ def stability_spectrum(ops: OperatorPair) -> StabilityReport:
     L-_ii L+_ii / M_i^2 (module docstring).  When L- <= 0 (the ground state,
     the lowest single mode) they are real and the block's come from one
     symmetric solve of size rank(L-); a negative one marks instability.
+    With ``count`` (1..N) only the first ``count`` of them are returned, the
+    lowest nonzero ones ascending, padded with exact zeros: the block's come
+    from the top of the reduced matrix through ``spectrum``'s certified
+    leading block, so they are the lowest of the whole operator, and the
+    instability test and its scale max(max |eigenvalue|, 1) see those only.
     When the reduction's certificate fails on the block, or a tail entry of
     L- is positive, the eigenvalues of the block of P itself are computed,
-    and a negative real part or a significant imaginary part marks
-    instability (or truncation failure).  ``reduction`` says which solve
-    ran and ``coupled`` the order of the block.  For the ground state the
-    kernel structure (three eigenvectors, one Jordan partner) is verified
-    explicitly on the whole operators.
+    all of them whatever ``count``, and a negative real part or a
+    significant imaginary part marks instability (or truncation failure).
+    ``reduction`` says which solve ran, ``coupled`` the order of the block
+    and ``solved`` that of the matrix whose eigenvalues were computed.  For
+    the ground state the kernel structure (three eigenvectors, one Jordan
+    partner) is verified explicitly on the whole operators.
     """
+    if count is not None and not 1 <= count <= ops.n_modes:
+        raise ValueError(f"count must lie in 1..{ops.n_modes}, got {count}")
     order = _coupled_order(ops.Lplus, ops.Lminus)
     lplus, lminus, m_diag = ops.Lplus[:order, :order], ops.Lminus[:order, :order], ops.M[:order]
     minus_tail = np.diagonal(ops.Lminus)[order:]
     tail = minus_tail * np.diagonal(ops.Lplus)[order:] / ops.M[order:] ** 2
     minus_scale = float(np.max(np.abs(ops.Lminus)))
     # -L- >= 0 holds on the tail when no diagonal entry is negative beyond tolerance
-    vals = None
+    found = None
     if np.all(minus_tail <= _DEFINITE_TOL * minus_scale):
-        vals = _definite_eigenvalues(lplus, lminus, m_diag, minus_scale)
-    if vals is not None:
+        found = _definite_eigenvalues(lplus, lminus, m_diag, minus_scale, count)
+    if found is not None:
         reduction = "definite"
+        vals, solved = found
         # the block's order - rank(L-) zero eigenvalues are the padding
         vals = np.concatenate([vals, tail])
         nonzero = np.sort(vals[vals != 0.0])
-        vals = np.concatenate([nonzero, np.zeros(ops.n_modes - nonzero.size)])
+        vals = np.concatenate([nonzero, np.zeros(ops.n_modes - nonzero.size)])[:count]
     else:
         reduction = "general"
+        solved = order
         minv = 1.0 / m_diag
         compose = (minv[:, None] * lminus) @ (minv[:, None] * lplus)
         vals = np.concatenate([np.linalg.eigvals(compose), tail])
@@ -346,7 +382,7 @@ def stability_spectrum(ops: OperatorPair) -> StabilityReport:
         jres = np.linalg.norm(0.5 * (ops.Lplus @ ground) - weighted) / np.linalg.norm(weighted)
         if jres < 1e-7:
             jordan = 1
-    return StabilityReport(omegas, vals, zero_geometric, jordan, unstable, reduction, order)
+    return StabilityReport(omegas, vals, zero_geometric, jordan, unstable, reduction, order, solved)
 
 
 def _flush(mat: np.ndarray) -> np.ndarray:
@@ -357,17 +393,21 @@ def _flush(mat: np.ndarray) -> np.ndarray:
 
 
 def _definite_eigenvalues(
-    lplus: np.ndarray, lminus: np.ndarray, m_diag: np.ndarray, scale: float
-) -> np.ndarray | None:
-    """The rank(L-) nonzero eigenvalues of P, ascending, by the definite
-    reduction, or None when its certificate fails.
+    lplus: np.ndarray, lminus: np.ndarray, m_diag: np.ndarray, scale: float, count: int | None
+) -> tuple[np.ndarray, int] | None:
+    """The rank(L-) nonzero eigenvalues of P, ascending, or with ``count`` the
+    lowest min(count, rank) of them, by the definite reduction, and the order
+    of the matrix solved for them; None when the certificate fails.
 
     dpstrf factors A = -L- (flushed) in place, Pi^T A Pi = G G^T with rank r.
     The certificate: no argument error, and the Schur complement left
     unfactored, (Pi^T A Pi)[r:, r:] - G[r:] G[r:]^T with A as given, within
     _DEFINITE_TOL ``scale`` of zero; dpstrf's own stopping rule would pass an
     indefinite remainder with a small diagonal.  The r x r matrix is
-    -Y^T L+ Y with Y = M^-1 Pi G.
+    -Y^T L+ Y with Y = M^-1 Pi G.  With ``count``, Y's columns are reversed,
+    so that the reduced matrix comes out reversed: dpstrf pivots the largest
+    diagonal entries of -L-, the high modes, first, and the low modes that
+    carry the lowest eigenvalues of P then lead.
     """
     import scipy.linalg
 
@@ -384,12 +424,15 @@ def _definite_eigenvalues(
     if not np.all(np.abs(trailing) <= _DEFINITE_TOL * scale):
         return None
     y = np.empty((n_modes, rank))
-    y[piv] = lead
+    y[piv] = lead if count is None else lead[:, ::-1]
     del buf, factor, lead
     y /= m_diag[:, None]
     reduced = y.T @ _flush(_flush(lplus.copy()) @ y)
     del y
-    return -scipy.linalg.eigvalsh(reduced, overwrite_a=True, check_finite=False)[::-1]
+    if count is None or rank == 0:
+        return -scipy.linalg.eigvalsh(reduced, overwrite_a=True, check_finite=False)[::-1], rank
+    top, solved = _top_block(reduced, min(count, rank))
+    return -top, solved
 
 
 def commutators(ops: OperatorPair, inner: int) -> tuple[float, float]:

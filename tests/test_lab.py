@@ -20,11 +20,13 @@ from conformalflow.lab import (
     MAX_MODES,
     ExperimentConfig,
     PerturbationSpec,
+    _spectrum_failures,
     generate_perturbation,
     main,
     random_state,
     run_drift_study,
     run_inequality_scan,
+    run_spectrum_suite,
     write_track_csv,
     write_trajectory_csv,
 )
@@ -334,15 +336,29 @@ def test_cli_spectrum_reports_reduction(tmp_path, capsys):
 
 
 def test_cli_spectrum_reports_coupled_block(tmp_path, capsys):
-    # the order of the block solved densely, on each stability line and entry
+    # the order of the block solved densely and of the matrix whose eigenvalues
+    # were computed, on each stability line and entry: at N = 128 no leading
+    # block of the order-126 reduced matrix certifies, so it is solved whole
     assert main(["spectrum", "--n", "16", "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "spectrum.json").read_text())
     want = {"0.0": 0, "0.3": 128, "0.6": 128}
     assert {p: e["coupled"] for p, e in report["ground"].items()} == want
     assert {m: e["coupled"] for m, e in report["single_mode"].items()} == {"0": 0, "1": 3, "2": 5}
+    assert {p: e["solved"] for p, e in report["ground"].items()} == {"0.0": 0, "0.3": 126, "0.6": 126}
+    assert {m: e["solved"] for m, e in report["single_mode"].items()} == {"0": 0, "1": 3, "2": 5}
     out = capsys.readouterr().out
-    assert "(definite solve, coupled 0)" in out
-    assert "general solve, coupled 5," in out
+    assert "(definite solve, coupled 0, solved 0)" in out
+    assert "(definite solve, coupled 128, solved 126)" in out
+    assert "general solve, coupled 5, solved 5," in out
+
+
+def test_spectrum_suite_at_benchmark_size():
+    # the suite at the benchmark's N = 512 meets every closed form, and its
+    # p > 0 frequencies come from a certified leading block of the order-510
+    # reduced matrix
+    report = run_spectrum_suite(512)
+    assert _spectrum_failures(report) == []
+    assert {p: e["solved"] for p, e in report["ground"].items()} == {0.0: 0, 0.3: 64, 0.6: 128}
 
 
 def test_cli_spectrum_exits_three_past_its_bounds(tmp_path, monkeypatch, capsys):

@@ -195,6 +195,26 @@ def test_leading_block_falls_through_without_decay():
     np.testing.assert_allclose(spectrum(mat, 12), want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
 
+@pytest.mark.parametrize("order", [128, 510, 512, 1024])
+def test_leading_block_sizes(order, monkeypatch):
+    # K doubles from 64 while K < N/2: the blocks of K <= N/4 for every
+    # power-of-two order, and also 128 for the order-510 reduced matrix of the
+    # stability problem at N = 512
+    tried = []
+    eigh = scipy.linalg.eigh
+
+    def spy(mat, *args, **kwargs):
+        tried.append(mat.shape[0])
+        return eigh(mat, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", spy)
+    rng = np.random.Generator(np.random.Philox(key=order))
+    dense = rng.standard_normal((order, order))
+    # without decay no block passes its residual, so every size is tried
+    assert _leading_top(dense + dense.T, 9) is None
+    assert tried == {128: [], 510: [64, 128], 512: [64, 128], 1024: [64, 128, 256]}[order]
+
+
 @pytest.mark.parametrize("p", [0.0, 0.3, 0.6])
 def test_ground_stability_frequencies(p):
     ops = build_ground_ops(p, 128)
@@ -351,6 +371,75 @@ def test_flushed_solve_matches_unflushed_oracle():
     report = stability_spectrum(ops)
     assert (report.reduction, report.coupled) == ("definite", 512)
     _assert_matches_eigvals(report, ops)
+
+
+@short_truncation
+@pytest.mark.parametrize("n_modes", [128, 512, 1024])
+@pytest.mark.parametrize("p", [0.1, 0.3, 0.6, 0.8, 0.9])
+def test_stability_count_matches_whole_solve(p, n_modes):
+    # the lowest 9 are the first 9 of the whole solve; at N = 512 they come
+    # from a certified leading block of the reduced matrix for p = 0.3 and 0.6
+    ops = build_ground_ops(p, n_modes)
+    whole = stability_spectrum(ops)
+    lowest = stability_spectrum(ops, 9)
+    assert lowest.p_eigenvalues.shape == (9,)
+    np.testing.assert_allclose(lowest.p_eigenvalues, whole.p_eigenvalues[:9], rtol=0, atol=1e-12)
+    # the omegas drop values within tolerance of zero, as one at p = 0.9, N = 128
+    np.testing.assert_allclose(lowest.omegas, whole.omegas[: lowest.omegas.size], rtol=0, atol=1e-12)
+    assert lowest.unstable == whole.unstable
+    assert (lowest.reduction, lowest.coupled) == (whole.reduction, whole.coupled) == ("definite", n_modes)
+    assert (lowest.zero_geometric, lowest.jordan_partners) == (whole.zero_geometric, whole.jordan_partners)
+    assert lowest.solved <= whole.solved
+    if n_modes == 512 and p in (0.3, 0.6):
+        assert (whole.solved, lowest.solved) == (510, {0.3: 64, 0.6: 128}[p])
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3])
+def test_stability_count_range(p):
+    # count = N returns the whole solve's values, padding zeros included; a
+    # count outside 1..N raises
+    ops = build_ground_ops(p, 128)
+    whole = stability_spectrum(ops).p_eigenvalues
+    for count in (1, 128):
+        got = stability_spectrum(ops, count).p_eigenvalues
+        np.testing.assert_allclose(got, whole[:count], rtol=0, atol=1e-12)
+    for count in (0, 129):
+        with pytest.raises(ValueError, match="count"):
+            stability_spectrum(ops, count)
+
+
+def test_stability_count_finds_planted_instability():
+    # a positive diagonal entry of L+ at mode 400, far from the low modes that
+    # lead the reversed reduced matrix, gives P a negative eigenvalue: no
+    # leading block certifies, and the whole solve finds it
+    ops = build_ground_ops(0.3, 512)
+    ops.Lplus[400, 400] = 50.0
+    whole = stability_spectrum(ops)
+    lowest = stability_spectrum(ops, 9)
+    assert whole.unstable and lowest.unstable
+    assert lowest.solved == 510
+    np.testing.assert_allclose(lowest.p_eigenvalues, whole.p_eigenvalues[:9], rtol=0, atol=1e-12)
+    assert lowest.p_eigenvalues[0] < -0.1
+
+
+def test_stability_count_margin_rejects_strong_coupling():
+    # with L- = -M^2, dpstrf pivots the modes in descending order and G = M,
+    # so Y = I and the reversed reduced matrix is L+ itself: P = -L+.  L+ is
+    # the planted matrix of test_leading_block_margin_rejects_strong_coupling,
+    # whose leading blocks pass the residual and Gershgorin and miss the
+    # planted value; only the margin refuses them
+    mat = build_ground_ops(0.3, 512).Lplus.copy()
+    mat[300, :] = mat[:, 300] = 0.0
+    mat[300, 300] = -10.55
+    mat[60, 300] = mat[300, 60] = 6.0
+    m_diag = np.arange(1.0, 513.0)
+    ops = OperatorPair(mat, -np.diag(m_diag**2), m_diag, None)
+    want = -_full_top(mat, 12)
+    leading = -scipy.linalg.eigh(mat[:128, :128], eigvals_only=True)[::-1][:12]
+    assert np.max(np.abs(want - leading)) > 0.1
+    report = stability_spectrum(ops, 12)
+    assert (report.reduction, report.solved, report.unstable) == ("definite", 512, True)
+    np.testing.assert_allclose(report.p_eigenvalues, want, rtol=0, atol=1e-12 * abs(want[0]))
 
 
 @short_truncation
