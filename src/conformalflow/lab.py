@@ -456,6 +456,8 @@ def _read_config_file(path: str, reads: tuple[str, ...]) -> dict:
         if (flag := key.replace("_", "-")) not in reads:
             raise ValueError(f"config key not read by this command: {key}")
         name, kind = _SETTINGS[flag]
+        if name in values:
+            raise ValueError(f"config setting given twice: {key}")
         try:
             values[name] = kind(text)
         except ValueError:

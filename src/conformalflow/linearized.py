@@ -22,15 +22,16 @@ cost, most of it in underflowing powers.  L0 and then L+ are formed in place
 on that array and L- = L0 - w w^T beside it, bitwise equal to the sums of
 dense terms.
 
-``spectrum(mat, count)`` returns the eigenvalues of one operator, optionally
-only the top ``count``, which is all the spectrum suite reports.  The ladder
-eigenvectors behind the top of the ground spectra decay like poly(n) p^n, so
-that top is first taken from a leading K x K block, K = max(64, 2 count + 2)
-doubling while K < N/2, under a certificate on the whole matrix (Kahan's
-residual bound, a Gershgorin bound, Haynsworth's inertia additivity and
-Weyl's inequality; ``_leading_top``), and from the whole matrix when no K
-certifies.  At p = 0.3 and N = 512 a call takes about 1.5 ms against 20 ms
-for the whole solve (one BLAS thread); at N = 512 and p >= 0.8 none certifies.
+Every symmetric eigenvalue the module returns, of L+-, of the stability
+problem and on the constrained subspace of ``coercivity``, comes from one
+route, ``spectrum(mat, count)``: the top ``count`` eigenvalues (all N by
+default) under a residual contract.  The eigenvectors behind the top decay
+like poly(n) p^n, so that top is first taken from a leading K x K block,
+K = max(64, 2 count + 2) doubling while K < N/2, under a certificate on the
+whole matrix (Kahan's residual bound, a Gershgorin bound, Haynsworth's
+inertia additivity and Weyl's inequality; ``_leading_top``), and from the
+whole matrix when no K certifies.  For L+ at p = 0.3 and N = 512 the top 12
+take about 1.5 ms against 20 ms for the whole solve (one BLAS thread).
 
 The stability problem P = M^-1 L- M^-1 L+ is nonsymmetric, but a
 constrained maximiser of the energy has L- <= 0, so -L- = X X^T with X of
@@ -41,21 +42,13 @@ eigenvalues.  ``stability_spectrum`` takes X from a pivoted Cholesky
 factorisation of -L- and certifies it on every call: the trailing Schur
 complement the factorisation leaves out must be at rounding level.  When it
 is not (an indefinite L-, as for the single-mode states above the lowest),
-the nonsymmetric eigenvalues of P are computed instead.
-
-``stability_spectrum(ops, count)`` returns only the ``count`` lowest
-eigenvalues of P, which is all the spectrum suite reports (count = 9).  The
-factorisation pivots the largest diagonal entries of -L-, the high modes,
-first, so the eigenvectors of the lowest Omega, which decay like poly(n) p^n,
-sit in the trailing block of the reduced matrix.  Its columns are reversed
-before it is formed, so that the bottom of P is the top of a matrix whose
-low modes lead, and ``spectrum``'s certified leading block returns it: the
-values are then exactly the lowest of the whole operator, and "no eigenvalue
-below -tol" is still decided over all N.  At N = 512 a block of order 64
-certifies at p = 0.3 and one of order 128 at p = 0.6 (the reduced matrix has
-order 510): a call takes about 23 ms against 40 ms at p = 0.3 with the whole
-``eigvalsh`` (one BLAS thread).  At N = 512 and p >= 0.8 none certifies,
-and at N = 128 none fits, so the reduced matrix is solved whole.
+the nonsymmetric eigenvalues of P are computed instead.  The factorisation
+pivots the high modes first, so Y's columns are reversed: the low modes that
+carry the lowest Omega then lead R = Y^T L+ Y, and the ``count`` lowest
+eigenvalues of P are the negated top of R by ``spectrum``'s route, exactly
+the lowest of the whole operator.  At N = 512 a block of order 64 certifies
+at p = 0.3 and one of order 128 at p = 0.6 (R has order 510); at p >= 0.8,
+at N = 128 and when all N are asked for, R is solved whole.
 
 ``stability_spectrum`` first reads the order r of the coupled block from the
 zero pattern (``_coupled_order``): the smallest r with every off-diagonal
@@ -319,13 +312,12 @@ def stability_spectrum(ops: OperatorPair, count: int | None = None) -> Stability
 
     Eigenvalues of P are Omega^2 = -Lambda^2.  Only the coupled leading block
     of the pair is solved densely; the diagonal tail's eigenvalues are
-    L-_ii L+_ii / M_i^2 (module docstring).  When L- <= 0 (the ground state,
-    the lowest single mode) they are real and the block's come from one
-    symmetric solve of size rank(L-); a negative one marks instability.
-    With ``count`` (1..N) only the first ``count`` of them are returned, the
-    lowest nonzero ones ascending, padded with exact zeros: the block's come
-    from the top of the reduced matrix through ``spectrum``'s certified
-    leading block, so they are the lowest of the whole operator, and the
+    L-_ii L+_ii / M_i^2 (module docstring).  The first ``count`` (1..N, all N
+    by default) are returned.  When L- <= 0 (the ground state, the lowest
+    single mode) they are real, the lowest nonzero ones ascending and padded
+    with exact zeros, and the block's come from the top of the reduced matrix
+    of order rank(L-) through ``spectrum``'s route, so they are the lowest of
+    the whole operator; a negative one marks instability, and the
     instability test and its scale max(max |eigenvalue|, 1) see those only.
     When the reduction's certificate fails on the block, or a tail entry of
     L- is positive, the eigenvalues of the block of P itself are computed,
@@ -336,7 +328,9 @@ def stability_spectrum(ops: OperatorPair, count: int | None = None) -> Stability
     the ground state the kernel structure (three eigenvectors, one Jordan
     partner) is verified explicitly on the whole operators.
     """
-    if count is not None and not 1 <= count <= ops.n_modes:
+    if count is None:
+        count = ops.n_modes
+    elif not 1 <= count <= ops.n_modes:
         raise ValueError(f"count must lie in 1..{ops.n_modes}, got {count}")
     order = _coupled_order(ops.Lplus, ops.Lminus)
     lplus, lminus, m_diag = ops.Lplus[:order, :order], ops.Lminus[:order, :order], ops.M[:order]
@@ -393,21 +387,19 @@ def _flush(mat: np.ndarray) -> np.ndarray:
 
 
 def _definite_eigenvalues(
-    lplus: np.ndarray, lminus: np.ndarray, m_diag: np.ndarray, scale: float, count: int | None
+    lplus: np.ndarray, lminus: np.ndarray, m_diag: np.ndarray, scale: float, count: int
 ) -> tuple[np.ndarray, int] | None:
-    """The rank(L-) nonzero eigenvalues of P, ascending, or with ``count`` the
-    lowest min(count, rank) of them, by the definite reduction, and the order
-    of the matrix solved for them; None when the certificate fails.
+    """The lowest min(count, rank(L-)) nonzero eigenvalues of P, ascending, by
+    the definite reduction, and the order of the matrix solved for them (0
+    when L- = 0); None when the certificate fails.
 
     dpstrf factors A = -L- (flushed) in place, Pi^T A Pi = G G^T with rank r.
     The certificate: no argument error, and the Schur complement left
     unfactored, (Pi^T A Pi)[r:, r:] - G[r:] G[r:]^T with A as given, within
     _DEFINITE_TOL ``scale`` of zero; dpstrf's own stopping rule would pass an
-    indefinite remainder with a small diagonal.  The r x r matrix is
-    -Y^T L+ Y with Y = M^-1 Pi G.  With ``count``, Y's columns are reversed,
-    so that the reduced matrix comes out reversed: dpstrf pivots the largest
-    diagonal entries of -L-, the high modes, first, and the low modes that
-    carry the lowest eigenvalues of P then lead.
+    indefinite remainder with a small diagonal.  The r x r matrix
+    R = Y^T L+ Y, Y = M^-1 Pi G with its columns reversed, has the eigenvalues
+    -Omega^2; its top min(count, r) come from ``_top_block``.
     """
     import scipy.linalg
 
@@ -423,14 +415,14 @@ def _definite_eigenvalues(
     trailing = -lminus[np.ix_(tail, tail)] - lead[rank:] @ lead[rank:].T
     if not np.all(np.abs(trailing) <= _DEFINITE_TOL * scale):
         return None
+    if rank == 0:
+        return np.empty(0), 0
     y = np.empty((n_modes, rank))
-    y[piv] = lead if count is None else lead[:, ::-1]
+    y[piv] = lead[:, ::-1]
     del buf, factor, lead
     y /= m_diag[:, None]
     reduced = y.T @ _flush(_flush(lplus.copy()) @ y)
     del y
-    if count is None or rank == 0:
-        return -scipy.linalg.eigvalsh(reduced, overwrite_a=True, check_finite=False)[::-1], rank
     top, solved = _top_block(reduced, min(count, rank))
     return -top, solved
 
@@ -600,7 +592,11 @@ def mu_ladder(ops: OperatorPair, m_max: int) -> MuLadderReport:
 
 def coercivity(ops: OperatorPair) -> tuple[float, float]:
     """Largest h^{1/2}-Rayleigh quotients of L+- on the symplectically
-    orthogonal subspace {<MA, a> = <MA', a> = 0}; both must be negative."""
+    orthogonal subspace {<MA, a> = <MA', a> = 0}; both must be negative.
+
+    Each is the top eigenvalue of the operator projected onto an orthonormal
+    basis of the subspace, by ``spectrum(projected, 1)``.
+    """
     import scipy.linalg
 
     if ops.p is None:
@@ -614,9 +610,7 @@ def coercivity(ops: OperatorPair) -> tuple[float, float]:
     out = []
     for mat in (ops.Lplus, ops.Lminus):
         scaled = (mat / w_half[:, None]) / w_half[None, :]
-        projected = null.T @ scaled @ null
-        vals = scipy.linalg.eigvalsh(projected)
-        out.append(float(vals[-1]))
+        out.append(float(spectrum(null.T @ scaled @ null, 1)[0]))
     return out[0], out[1]
 
 

@@ -417,7 +417,7 @@ def test_cli_config_file_with_flag_override(tmp_path, capsys):
     assert code == 2
     bad = tmp_path / "bad.cfg"
     capsys.readouterr()
-    for text in ("unknown_key = 3\n", "n = abc\n"):
+    for text in ("unknown_key = 3\n", "n = abc\n", "seed = 1\nseed = 2\n", "t_end = 1\nt-end = 2\n"):
         bad.write_text(text)
         assert main(["simulate", "--config", str(bad)]) == 2
         err = capsys.readouterr().err

@@ -148,6 +148,11 @@ def test_spectrum_residual_contract(monkeypatch, capsys):
     # at N = 512 every leading block fails its residual, and the whole solve raises
     with pytest.raises(ArithmeticError, match="residual contract"):
         spectrum(build_ground_ops(0.3, 512).Lplus, 12)
+    # the whole stability solve and coercivity take the same route
+    with pytest.raises(ArithmeticError, match="residual contract"):
+        stability_spectrum(build_ground_ops(0.3, 128))
+    with pytest.raises(ArithmeticError, match="residual contract"):
+        coercivity(build_ground_ops(0.3, 128))
     assert main(["spectrum"]) == 3
     assert "numerical failure" in capsys.readouterr().err
 
