@@ -7,14 +7,14 @@ state        states, the gauge action, ground-state family
 observables  conserved quantities H, Q, E, the gap, the Hankel identity
 flow         vector field (naive and fast), co-rotating DOP853 integration
 linearized   operators L+-, spectra, stability, ladders, coercivity
-modulation   four-parameter decomposition and orbit-distance tracking
+modulation   decomposition in the q-chart, orbit distance, tracking
 lab          seeded experiments, persistence, and the CLI entry point
 
 A run chooses its settings through ``IntegratorConfig`` and
 ``ExperimentConfig``.  Fixed tolerances, step and input bounds, iteration
 caps and seeds are upper-case module-level names; the residual contract and
-kernel verdicts of ``linearized``, the condition bound of ``modulation`` and
-the verdicts of ``lab``'s commands stay inline.
+kernel verdicts of ``linearized`` and the verdicts of ``lab``'s commands stay
+inline.
 
 Importing the package loads numpy and nothing else.  scipy is imported on
 first use, ``scipy.linalg`` by the dense solves of ``linearized``; integrating

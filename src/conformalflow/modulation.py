@@ -1,39 +1,34 @@
 """Symplectically orthogonal decomposition around the ground-state orbit.
 
-A state close to the orbit of A(p) is written as
+A state close to the orbit of A(p) is written in the q-chart as
 
-    alpha_n = e^{i (theta + mu + mu n)} ( c A_n(p) + a_n + i b_n ),
+    alpha = e^{i theta_orbit} ( c A(q) + r ),   A_n(q) = (1 - |q|^2) q^n,
 
-with the real remainders (a, b) orthogonal to M A(p) and M A'(p).  The four
-parameters are found by Newton iteration on the projection root map; near
-p = 0 the mu-direction degenerates (<MA', MA> -> 0) and the two-parameter
-form (c, theta) is used instead.  The stored (theta, mu) follow the
-decomposition convention; the orbit convention differs by theta_orbit =
-theta + mu.
+with q = p e^{i mu}, so that e^{i theta_orbit} A(q) = gauge_apply(A(p),
+theta_orbit, mu).  The remainder r satisfies two complex constraints,
+sum (n+1) conj(A_n(q)) r_n = 0 and sum (n+1) conj(D_n(q)) r_n = 0 with
+D = e^{-i mu} dA/d|q|, which for q != 0 are the four real orthogonality
+conditions of (a, b) = e^{-i mu n} r to M A(p) and M A'(p).  The four real
+unknowns (c, theta_orbit, Re q, Im q) are found by one Newton iteration that
+is regular at q = 0, where the second constraint reads r_1 = 0.  A frame
+stores p = |q| and mu = arg q, which is 0 at q = 0, and its theta in the
+decomposition convention theta = theta_orbit - mu.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .flow import TrajectoryRecord
-from .state import (
-    gauge_apply,
-    ground_amplitudes,
-    ground_derivative,
-    ground_second_derivative,
-    weighted_norm,
-)
+from .state import gauge_apply, ground_amplitudes, ground_derivative, weighted_norm
 
 __all__ = [
     "ModulationFrame",
     "OrbitDistanceResult",
     "ModulationTrack",
     "NoConvergence",
-    "DegenerateJacobian",
-    "decompose_p0",
     "decompose",
     "orbit_distance",
     "track_modulation",
@@ -41,8 +36,6 @@ __all__ = [
 
 #: neighborhood radius |c - 1| <= DELTA0 within which a decomposition is accepted
 DELTA0 = 0.1
-#: below this p the four-parameter Jacobian degenerates; fall back to p = 0 form
-P_DEGENERATE = 0.02
 #: decompose stops when the scaled root-map residual drops below NEWTON_TOL
 NEWTON_TOL = 1e-13
 NEWTON_MAX_ITER = 60
@@ -55,10 +48,6 @@ class NoConvergence(ArithmeticError):
     """No decomposition within the orbit neighborhood (Newton failed or left it)."""
 
 
-class DegenerateJacobian(NoConvergence):
-    """The mu-direction collapsed (p too close to 0); use decompose_p0."""
-
-
 @dataclass
 class ModulationFrame:
     c: float
@@ -67,7 +56,6 @@ class ModulationFrame:
     mu: float
     a: np.ndarray
     b: np.ndarray
-    mu_defined: bool = True
     residual_history: list[float] = field(default_factory=list)
 
     @property
@@ -80,13 +68,11 @@ class ModulationFrame:
         return gauge_apply(inner, self.theta_orbit, self.mu)
 
     def constraint_residuals(self) -> np.ndarray:
-        """The imposed orthogonality constraints at (a, b): four with mu, else
-        the two of the p = 0 form, <MA(0), a> and <MA(0), b>."""
+        """The four imposed orthogonality constraints at (a, b): <MA, a>,
+        <MA', a>, <MA, b>, <MA', b>; at p = 0 they read a_0, 2 a_1, b_0, 2 b_1."""
         n_modes = self.a.size
         m_diag = np.arange(1, n_modes + 1, dtype=np.float64)
         wa = m_diag * ground_amplitudes(self.p, n_modes)
-        if not self.mu_defined:
-            return np.array([wa @ self.a, wa @ self.b])
         wda = m_diag * ground_derivative(self.p, n_modes)
         return np.array([wa @ self.a, wda @ self.a, wa @ self.b, wda @ self.b])
 
@@ -98,49 +84,44 @@ class OrbitDistanceResult:
     mu: float
 
 
-def decompose_p0(alpha: np.ndarray) -> ModulationFrame:
-    """Two-parameter decomposition alpha = e^{i theta}(c A(0) + a + i b).
+def _root_map_and_jacobian(x: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """F(c, theta_orbit, Re q, Im q; alpha) and its 4x4 Jacobian.
 
-    The constraints <MA(0), a> = <MA(0), b> = 0 reduce to a_0 = b_0 = 0, so
-    the root map has the closed-form solution c = |alpha_0|, theta = arg
-    alpha_0 (the exact fixed point of the Newton iteration).
+    With z = e^{-i theta_orbit} alpha and r = z - c A(q) the root map is one
+    complex residual G = (sum (n+1) conj(A_n) r_n, sum (n+1) conj(D_n) r_n),
+    D_n = n (1 - |q|^2) q^{n-1} - 2 conj(q) q^n.  Its derivatives are
+    dG/dc = -<B, A>, dG/dtheta = -i <B, z> (B = A, D) and, from the Wirtinger
+    derivatives of A and D, dG/dq = <d_qbar B, r> - c <B, d_q A> and
+    dG/dqbar = <d_q B, r> - c <B, d_qbar A>, where <B, v> = sum (n+1)
+    conj(B_n) v_n; then dG/dRe q = dG/dq + dG/dqbar and dG/dIm q = i (dG/dq -
+    dG/dqbar).  F = (Re G, Im G) and J = (Re dG; Im dG).
     """
-    alpha = np.asarray(alpha, dtype=np.complex128)
-    c = float(np.abs(alpha[0]))
-    if c < 1.0 - DELTA0 or c > 1.0 + DELTA0:
-        raise NoConvergence(f"state too far from the p = 0 orbit: |alpha_0| = {c:.4g}")
-    theta = float(np.angle(alpha[0]))
-    rotated = np.exp(-1j * theta) * alpha
-    # alpha_0 sits entirely in (c, theta); the constraints a_0 = b_0 = 0 are exact
-    rotated[0] = 0.0
-    a, b = rotated.real.copy(), rotated.imag.copy()
-    return ModulationFrame(c, 0.0, theta, 0.0, a, b, mu_defined=False, residual_history=[0.0])
-
-
-def _root_map_and_jacobian(
-    x: np.ndarray, alpha: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """F(c, p, theta, mu; alpha), its 4x4 Jacobian and the remainder a + i b.
-
-    With z = e^{-i (theta + mu M)} alpha the root map is one complex residual
-    G_k = <MA^(k), z> - c <MA^(k), A>, k = 0, 1 (A^(k) the k-th p-derivative),
-    with dG_k/dc = -<MA^(k), A>, dG_k/dp = <MA^(k+1), z> - c(<MA^(k+1), A> +
-    <MA^(k), A'>), dG_k/dtheta = -i <MA^(k), z> and dG_k/dmu = -i <MA^(k), Mz>.
-    F = (Re G, Im G) and J = (Re dG; Im dG).
-    """
-    c, p, theta, mu = x
+    c, theta, q = x[0], x[1], complex(x[2], x[3])
     n_modes = alpha.size
-    m_diag = np.arange(1, n_modes + 1, dtype=np.float64)
-    ground = ground_amplitudes(p, n_modes)
-    dground = ground_derivative(p, n_modes)
-    # rows M A, M A', M A''
-    weights = m_diag * np.array([ground, dground, ground_second_derivative(p, n_modes)])
-    z = np.exp(-1j * (theta + mu * m_diag)) * alpha
-    w_z, w_a, w_da = weights @ z, weights @ ground, weights @ dground
-    g = w_z[:2] - c * w_a[:2]
-    dg_dp = w_z[1:] - c * (w_a[1:] + w_da[:2])
-    dg = np.column_stack([-w_a[:2], dg_dp, -1j * w_z[:2], -1j * (weights[:2] @ (m_diag * z))])
-    return np.concatenate([g.real, g.imag]), np.vstack([dg.real, dg.imag]), z - c * ground
+    n = np.arange(n_modes, dtype=np.float64)
+    # powers[k + 2] = q^k for k = 0 .. N, and q^{-2} = q^{-1} = 0 below them
+    k = np.arange(n_modes + 1)
+    powers = np.concatenate((np.zeros(2), abs(q) ** k * np.exp(1j * np.angle(q) * k)))
+    q_low2, q_low1, q_n, q_up1 = (powers[j : j + n_modes] for j in range(4))
+    s, qbar = 1.0 - abs(q) ** 2, q.conjugate()
+    ground = s * q_n
+    # rows B = A, D, and their Wirtinger derivatives d_q B and d_qbar B
+    basis = np.array([ground, n * s * q_low1 - 2.0 * qbar * q_n])
+    d_q = np.array(
+        [n * s * q_low1 - qbar * q_n, n * (n - 1) * s * q_low2 - 3.0 * n * qbar * q_low1]
+    )
+    d_qbar = np.array([-q_up1, -(n + 2.0) * q_n])
+    weight = n + 1.0
+    z = np.exp(-1j * theta) * alpha
+    r = z - c * ground
+    rows = weight * basis.conj()
+    g = rows @ r
+    dg_dq = (weight * d_qbar.conj()) @ r - c * (rows @ d_q[0])
+    dg_dqbar = (weight * d_q.conj()) @ r - c * (rows @ d_qbar[0])
+    dg = np.column_stack(
+        [-(rows @ ground), -1j * (rows @ z), dg_dq + dg_dqbar, 1j * (dg_dq - dg_dqbar)]
+    )
+    return np.concatenate([g.real, g.imag]), np.vstack([dg.real, dg.imag])
 
 
 def decompose(
@@ -148,51 +129,54 @@ def decompose(
     p_init: float,
     seed_frame: ModulationFrame | None = None,
 ) -> ModulationFrame:
-    """Four-parameter decomposition by Newton iteration on the root map.
+    """Decomposition by Newton iteration on the q-chart root map.
 
     ``seed_frame`` supplies the starting point (continuation along a
-    trajectory); otherwise a coarse orbit-distance scan seeds (theta, mu).
+    trajectory); otherwise a coarse orbit-distance scan at ``p_init`` seeds
+    (theta, mu).
     """
     alpha = np.asarray(alpha, dtype=np.complex128)
-    if p_init < P_DEGENERATE:
-        return decompose_p0(alpha)
     if seed_frame is not None:
-        x = np.array([seed_frame.c, seed_frame.p, seed_frame.theta, seed_frame.mu])
+        c, theta, p, mu = seed_frame.c, seed_frame.theta_orbit, seed_frame.p, seed_frame.mu
     else:
         scan = orbit_distance(alpha, p_init, s=0.0)
-        x = np.array([1.0, p_init, scan.theta - scan.mu, scan.mu])
+        c, theta, p, mu = 1.0, scan.theta, p_init, scan.mu
+    x = np.array([c, theta, p * np.cos(mu), p * np.sin(mu)])
 
     scale = max(weighted_norm(alpha, 0.5), 1.0)
     history: list[float] = []
     for _ in range(NEWTON_MAX_ITER):
-        f_vec, jac, remainder = _root_map_and_jacobian(x, alpha)
+        f_vec, jac = _root_map_and_jacobian(x, alpha)
         res = float(np.linalg.norm(f_vec)) / scale
         history.append(res)
         if res < NEWTON_TOL:
             break
-        if x[1] < P_DEGENERATE:
-            raise DegenerateJacobian(
-                f"p drifted to {x[1]:.4g}; mu-direction degenerate, use decompose_p0"
-            )
-        cond = np.linalg.cond(jac)
-        if not np.isfinite(cond) or cond > 1e12:
-            raise DegenerateJacobian(f"root-map Jacobian ill-conditioned (cond {cond:.3g})")
-        x = x - np.linalg.solve(jac, f_vec)
-        if not (0.0 <= x[1] < 1.0) or x[0] <= 0.0:
+        try:
+            step = np.linalg.solve(jac, f_vec)
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(f"singular root-map Jacobian: {exc}") from exc
+        if not np.all(np.isfinite(step)):
+            raise NoConvergence("non-finite Newton step")
+        x = x - step
+        if not np.hypot(x[2], x[3]) < 1.0 or x[0] <= 0.0:
             raise NoConvergence(
-                f"Newton iterate left the parameter domain: c={x[0]:.4g}, p={x[1]:.4g}"
+                f"Newton iterate left the parameter domain: c={x[0]:.4g}, "
+                f"|q|={np.hypot(x[2], x[3]):.4g}"
             )
     else:
         raise NoConvergence(
             f"no convergence after {NEWTON_MAX_ITER} iterations (residual {history[-1]:.3e})"
         )
 
-    c, p, theta, mu = map(float, x)
+    c = float(x[0])
     if abs(c - 1.0) > DELTA0:
         raise NoConvergence(f"converged outside the orbit neighborhood: c = {c:.4g}")
-    # the last iteration evaluated the root map at the converged x
-    a, b = remainder.real.copy(), remainder.imag.copy()
-    return ModulationFrame(c, p, theta, mu, a, b, residual_history=history)
+    p, mu = float(np.hypot(x[2], x[3])), float(np.arctan2(x[3], x[2]))
+    theta = float(x[1]) - mu
+    # the remainder in the decomposition convention, a + i b = e^{-i mu n} r
+    rotated = np.exp(-1j * (theta + mu * np.arange(1.0, alpha.size + 1))) * alpha
+    a = rotated.real - c * ground_amplitudes(p, alpha.size)
+    return ModulationFrame(c, p, theta, mu, a, rotated.imag.copy(), residual_history=history)
 
 
 def _coarse_scan(coeffs: np.ndarray) -> np.ndarray:
@@ -273,19 +257,27 @@ class ModulationTrack:
 def track_modulation(traj: TrajectoryRecord, p_init: float) -> ModulationTrack:
     """Decompose each trajectory sample, seeding Newton by continuation.
 
+    A state near the orbit turns like e^{-i lambda t}, lambda = H(alpha(0)) /
+    Q(alpha(0)) the frequency ``integrate`` co-rotates with, so each frame is
+    seeded with the previous one turned on by -lambda (t_k - t_{k-1}).
+
     Emits the tracked parameters, orbit distances at the tracked p(t), the
     constraint residual and the higher-charge budget error
 
         c^2 (1+p^2)/(1-p^2) + ||Ma||^2 + ||Mb||^2 - E(alpha(0)).
     """
     e_ref = traj.E[0]
+    lam = traj.H[0] / traj.Q[0] if traj.Q[0] > 0 else 0.0
     m_diag = np.arange(1, traj.states.shape[1] + 1, dtype=np.float64)
     rows = []  # one per sample: ModulationTrack's float fields, in order
     iters = []
     prev: ModulationFrame | None = None
     for idx, state in enumerate(traj.states):
+        seed = None
+        if prev is not None:
+            seed = replace(prev, theta=prev.theta - lam * (traj.times[idx] - traj.times[idx - 1]))
         try:
-            frame = decompose(state, p_init if prev is None else prev.p, seed_frame=prev)
+            frame = decompose(state, p_init, seed_frame=seed)
         except NoConvergence as exc:
             raise NoConvergence(
                 f"modulation tracking failed at sample {idx} (t = {traj.times[idx]:.6g}): {exc}"

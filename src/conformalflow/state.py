@@ -13,7 +13,6 @@ __all__ = [
     "gauge_apply",
     "ground_amplitudes",
     "ground_derivative",
-    "ground_second_derivative",
 ]
 
 
@@ -47,14 +46,6 @@ def ground_derivative(p: float, n_modes: int) -> np.ndarray:
     n = np.arange(n_modes)
     low = p ** np.maximum(n - 1, 0) * np.where(n >= 1, 1.0, 0.0)
     return n * (1.0 - p * p) * low - 2.0 * p ** (n + 1)
-
-
-def ground_second_derivative(p: float, n_modes: int) -> np.ndarray:
-    """d^2A/dp^2 of A_n = p^n - p^{n+2}."""
-    _check_p(p)
-    n = np.arange(n_modes)
-    low = p ** np.maximum(n - 2, 0) * np.where(n >= 2, 1.0, 0.0)
-    return n * (n - 1) * low - (n + 2) * (n + 1) * p**n
 
 
 def _check_p(p: float) -> None:

@@ -278,10 +278,11 @@ def p0_scaling_tracks():
     min d^2/lo, max d^2/hi), the last two over every sample of every delta,
     with d = dist_h1 and (lo, hi) from ``p0_distance_sandwich``.
 
-    At p0 = 0 the tracked p(t) stays 0 (``decompose`` uses the closed-form
-    ``decompose_p0``), so no sqrt(p0 - p(t)) drift term can enter the
-    distance; lo and hi are both of order delta^2 in either branch, and the
-    sup distance scales like delta^1.
+    At p0 = 0 the tracked p(t) = |q(t)| can only rise from p0 (it stays
+    below 7e-3 delta), so no sqrt(p0 - p(t)) drift term can enter the
+    distance, taken at A(p(t)); lo and hi, the bounds on the distance to
+    A(0), are both of order delta^2 in either branch, and the sup distance
+    scales like delta^1.
     """
     out = {}
     base = cf.ground_amplitudes(0.0, 48).astype(complex)

@@ -7,7 +7,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -216,10 +216,13 @@ def test_trajectory_and_track_csv(tmp_path):
     assert budget == track.energy_budget_error.tolist()  # 17 digits round-trip
     # one count of Newton iterations per frame, written as an integer
     assert trows[0][-2] == "newton_iters"
-    prev, want = None, []
-    for state in traj.states:  # the continuation track_modulation runs
-        prev = decompose(state, 0.4 if prev is None else prev.p, seed_frame=prev)
-        want.append(str(len(prev.residual_history)))
+    # the continuation track_modulation runs: the previous frame turned by -lambda dt
+    lam = traj.H[0] / traj.Q[0]
+    frames = [decompose(traj.states[0], 0.4)]
+    for state, dt in zip(traj.states[1:], np.diff(traj.times)):
+        seed = replace(frames[-1], theta=frames[-1].theta - lam * dt)
+        frames.append(decompose(state, 0.4, seed_frame=seed))
+    want = [str(len(frame.residual_history)) for frame in frames]
     assert [row[-2] for row in trows[1:]] == want
 
 
@@ -308,9 +311,9 @@ def test_cli_simulate_takes_the_largest_seed(capsys):
 
 
 def test_cli_numerical_failure_exit_three(capsys):
-    # a large perturbation of A(0.021) lets p drift to 0.017, where the
-    # mu-direction of the root map degenerates (DegenerateJacobian)
-    assert main(["decompose", "--n", "32", "--p0", "0.021", "--delta", "0.3", "--seed", "1"]) == 3
+    # a perturbation as large as A(0) itself on the truncated A(0.999): Newton
+    # leaves the parameter domain
+    assert main(["decompose", "--n", "8", "--p0", "0.999", "--delta", "1"]) == 3
     assert "numerical failure" in capsys.readouterr().err
 
 
@@ -401,11 +404,25 @@ def test_cli_decompose(capsys):
     fields = dict(item.split("=") for item in out.split())
     assert float(fields["p"]) == pytest.approx(0.5, abs=1e-3)
     assert float(fields["constraint_residual"]) <= 1e-10
-    # the p = 0 form imposes a_0 = b_0 = 0 exactly and reports only those two
-    assert main(["decompose", "--n", "32", "--p0", "0", "--delta", "1e-2"]) == 0
+    # one chart through q = 0: a p near 0 is found within delta, not set to 0,
+    # and a large perturbation near p = 0 still decomposes
+    for p0, delta in (("0", "1e-2"), ("0.019", "1e-3"), ("0.021", "0.3")):
+        argv = ["--p0", p0, "--delta", delta, "--seed", "1"]
+        assert main(["decompose", "--n", "32", *argv]) == 0, argv
+        fields = dict(item.split("=") for item in capsys.readouterr().out.split())
+        assert abs(float(fields["p"]) - float(p0)) <= float(delta), argv
+        assert float(fields["constraint_residual"]) <= 1e-10, argv
+
+
+def test_cli_drift_study_small_p0(capsys):
+    # p0 = 0.01 is tracked as p(t) near 0.01, so the distances are to A(p(t))
+    # and of order delta
+    delta = 1e-3
+    argv = ["--n", "32", "--p0", "0.01", "--delta", str(delta), "--ensemble", "2", "--t-end", "5"]
+    assert main(["drift-study", *argv]) == 0
     fields = dict(item.split("=") for item in capsys.readouterr().out.split())
-    assert float(fields["p"]) == 0.0
-    assert float(fields["constraint_residual"]) == 0.0
+    assert float(fields["sup_dist_h1"]) <= 2 * delta
+    assert abs(float(fields["max_p_drop"])) <= 5 * delta
 
 
 def test_cli_config_file_with_flag_override(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Modulation decomposition, orbit distance, trajectory tracking."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from conformalflow.modulation import (
     _coarse_scan,
     _root_map_and_jacobian,
     decompose,
-    decompose_p0,
     orbit_distance,
     track_modulation,
 )
@@ -43,19 +44,23 @@ def test_decompose_reconstructs_perturbed_state():
     frame = decompose(alpha, p)
     np.testing.assert_allclose(frame.reconstruct(), alpha, atol=1e-13)
     assert np.max(np.abs(frame.constraint_residuals())) <= 1e-12
-    assert frame.mu_defined
     # Newton converges quadratically: final residual tiny, few iterations
     assert frame.residual_history[-1] <= 1e-13
     assert len(frame.residual_history) <= 12
 
 
 @pytest.mark.parametrize("n_modes", [32, 512])
-@pytest.mark.parametrize("p", [0.03, 0.3, 0.6])
-def test_root_map_jacobian_matches_central_differences(n_modes, p):
-    # p = 0.03 sits just above P_DEGENERATE; x is off the root in every parameter
-    alpha = gauge_apply(ground_amplitudes(p, n_modes) + perturbation(70, n_modes, 1e-3), 0.7, -0.3)
-    x = np.array([1.01, p + 0.005, 1.02, -0.31])
-    _, jac, _ = _root_map_and_jacobian(x, alpha)
+@pytest.mark.parametrize(
+    "q", [0.03, 0.3, 0.6, 0.0, 1e-3, pytest.param(0.3 * np.exp(0.4j), id="0.3e^0.4i")]
+)
+def test_root_map_jacobian_matches_central_differences(n_modes, q):
+    # x = (c, theta_orbit, Re q, Im q) sits at q, which the perturbation moves
+    # off the root, and off it in c and theta; q = 0 is a regular point
+    alpha = gauge_apply(
+        ground_amplitudes(abs(q), n_modes) + perturbation(70, n_modes, 1e-3), 0.7, np.angle(q)
+    )
+    x = np.array([1.01, 0.72, np.real(q), np.imag(q)])
+    _, jac = _root_map_and_jacobian(x, alpha)
     h = 1e-6
     central = np.empty((4, 4))
     for k in range(4):
@@ -66,34 +71,40 @@ def test_root_map_jacobian_matches_central_differences(n_modes, p):
     assert np.max(np.abs(jac - central)) <= 1e-7 * np.max(np.abs(jac))
 
 
-def test_decompose_p0_closed_form():
+def test_decompose_q0_closed_form():
+    # alpha_1 = 0 puts the root at q = 0: c = |alpha_0|, theta = arg alpha_0 and
+    # the constraints r_0 = r_1 = 0
     n_modes = 32
     alpha = np.zeros(n_modes, dtype=complex)
     alpha[0] = 1.01 * np.exp(0.3j)
     alpha[3] = 1e-3
-    frame = decompose_p0(alpha)
-    assert not frame.mu_defined
-    assert frame.c == pytest.approx(1.01)
-    assert frame.theta == pytest.approx(0.3)
-    assert frame.a[0] == 0.0 and frame.b[0] == 0.0
-    # only the two imposed constraints <MA(0), a> = <MA(0), b> = 0 are reported
-    assert np.array_equal(frame.constraint_residuals(), [0.0, 0.0])
-    np.testing.assert_allclose(frame.reconstruct(), alpha, atol=1e-15)
+    frame = decompose(alpha, 0.0)
+    assert frame.c == pytest.approx(1.01, abs=1e-14)
+    assert frame.p <= 1e-15 and frame.mu == pytest.approx(0.0, abs=1e-15)
+    assert frame.theta == pytest.approx(0.3, abs=1e-14)
+    assert np.max(np.abs(frame.constraint_residuals())) <= 1e-10
+    np.testing.assert_allclose(frame.reconstruct(), alpha, atol=1e-13)
+
+
+@pytest.mark.parametrize("p0", [0.0, 0.005])
+def test_decompose_small_p_tracks_p(p0):
+    # one chart through q = 0: a perturbed A(p0) keeps its p, which is not set to 0
+    n_modes = 32
+    eps = 1e-4
+    alpha = gauge_apply(ground_amplitudes(p0, n_modes) + perturbation(63, n_modes, eps), 0.4, -1.2)
+    frame = decompose(alpha, p0)
+    assert abs(frame.c - 1.0) <= 5 * eps
+    assert abs(frame.p - p0) <= 5 * eps
+    assert np.max(np.abs(frame.constraint_residuals())) <= 1e-10
+    np.testing.assert_allclose(frame.reconstruct(), alpha, atol=1e-13)
 
 
 def test_decompose_p0_rejects_distant_state():
+    # a p = 0 state with c = 1.5 lies outside the orbit neighborhood
     alpha = np.zeros(16, dtype=complex)
     alpha[0] = 1.5
     with pytest.raises(NoConvergence):
-        decompose_p0(alpha)
-
-
-def test_decompose_small_p_falls_back():
-    alpha = np.zeros(16, dtype=complex)
-    alpha[0] = 1.0
-    frame = decompose(alpha, 0.005)
-    assert not frame.mu_defined
-    assert frame.p == 0.0
+        decompose(alpha, 0.0)
 
 
 def test_decompose_rejects_far_state():
@@ -220,8 +231,8 @@ def test_track_modulation_short_trajectory():
 
 
 def test_decompose_and_track_reuse_computed_values():
-    # the remainder comes from the last Newton iterate and E(alpha(0)) from the
-    # trajectory; both equal a fresh evaluation bitwise
+    # the remainder is the rotated state minus c A(p) and E(alpha(0)) comes from
+    # the trajectory; both equal a fresh evaluation bitwise
     n_modes, p0 = 32, 0.45
     alpha0 = ground_amplitudes(p0, n_modes) + perturbation(62, n_modes, 1e-3)
     frame = decompose(alpha0, p0)
@@ -232,8 +243,10 @@ def test_decompose_and_track_reuse_computed_values():
     traj = integrate(alpha0, IntegratorConfig(t_end=0.5, sample_dt=0.25))
     track = track_modulation(traj, p0)
     frames = [decompose(traj.states[0], p0)]
-    for state in traj.states[1:]:
-        frames.append(decompose(state, frames[-1].p, seed_frame=frames[-1]))
+    lam = traj.H[0] / traj.Q[0]
+    for state, dt in zip(traj.states[1:], np.diff(traj.times)):
+        seed = replace(frames[-1], theta=frames[-1].theta - lam * dt)
+        frames.append(decompose(state, p0, seed_frame=seed))
     m_diag = np.arange(1.0, n_modes + 1)
     e_model = [
         f.c**2 * (1.0 + f.p**2) / (1.0 - f.p**2)
@@ -248,12 +261,27 @@ def test_decompose_and_track_reuse_computed_values():
         assert np.array_equal(getattr(track, name), [getattr(f, name) for f in frames])
 
 
-def test_track_modulation_p0_branch():
+@pytest.mark.parametrize("p0", [0.0, 0.005])
+def test_track_modulation_small_p(p0):
     n_modes = 32
-    alpha0 = ground_amplitudes(0.0, n_modes) + perturbation(61, n_modes, 1e-4)
+    alpha0 = ground_amplitudes(p0, n_modes) + perturbation(61, n_modes, 1e-4)
     traj = integrate(alpha0, IntegratorConfig(t_end=1.0, sample_dt=0.25))
-    track = track_modulation(traj, 0.0)
-    assert np.all(track.p == 0.0)
-    # the p = 0 form imposes a_0 = b_0 = 0 exactly
-    assert np.array_equal(track.constraint_residual, np.zeros(traj.times.size))
+    track = track_modulation(traj, p0)
+    assert np.max(np.abs(track.p - p0)) <= 5e-4
+    assert np.max(track.constraint_residual) <= 1e-10
+    assert np.max(np.abs(track.energy_budget_error)) <= 1e-9
+
+
+@pytest.mark.parametrize("sample_dt", [2.0, 3.0, 5.0])
+def test_track_modulation_wide_sample_spacing(sample_dt):
+    # the state turns by about lambda sample_dt between samples; each frame is
+    # seeded with that turn, not with the previous theta
+    n_modes, p0 = 32, 0.5
+    alpha0 = ground_amplitudes(p0, n_modes) + perturbation(64, n_modes, 1e-2)
+    traj = integrate(alpha0, IntegratorConfig(t_end=10.0, sample_dt=sample_dt))
+    track = track_modulation(traj, p0)
+    assert np.all(track.newton_iters <= 3)
+    assert np.max(np.abs(track.c - 1.0)) <= 1e-3
+    assert np.max(np.abs(track.p - p0)) <= 1e-3
+    assert np.max(track.constraint_residual) <= 1e-10
     assert np.max(np.abs(track.energy_budget_error)) <= 1e-9

@@ -7,7 +7,6 @@ from conformalflow.state import (
     gauge_apply,
     ground_amplitudes,
     ground_derivative,
-    ground_second_derivative,
     weighted_norm,
 )
 
@@ -61,24 +60,3 @@ def test_ground_derivative_matches_finite_difference(p):
 def test_ground_derivative_regular_at_zero():
     d = ground_derivative(0.0, 6)
     np.testing.assert_array_equal(d, [0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
-
-
-@pytest.mark.parametrize("p", [0.0, 0.3, 0.7])
-def test_ground_second_derivative_matches_finite_difference(p):
-    h = 1e-4
-    n_modes = 30
-    if p == 0.0:
-        fd = (
-            ground_amplitudes(2 * h, n_modes)
-            - 2 * ground_amplitudes(h, n_modes)
-            + ground_amplitudes(0.0, n_modes)
-        ) / h**2
-        atol = 1e-2  # one-sided stencil, first-order accurate
-    else:
-        fd = (
-            ground_amplitudes(p + h, n_modes)
-            - 2 * ground_amplitudes(p, n_modes)
-            + ground_amplitudes(p - h, n_modes)
-        ) / h**2
-        atol = 1e-5
-    np.testing.assert_allclose(ground_second_derivative(p, n_modes), fd, atol=atol)
