@@ -186,8 +186,17 @@ SPECTRUM_MIN_MODES = 128
 #: spectrum exits 3 past these bounds.  Eigenvalue, frequency and commutator
 #: errors: worst 2.8e-14 at N = 128, 512 and 1024
 SPECTRUM_TOL = 1e-8
-#: ladder and mu-ladder eigen-residuals: worst 2.1e-12
+#: ladder and mu-ladder eigen-residuals (worst 2.1e-12), the ladder's
+#: commutation and first-vector residuals and its shift angle (worst 2.9e-14
+#: at N <= 1024)
 LADDER_TOL = 1e-9
+#: ladder_check's scalar numbers, written to spectrum.json under their own names
+_LADDER_FIELDS = (
+    "commutation_residual_S",
+    "commutation_residual_Sstar",
+    "v1_residual",
+    "v1_shift_angle",
+)
 #: appendix identities and the mode-energy relation (worst 4.9e-16 and
 #: 1.6e-16); verify-identities applies it too
 IDENTITY_TOL = 1e-12
@@ -226,6 +235,7 @@ def run_spectrum_suite(n_modes: int) -> dict:
             report["ground"][p].update(
                 {
                     "ladder_max_residual": float(np.max(ladder.eigen_residuals)),
+                    **{name: float(getattr(ladder, name)) for name in _LADDER_FIELDS},
                     "mu_max_residual": float(np.max(mu.residuals)),
                     "commutator_max": max(comm),
                 }
@@ -259,7 +269,7 @@ def run_spectrum_suite(n_modes: int) -> dict:
 def _spectrum_failures(report: dict) -> list[str]:
     """Names of the spectrum-suite report's entries that miss the closed forms."""
     bounds = dict.fromkeys(("minus_err", "plus_err", "omega_err", "commutator_max"), SPECTRUM_TOL)
-    bounds |= dict.fromkeys(("ladder_max_residual", "mu_max_residual"), LADDER_TOL)
+    bounds |= dict.fromkeys(("ladder_max_residual", "mu_max_residual", *_LADDER_FIELDS), LADDER_TOL)
     failed = []
     for group in ("ground", "single_mode"):
         for key, entry in report[group].items():

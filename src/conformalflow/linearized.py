@@ -33,39 +33,35 @@ inertia additivity and Weyl's inequality; ``_leading_top``), and from the
 whole matrix when no K certifies.  For L+ at p = 0.3 and N = 512 the top 12
 take about 1.5 ms against 20 ms for the whole solve (one BLAS thread).
 
-The stability problem P = M^-1 L- M^-1 L+ is nonsymmetric, but a
-constrained maximiser of the energy has L- <= 0, so -L- = X X^T with X of
-full column rank r.  Then P = -(M^-1 X)(X^T M^-1 L+), and since eig(UV) =
-eig(VU) its spectrum is that of the r x r symmetric matrix -Y^T L+ Y,
-Y = M^-1 X, plus N - r zeros.  It is real, so stability is the sign of real
-eigenvalues.  ``stability_spectrum`` takes X from a pivoted Cholesky
-factorisation of -L- and certifies it on every call: the trailing Schur
-complement the factorisation leaves out must be at rounding level.  When it
-is not (an indefinite L-, as for the single-mode states above the lowest),
-the nonsymmetric eigenvalues of P are computed instead.  The factorisation
-pivots the high modes first, so Y's columns are reversed: the low modes that
-carry the lowest Omega then lead R = Y^T L+ Y, and the ``count`` lowest
-eigenvalues of P are the negated top of R by ``spectrum``'s route, exactly
-the lowest of the whole operator.  At N = 512 a block of order 64 certifies
-at p = 0.3 and one of order 128 at p = 0.6 (R has order 510); at p >= 0.8,
-at N = 128 and when all N are asked for, R is solved whole.
+The stability problem P = M^-1 L- M^-1 L+ is nonsymmetric, but the ground
+state's carries the paper's supersymmetric structure: with D = M^-1/2,
+S0 = D L0 D and v = M^1/2 A, L0 A = M A makes S0 v = v and |v|^2 = Q(A) = 1,
+so P is similar to S- S+ = S0^2 - v v^T, which is 0 on v and S0^2 on v's
+complement.  S0 = 2B - I with B = D T D, T = (L0 + M)/2, so
+Omega^2 = (2 mu - 1)^2 over the eigenvalues mu of B: the mu-ladder's
+1/(m+1), mu = 1 for v and 1/2 for the zero mode A'.  The lowest Omega are
+thus the top of the symmetric B, whose eigenvectors decay, and
+``stability_spectrum`` takes them through ``spectrum``'s route.  It checks
+the structure on the pair as given, in O(N^2), and a Bauer-Fike certificate
+on every call (``_supersymmetric_eigenvalues``); at N = 512 a block of order
+64 certifies at p = 0 and 0.3 and one of order 128 at p = 0.6, and B is
+solved whole at p >= 0.8, at N = 128 and when all N are asked for.  The
+same structure fixes ``coercivity``'s value: on the subspace
+{<MA, a> = <MA', a> = 0} the coupling vanishes, the subspace is the
+M-complement of the mu = 1 and mu = 1/2 eigenvectors, and the top
+h^{1/2} quotient is 2/3 - 1 = -1/3 for every p.
 
-``stability_spectrum`` first reads the order r of the coupled block from the
-zero pattern (``_coupled_order``): the smallest r with every off-diagonal
-nonzero in the leading r x r block.  The pair is then exactly block
-diagonal, so only that block is solved densely and the N - r eigenvalues
-L-_ii L+_ii / M_i^2 of the diagonal tail are appended in closed form.  At
-p = 0 and for single mode 0 r is 0, for single modes 1 and 2 it is 3 and 5;
-the ground operators at p > 0 are dense (r = N, no tail).  The definite
-reduction factors and multiplies copies of the block with every entry below
-``_FLUSH`` max |entry| set to zero, so that the geometrically decaying
-entries at p > 0 form no subnormal products (about 2x faster at p = 0.3 and
-N = 512); its Schur-complement certificate is still taken against the
-operator as built.
+Every other pair, and a ground pair whose structure or certificate fails,
+takes the general route: ``_coupled_order`` reads the order r of the coupled
+block from the zero pattern (the smallest r with every off-diagonal nonzero
+in the leading r x r block), the nonsymmetric eigenvalues of that block of
+P are computed, and the N - r eigenvalues L-_ii L+_ii / M_i^2 of the
+diagonal tail are appended in closed form.  For single mode 0 r is 0, for
+single modes 1 and 2 it is 3 and 5.
 
 scipy.linalg is imported on first use, inside the functions that call it
-(``spectrum``, the definite reduction and ``coercivity``), so that importing
-the package loads numpy only.
+(``spectrum`` and the supersymmetric route), so that importing the package
+loads numpy only.
 """
 
 from __future__ import annotations
@@ -97,17 +93,10 @@ __all__ = [
 TAIL_TOL = 1e-10
 #: eigenvalues of P below this times max |eigenvalue| count as zero
 STABILITY_TOL = 1e-8
-#: the definite reduction holds when the Schur complement left out of the
-#: pivoted Cholesky factor of -L- is below this times max |entry|
-_DEFINITE_TOL = 1e-12
-#: the definite reduction works on copies of -L-, L+ and L+ Y whose entries
-#: below this times the copy's max |entry| are set to zero.  Its square 1e-300
-#: is still a normal double, so no product of two kept entries is subnormal.
-#: Each copy lies within N _FLUSH of its scale in norm (5e-148 at N = 512), so
-#: by Weyl's inequality an eigenvalue of the symmetric reduced matrix moves by
-#: at most about that fraction of its scale, and by at most the square root of
-#: it through the Cholesky factor of -L-: both far below rounding
-_FLUSH = 1e-150
+#: the supersymmetric route runs when the coupling residual and the residual of
+#: L0 A = M A, both in the frame M^-1/2, are within this (measured: at most
+#: 7e-16 at p <= 0.9, N = 512 and 1024)
+_STRUCTURE_TOL = 1e-12
 #: order of the first leading block spectrum tries for the top of a spectrum
 _LEADING_MIN = 64
 #: Philox key of ladder_check's random test vector
@@ -141,18 +130,20 @@ class OperatorPair:
 @dataclass
 class StabilityReport:
     omegas: np.ndarray  # nonnegative frequencies of the +-i Omega pairs, ascending
-    # eigenvalues Omega^2 of M^-1 L- M^-1 L+ (should be >= 0): real, the
-    # nonzero ones ascending and then the exact zeros, when reduction is
-    # "definite"; complex and unordered when it is "general"
+    # eigenvalues Omega^2 of M^-1 L- M^-1 L+ (should be >= 0): real, those
+    # beyond STABILITY_TOL ascending and then those within it, when reduction
+    # is "supersymmetric"; complex and unordered when it is "general"
     p_eigenvalues: np.ndarray
     zero_geometric: int
     jordan_partners: int
     unstable: bool
-    reduction: str  # "definite" (certified symmetric solve) or "general"
-    coupled: int  # order of the leading block solved densely; the rest is diagonal
+    reduction: str  # "supersymmetric" (certified symmetric solve) or "general"
+    # order of the block the route works on: N for "supersymmetric", the
+    # coupled leading block for "general" (the rest is diagonal)
+    coupled: int
     # order of the matrix whose eigenvalues were computed: the certified leading
-    # block of the reduced matrix, the whole reduced matrix (rank L-), or the
-    # coupled block of P when reduction is "general"
+    # block of B = M^-1/2 T M^-1/2 or the whole B, or the coupled block of P
+    # when reduction is "general"
     solved: int
 
 
@@ -310,52 +301,44 @@ def _leading_top(mat: np.ndarray, count: int) -> tuple[np.ndarray, int] | None:
 def stability_spectrum(ops: OperatorPair, count: int | None = None) -> StabilityReport:
     """Frequencies of the linearized flow from P = M^-1 L- M^-1 L+.
 
-    Eigenvalues of P are Omega^2 = -Lambda^2.  Only the coupled leading block
-    of the pair is solved densely; the diagonal tail's eigenvalues are
-    L-_ii L+_ii / M_i^2 (module docstring).  The first ``count`` (1..N, all N
-    by default) are returned.  When L- <= 0 (the ground state, the lowest
-    single mode) they are real, the lowest nonzero ones ascending and padded
-    with exact zeros, and the block's come from the top of the reduced matrix
-    of order rank(L-) through ``spectrum``'s route, so they are the lowest of
-    the whole operator; a negative one marks instability, and the
-    instability test and its scale max(max |eigenvalue|, 1) see those only.
-    When the reduction's certificate fails on the block, or a tail entry of
-    L- is positive, the eigenvalues of the block of P itself are computed,
-    all of them whatever ``count``, and a negative real part or a
+    Eigenvalues of P are Omega^2 = -Lambda^2; the first ``count`` (1..N, all N
+    by default) are returned.  A ground-state pair whose structure and
+    certificate hold takes the "supersymmetric" route
+    (``_supersymmetric_eigenvalues``): the values are real, the ones beyond
+    STABILITY_TOL ascending and then those within it, and they are the lowest
+    of the whole operator.  Any other pair takes the "general" route: only its
+    coupled leading block is solved densely, by the nonsymmetric eigenvalues
+    of P's block, all of them whatever ``count``, and the diagonal tail's are
+    L-_ii L+_ii / M_i^2 (module docstring).  A negative real part or a
     significant imaginary part marks instability (or truncation failure).
-    ``reduction`` says which solve ran, ``coupled`` the order of the block
-    and ``solved`` that of the matrix whose eigenvalues were computed.  For
-    the ground state the kernel structure (three eigenvectors, one Jordan
-    partner) is verified explicitly on the whole operators.
+    ``reduction`` names the route, ``coupled`` the order of the block it works
+    on (N for the supersymmetric route) and ``solved`` that of the matrix
+    whose eigenvalues were computed.  For the ground state the kernel
+    structure (three eigenvectors, one Jordan partner) is verified explicitly
+    on the whole operators.
     """
     if count is None:
         count = ops.n_modes
     elif not 1 <= count <= ops.n_modes:
         raise ValueError(f"count must lie in 1..{ops.n_modes}, got {count}")
-    order = _coupled_order(ops.Lplus, ops.Lminus)
-    lplus, lminus, m_diag = ops.Lplus[:order, :order], ops.Lminus[:order, :order], ops.M[:order]
-    minus_tail = np.diagonal(ops.Lminus)[order:]
-    tail = minus_tail * np.diagonal(ops.Lplus)[order:] / ops.M[order:] ** 2
-    minus_scale = float(np.max(np.abs(ops.Lminus)))
-    # -L- >= 0 holds on the tail when no diagonal entry is negative beyond tolerance
-    found = None
-    if np.all(minus_tail <= _DEFINITE_TOL * minus_scale):
-        found = _definite_eigenvalues(lplus, lminus, m_diag, minus_scale, count)
+    found = None if ops.p is None else _supersymmetric_eigenvalues(ops, count)
     if found is not None:
-        reduction = "definite"
+        reduction, coupled = "supersymmetric", ops.n_modes
         vals, solved = found
-        # the block's order - rank(L-) zero eigenvalues are the padding
-        vals = np.concatenate([vals, tail])
-        nonzero = np.sort(vals[vals != 0.0])
-        vals = np.concatenate([nonzero, np.zeros(ops.n_modes - nonzero.size)])[:count]
     else:
         reduction = "general"
-        solved = order
-        minv = 1.0 / m_diag
+        coupled = solved = _coupled_order(ops.Lplus, ops.Lminus)
+        lplus, lminus = ops.Lplus[:coupled, :coupled], ops.Lminus[:coupled, :coupled]
+        minv = 1.0 / ops.M[:coupled]
         compose = (minv[:, None] * lminus) @ (minv[:, None] * lplus)
+        tail = np.diagonal(ops.Lminus)[coupled:] * np.diagonal(ops.Lplus)[coupled:]
+        tail /= ops.M[coupled:] ** 2
         vals = np.concatenate([np.linalg.eigvals(compose), tail])
     scale = max(float(np.max(np.abs(vals))), 1.0)
     tol = STABILITY_TOL * scale
+    if found is not None:
+        zero = vals <= tol
+        vals = np.concatenate([np.sort(vals[~zero]), vals[zero]])[:count]
     unstable = bool(np.any(vals.real < -tol) or np.any(np.abs(vals.imag) > tol))
     nonzero = vals[np.abs(vals) > tol]
     omegas = np.sort(np.sqrt(np.clip(nonzero.real, 0.0, None)))
@@ -376,55 +359,81 @@ def stability_spectrum(ops: OperatorPair, count: int | None = None) -> Stability
         jres = np.linalg.norm(0.5 * (ops.Lplus @ ground) - weighted) / np.linalg.norm(weighted)
         if jres < 1e-7:
             jordan = 1
-    return StabilityReport(omegas, vals, zero_geometric, jordan, unstable, reduction, order, solved)
+    return StabilityReport(omegas, vals, zero_geometric, jordan, unstable, reduction, coupled, solved)
 
 
-def _flush(mat: np.ndarray) -> np.ndarray:
-    """Set the entries of ``mat`` below _FLUSH max |entry| to zero, in place; returns ``mat``."""
-    magnitude = np.abs(mat)
-    mat[magnitude < _FLUSH * magnitude.max(initial=0.0)] = 0.0
-    return mat
+def _supersymmetric_eigenvalues(ops: OperatorPair, count: int) -> tuple[np.ndarray, int] | None:
+    """The lowest k = min(count + 2, N) eigenvalues of P for a ground-state
+    pair, from its supersymmetric structure, and the order of the matrix
+    solved for them; None when the structure or the certificate fails.
 
+    With D = M^-1/2, v = M^1/2 A(p), L0 = (L+ + L-)/2 and S0 = D L0 D, the
+    structure is L+- = L0 +- w w^T, w = M A, and L0 A = M A, that is
+    S+- = D L+- D = S0 +- v v^T and S0 v = v.  It holds when
+    F = (L+ - L-)/2 - w w^T and r = S0 u - u, u = v/|v|, have ||F||_F and
+    |r| within _STRUCTURE_TOL; the coupling residual G = D F D has
+    ||G||_2 <= ||F||_F, since ||D||_2 = 1.  P = D (S- S+) D^-1, and for
+    symmetric L+- (as every builder makes them) the symmetric
+    S~0 = S0 - (r u^T + u r^T - (u^T r) u u^T) has S~0 v = v exactly and
+    ||S0 - S~0||_2 <= eps = 3|r|.  Then S~- S~+ = S~0^2 - |v|^2 v v^T with
+    S~+- = S~0 +- v v^T is symmetric: 1 - |v|^4 on v, sigma^2 on the other
+    eigenvectors of S~0.  With h = eps + ||F||_F and
+    s = ||S0||_2 + eps + |v|^2 >= ||S~+-||_2, where ||S0||_2 <= 2 ||B||_F + 1
+    below, ||S- S+ - S~- S~+||_2 <= delta = (2s + h) h,
+    so by Bauer-Fike (Numer. Math. 2 (1960) 137) every eigenvalue of P lies
+    within delta of one of S~- S~+ (all of this to the rounding of forming B).
 
-def _definite_eigenvalues(
-    lplus: np.ndarray, lminus: np.ndarray, m_diag: np.ndarray, scale: float, count: int
-) -> tuple[np.ndarray, int] | None:
-    """The lowest min(count, rank(L-)) nonzero eigenvalues of P, ascending, by
-    the definite reduction, and the order of the matrix solved for them (0
-    when L- = 0); None when the certificate fails.
-
-    dpstrf factors A = -L- (flushed) in place, Pi^T A Pi = G G^T with rank r.
-    The certificate: no argument error, and the Schur complement left
-    unfactored, (Pi^T A Pi)[r:, r:] - G[r:] G[r:]^T with A as given, within
-    _DEFINITE_TOL ``scale`` of zero; dpstrf's own stopping rule would pass an
-    indefinite remainder with a small diagonal.  The r x r matrix
-    R = Y^T L+ Y, Y = M^-1 Pi G with its columns reversed, has the eigenvalues
-    -Omega^2; its top min(count, r) come from ``_top_block``.
+    S0 = 2B - I with B = D T D, T = (L0 + M)/2, so the top k + 1 eigenvalues
+    mu of B from ``_top_block`` give sigma = 2 mu - 1 within
+    eta = eps + 2 tau of those of S~0 (tau the residual contract, Kahan's
+    bound and Weyl's inequality).  The returned values are 0 for the top
+    sigma, which is v's when sigma_2 + eta < 1, and sigma_i^2 for i = 2..k,
+    each within bound = delta + max(|1 - |v|^4|, (2a + eta) eta),
+    a = max |sigma_i|, of an eigenvalue of S~- S~+.  When k < N every other
+    eigenvalue of S~0 is at most high = sigma_k+1 + eta; with high < 0 and
+    high^2 - delta above the largest returned value plus bound, the Bauer-Fike
+    discs about the returned values are apart from the others, and by
+    continuity they hold exactly k eigenvalues of P, the lowest.
     """
     import scipy.linalg
 
-    n_modes = m_diag.size
-    buf = _flush(np.negative(lminus, order="F"))
-    factor, piv, rank, info = scipy.linalg.lapack.dpstrf(buf, lower=1, overwrite_a=1)
-    if info < 0:
+    n_modes = ops.n_modes
+    half = 1.0 / np.sqrt(ops.M)
+    weighted = ops.M * ground_amplitudes(ops.p, n_modes)
+    v = half * weighted
+    # 2F = L+ - L- - 2 w w^T, the rank-one update in place through the
+    # Fortran-ordered transpose
+    mat = np.subtract(ops.Lplus, ops.Lminus)
+    scipy.linalg.blas.dger(-2.0, weighted, weighted, a=mat.T, overwrite_a=1)
+    coupling = 0.5 * float(np.linalg.norm(mat))
+    # B = D (L+ + L-) D / 4 + I / 2, in the same buffer
+    np.add(ops.Lplus, ops.Lminus, out=mat)
+    mat *= 0.25 * half[:, None]
+    mat *= half
+    mat.flat[:: n_modes + 1] += 0.5
+    norm_v = float(np.linalg.norm(v))
+    residual = 2.0 * float(np.linalg.norm(mat @ v - v)) / norm_v
+    # "not <=" also refuses NaN
+    if not max(coupling, residual) <= _STRUCTURE_TOL:
         return None
-    piv -= 1  # LAPACK pivots are 1-based
-    lead = np.tril(factor[:, :rank])  # G; dpstrf leaves entries of A above its diagonal
-    tail = piv[rank:]
-    # the unfactored block, rebuilt from L- because dpstrf may have updated it in part
-    trailing = -lminus[np.ix_(tail, tail)] - lead[rank:] @ lead[rank:].T
-    if not np.all(np.abs(trailing) <= _DEFINITE_TOL * scale):
+    k = min(count + 2, n_modes)
+    mu, solved = _top_block(mat, min(k + 1, n_modes))
+    sigma = 2.0 * mu - 1.0
+    eps = 3.0 * residual
+    eta = eps + 2.0 * _residual_bound(mu)
+    h = eps + coupling
+    delta = (2.0 * (2.0 * float(np.linalg.norm(mat)) + 1.0 + eps + norm_v**2) + h) * h
+    vals = sigma[:k] ** 2
+    vals[0] = 0.0
+    spread = float(np.max(np.abs(sigma[1:k]), initial=0.0))
+    bound = delta + max(abs(1.0 - norm_v**4), (2.0 * spread + eta) * eta)
+    if k > 1 and not sigma[1] + eta < 1.0:
         return None
-    if rank == 0:
-        return np.empty(0), 0
-    y = np.empty((n_modes, rank))
-    y[piv] = lead[:, ::-1]
-    del buf, factor, lead
-    y /= m_diag[:, None]
-    reduced = y.T @ _flush(_flush(lplus.copy()) @ y)
-    del y
-    top, solved = _top_block(reduced, min(count, rank))
-    return -top, solved
+    if k < n_modes:
+        high = sigma[k] + eta
+        if not (high < 0.0 and high * high - delta > np.max(vals) + bound):
+            return None
+    return vals, solved
 
 
 def commutators(ops: OperatorPair, inner: int) -> tuple[float, float]:
@@ -592,25 +601,33 @@ def mu_ladder(ops: OperatorPair, m_max: int) -> MuLadderReport:
 
 def coercivity(ops: OperatorPair) -> tuple[float, float]:
     """Largest h^{1/2}-Rayleigh quotients of L+- on the symplectically
-    orthogonal subspace {<MA, a> = <MA', a> = 0}; both must be negative.
+    orthogonal subspace {<MA, a> = <MA', a> = 0}; both must be negative, and
+    both are -1/3 (module docstring).
 
-    Each is the top eigenvalue of the operator projected onto an orthonormal
-    basis of the subspace, by ``spectrum(projected, 1)``.
+    In the frame W^{1/2} a, W = diag(n+1), the subspace is the orthogonal
+    complement of span U, U the orthonormal QR factor of the two scaled
+    constraint vectors W^{-1/2} M A and W^{-1/2} M A'.  Each value is the top
+    eigenvalue of (I - U U^T) S (I - U U^T) - s U U^T, S = W^{-1/2} L W^{-1/2},
+    by ``spectrum(., 1)``: the shift s = ||S||_F + 1 > ||S||_2 puts the two
+    eigenvalues on span U below all others.  The matrix is the rank-four
+    update S - U Z^T - Z U^T, Z = S U - U (U^T S U)/2 + (s/2) U, so no N x N
+    product is formed.
     """
-    import scipy.linalg
-
     if ops.p is None:
         raise ValueError("coercivity is defined for ground-state operators")
     n_modes = ops.n_modes
-    ground = ground_amplitudes(ops.p, n_modes)
-    dground = ground_derivative(ops.p, n_modes)
-    w_half = np.sqrt(ops.M)  # W^{1/2} with W = diag(n+1)
-    constraints = np.stack([(ops.M * ground) / w_half, (ops.M * dground) / w_half])
-    null = scipy.linalg.null_space(constraints)
+    root = np.sqrt(ops.M)  # W^{1/2}, and W^{-1/2} M = W^{1/2}
+    constraints = np.stack([ground_amplitudes(ops.p, n_modes), ground_derivative(ops.p, n_modes)])
+    basis, _ = np.linalg.qr((root * constraints).T)
     out = []
     for mat in (ops.Lplus, ops.Lminus):
-        scaled = (mat / w_half[:, None]) / w_half[None, :]
-        out.append(float(spectrum(null.T @ scaled @ null, 1)[0]))
+        scaled = mat / root[:, None]
+        scaled /= root
+        image = scaled @ basis
+        shift = float(np.linalg.norm(scaled)) + 1.0
+        image += basis @ (0.5 * (shift * np.eye(2) - basis.T @ image))
+        scaled -= np.concatenate([basis, image], axis=1) @ np.concatenate([image, basis], axis=1).T
+        out.append(float(spectrum(scaled, 1)[0]))
     return out[0], out[1]
 
 

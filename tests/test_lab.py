@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conformalflow import lab
+from conformalflow import lab, linearized
 from conformalflow.flow import ORACLE_CHECK_STRIDE, FlowError, IntegratorConfig, integrate
 from conformalflow.lab import (
     MAX_DELTA,
@@ -329,39 +329,36 @@ def test_cli_spectrum_reports_reduction(tmp_path, capsys):
     report = json.loads((tmp_path / "spectrum.json").read_text())
     assert report["n_modes"] == 128
     assert {p: e["reduction"] for p, e in report["ground"].items()} == dict.fromkeys(
-        ("0.0", "0.3", "0.6"), "definite"
+        ("0.0", "0.3", "0.6"), "supersymmetric"
     )
-    assert {m: e["reduction"] for m, e in report["single_mode"].items()} == {
-        "0": "definite",
-        "1": "general",
-        "2": "general",
-    }
+    assert {m: e["reduction"] for m, e in report["single_mode"].items()} == dict.fromkeys(
+        ("0", "1", "2"), "general"
+    )
 
 
 def test_cli_spectrum_reports_coupled_block(tmp_path, capsys):
-    # the order of the block solved densely and of the matrix whose eigenvalues
-    # were computed, on each stability line and entry: at N = 128 no leading
-    # block of the order-126 reduced matrix certifies, so it is solved whole
+    # the order of the block the route works on and of the matrix whose
+    # eigenvalues were computed, on each stability line and entry: at N = 128
+    # no leading block of B certifies, so it is solved whole
     assert main(["spectrum", "--n", "16", "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "spectrum.json").read_text())
-    want = {"0.0": 0, "0.3": 128, "0.6": 128}
-    assert {p: e["coupled"] for p, e in report["ground"].items()} == want
+    ground = dict.fromkeys(("0.0", "0.3", "0.6"), 128)
+    assert {p: e["coupled"] for p, e in report["ground"].items()} == ground
     assert {m: e["coupled"] for m, e in report["single_mode"].items()} == {"0": 0, "1": 3, "2": 5}
-    assert {p: e["solved"] for p, e in report["ground"].items()} == {"0.0": 0, "0.3": 126, "0.6": 126}
+    assert {p: e["solved"] for p, e in report["ground"].items()} == ground
     assert {m: e["solved"] for m, e in report["single_mode"].items()} == {"0": 0, "1": 3, "2": 5}
     out = capsys.readouterr().out
-    assert "(definite solve, coupled 0, solved 0)" in out
-    assert "(definite solve, coupled 128, solved 126)" in out
+    assert out.count("(supersymmetric solve, coupled 128, solved 128)") == 3
+    assert "general solve, coupled 0, solved 0," in out
     assert "general solve, coupled 5, solved 5," in out
 
 
 def test_spectrum_suite_at_benchmark_size():
     # the suite at the benchmark's N = 512 meets every closed form, and its
-    # p > 0 frequencies come from a certified leading block of the order-510
-    # reduced matrix
+    # frequencies come from a certified leading block of B = M^-1/2 T M^-1/2
     report = run_spectrum_suite(512)
     assert _spectrum_failures(report) == []
-    assert {p: e["solved"] for p, e in report["ground"].items()} == {0.0: 0, 0.3: 64, 0.6: 128}
+    assert {p: e["solved"] for p, e in report["ground"].items()} == {0.0: 64, 0.3: 64, 0.6: 128}
 
 
 def test_cli_spectrum_exits_three_past_its_bounds(tmp_path, monkeypatch, capsys):
@@ -374,6 +371,25 @@ def test_cli_spectrum_exits_three_past_its_bounds(tmp_path, monkeypatch, capsys)
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert all(f"single_mode {mode} omega_err" in err[0] for mode in (0, 1, 2))
+
+
+@pytest.mark.parametrize("field", lab._LADDER_FIELDS)
+def test_cli_spectrum_judges_the_ladder_numbers(field, tmp_path, monkeypatch, capsys):
+    # each of ladder_check's numbers is written to every p > 0 ground entry,
+    # and one corrupted value exits 3 and is named
+    ladder_check = linearized.ladder_check
+
+    def corrupted(ops):
+        report = ladder_check(ops)
+        setattr(report, field, 1e-6 if ops.p == 0.3 else getattr(report, field))
+        return report
+
+    monkeypatch.setattr(linearized, "ladder_check", corrupted)
+    assert main(["spectrum", "--out", str(tmp_path)]) == 3
+    report = json.loads((tmp_path / "spectrum.json").read_text())
+    assert {p: field in e for p, e in report["ground"].items()} == {"0.0": False, "0.3": True, "0.6": True}
+    assert report["ground"]["0.6"][field] <= lab.LADDER_TOL
+    assert capsys.readouterr().err.strip().endswith(f"ground 0.3 {field}")
 
 
 def test_cli_simulate_writes_outputs(tmp_path, capsys):
