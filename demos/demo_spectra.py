@@ -24,11 +24,11 @@ for p in (0.0, 0.3, 0.6):
     print("  L+ top:", np.round(plus, 9),
           f"(lambda* = {2 * (1 + p * p) / (1 - p * p):.9f})")
     rep = stability_spectrum(ops)
-    print("  Omega: ", np.round(np.sort(rep.omegas)[:6], 9),
+    print("  Omega: ", np.round(rep.omegas[:6], 9),
           f" zero modes {rep.zero_geometric}+{rep.jordan_partners}")
 
 print("\nsingle-mode states:")
 for mode in (0, 1, 2):
     rep = stability_spectrum(build_single_mode_ops(mode, 1.0, 64))
     print(f"  N_mode = {mode}: smallest Omega "
-          f"{np.round(np.sort(rep.omegas)[:4], 6)}, stable = {not rep.unstable}")
+          f"{np.round(rep.omegas[:4], 6)}, stable = {not rep.unstable}")

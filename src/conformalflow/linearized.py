@@ -42,22 +42,23 @@ Omega^2 = (2 mu - 1)^2 over the eigenvalues mu of B: the mu-ladder's
 1/(m+1), mu = 1 for v and 1/2 for the zero mode A'.  The lowest Omega are
 thus the top of the symmetric B, whose eigenvectors decay, and
 ``stability_spectrum`` takes them through ``spectrum``'s route.  It checks
-the structure on the pair as given, in O(N^2), and a Bauer-Fike certificate
-on every call (``_supersymmetric_eigenvalues``); at N = 512 a block of order
-64 certifies at p = 0 and 0.3 and one of order 128 at p = 0.6, and B is
-solved whole at p >= 0.8, at N = 128 and when all N are asked for.  The
-same structure fixes ``coercivity``'s value: on the subspace
-{<MA, a> = <MA', a> = 0} the coupling vanishes, the subspace is the
+the structure, symmetry included, on the pair as given, in O(N^2), and a
+Bauer-Fike certificate on every call (``_supersymmetric_eigenvalues``); at
+N = 512 a block of order 64 certifies at p = 0 and 0.3 and one of order 128
+at p = 0.6, and B is solved whole at p >= 0.8, at N = 128 and when all N
+are asked for.  The same structure fixes ``coercivity``'s value: on the
+subspace {<MA, a> = <MA', a> = 0} the coupling vanishes, the subspace is the
 M-complement of the mu = 1 and mu = 1/2 eigenvectors, and the top
 h^{1/2} quotient is 2/3 - 1 = -1/3 for every p.
 
 Every other pair, and a ground pair whose structure or certificate fails,
-takes the general route: ``_coupled_order`` reads the order r of the coupled
-block from the zero pattern (the smallest r with every off-diagonal nonzero
-in the leading r x r block), the nonsymmetric eigenvalues of that block of
-P are computed, and the N - r eigenvalues L-_ii L+_ii / M_i^2 of the
-diagonal tail are appended in closed form.  For single mode 0 r is 0, for
-single modes 1 and 2 it is 3 and 5.
+takes the general route, which computes all N and sorts and slices like the
+first: ``_coupled_order`` reads the order r of the coupled block from the
+zero pattern (the smallest r with every off-diagonal nonzero in the leading
+r x r block), the nonsymmetric eigenvalues of that block of P are computed,
+and the N - r eigenvalues L-_ii L+_ii / M_i^2 of the diagonal tail are
+appended in closed form.  For single mode 0 r is 0, for single modes 1 and 2
+it is 3 and 5.
 
 scipy.linalg is imported on first use, inside the functions that call it
 (``spectrum`` and the supersymmetric route), so that importing the package
@@ -93,9 +94,9 @@ __all__ = [
 TAIL_TOL = 1e-10
 #: eigenvalues of P below this times max |eigenvalue| count as zero
 STABILITY_TOL = 1e-8
-#: the supersymmetric route runs when the coupling residual and the residual of
-#: L0 A = M A, both in the frame M^-1/2, are within this (measured: at most
-#: 7e-16 at p <= 0.9, N = 512 and 1024)
+#: the supersymmetric route runs when the coupling residual, the residual of
+#: L0 A = M A and the asymmetry of L+ + L-, all in the frame M^-1/2, are within
+#: this (measured: at most 7e-16 at p <= 0.9, N = 512 and 1024)
 _STRUCTURE_TOL = 1e-12
 #: order of the first leading block spectrum tries for the top of a spectrum
 _LEADING_MIN = 64
@@ -129,21 +130,17 @@ class OperatorPair:
 
 @dataclass
 class StabilityReport:
-    omegas: np.ndarray  # nonnegative frequencies of the +-i Omega pairs, ascending
-    # eigenvalues Omega^2 of M^-1 L- M^-1 L+ (should be >= 0): real, those
-    # beyond STABILITY_TOL ascending and then those within it, when reduction
-    # is "supersymmetric"; complex and unordered when it is "general"
+    omegas: np.ndarray  # frequencies of the nonzero p_eigenvalues, ascending
+    # the count lowest eigenvalues Omega^2 of M^-1 L- M^-1 L+ (should be >= 0),
+    # zeros included, np.sort-ed (real part first)
     p_eigenvalues: np.ndarray
     zero_geometric: int
     jordan_partners: int
-    unstable: bool
+    unstable: bool  # judged on every eigenvalue the route computed
     reduction: str  # "supersymmetric" (certified symmetric solve) or "general"
-    # order of the block the route works on: N for "supersymmetric", the
-    # coupled leading block for "general" (the rest is diagonal)
-    coupled: int
     # order of the matrix whose eigenvalues were computed: the certified leading
     # block of B = M^-1/2 T M^-1/2 or the whole B, or the coupled block of P
-    # when reduction is "general"
+    # when reduction is "general" (the rest is diagonal)
     solved: int
 
 
@@ -299,23 +296,22 @@ def _leading_top(mat: np.ndarray, count: int) -> tuple[np.ndarray, int] | None:
 
 
 def stability_spectrum(ops: OperatorPair, count: int | None = None) -> StabilityReport:
-    """Frequencies of the linearized flow from P = M^-1 L- M^-1 L+.
+    """The ``count`` lowest eigenvalues of P = M^-1 L- M^-1 L+ (1..N, all N by
+    default) and the frequencies of the linearized flow.
 
-    Eigenvalues of P are Omega^2 = -Lambda^2; the first ``count`` (1..N, all N
-    by default) are returned.  A ground-state pair whose structure and
-    certificate hold takes the "supersymmetric" route
-    (``_supersymmetric_eigenvalues``): the values are real, the ones beyond
-    STABILITY_TOL ascending and then those within it, and they are the lowest
-    of the whole operator.  Any other pair takes the "general" route: only its
-    coupled leading block is solved densely, by the nonsymmetric eigenvalues
-    of P's block, all of them whatever ``count``, and the diagonal tail's are
-    L-_ii L+_ii / M_i^2 (module docstring).  A negative real part or a
-    significant imaginary part marks instability (or truncation failure).
-    ``reduction`` names the route, ``coupled`` the order of the block it works
-    on (N for the supersymmetric route) and ``solved`` that of the matrix
-    whose eigenvalues were computed.  For the ground state the kernel
-    structure (three eigenvectors, one Jordan partner) is verified explicitly
-    on the whole operators.
+    Eigenvalues of P are Omega^2 = -Lambda^2.  ``p_eigenvalues`` holds the
+    ``count`` lowest, zeros included, np.sort-ed (real part first), whichever
+    route solved them; ``omegas`` the frequencies sqrt(Re) of the nonzero ones
+    among them, ascending.  A ground-state pair whose structure and certificate
+    hold takes the "supersymmetric" route (``_supersymmetric_eigenvalues``),
+    which computes min(max(count, 2), N) real values; any other pair takes the
+    "general" route, which computes all N (module docstring).  A negative real
+    part or a significant imaginary part among every value computed marks
+    instability (or truncation failure), also beyond the ``count`` returned.
+    ``reduction`` names the route and ``solved`` the order of the matrix whose
+    eigenvalues were computed.  For the ground state the kernel structure
+    (three eigenvectors, one Jordan partner) is verified explicitly on the
+    whole operators.
     """
     if count is None:
         count = ops.n_modes
@@ -323,25 +319,21 @@ def stability_spectrum(ops: OperatorPair, count: int | None = None) -> Stability
         raise ValueError(f"count must lie in 1..{ops.n_modes}, got {count}")
     found = None if ops.p is None else _supersymmetric_eigenvalues(ops, count)
     if found is not None:
-        reduction, coupled = "supersymmetric", ops.n_modes
+        reduction = "supersymmetric"
         vals, solved = found
     else:
         reduction = "general"
-        coupled = solved = _coupled_order(ops.Lplus, ops.Lminus)
-        lplus, lminus = ops.Lplus[:coupled, :coupled], ops.Lminus[:coupled, :coupled]
-        minv = 1.0 / ops.M[:coupled]
+        solved = _coupled_order(ops.Lplus, ops.Lminus)
+        lplus, lminus = ops.Lplus[:solved, :solved], ops.Lminus[:solved, :solved]
+        minv = 1.0 / ops.M[:solved]
         compose = (minv[:, None] * lminus) @ (minv[:, None] * lplus)
-        tail = np.diagonal(ops.Lminus)[coupled:] * np.diagonal(ops.Lplus)[coupled:]
-        tail /= ops.M[coupled:] ** 2
+        tail = np.diagonal(ops.Lminus)[solved:] * np.diagonal(ops.Lplus)[solved:]
+        tail /= ops.M[solved:] ** 2
         vals = np.concatenate([np.linalg.eigvals(compose), tail])
-    scale = max(float(np.max(np.abs(vals))), 1.0)
-    tol = STABILITY_TOL * scale
-    if found is not None:
-        zero = vals <= tol
-        vals = np.concatenate([np.sort(vals[~zero]), vals[zero]])[:count]
+    tol = STABILITY_TOL * max(float(np.max(np.abs(vals))), 1.0)
     unstable = bool(np.any(vals.real < -tol) or np.any(np.abs(vals.imag) > tol))
-    nonzero = vals[np.abs(vals) > tol]
-    omegas = np.sort(np.sqrt(np.clip(nonzero.real, 0.0, None)))
+    vals = np.sort(vals)[:count]
+    omegas = np.sqrt(np.clip(vals[np.abs(vals) > tol].real, 0.0, None))
 
     zero_geometric = 0
     jordan = 0
@@ -359,21 +351,23 @@ def stability_spectrum(ops: OperatorPair, count: int | None = None) -> Stability
         jres = np.linalg.norm(0.5 * (ops.Lplus @ ground) - weighted) / np.linalg.norm(weighted)
         if jres < 1e-7:
             jordan = 1
-    return StabilityReport(omegas, vals, zero_geometric, jordan, unstable, reduction, coupled, solved)
+    return StabilityReport(omegas, vals, zero_geometric, jordan, unstable, reduction, solved)
 
 
 def _supersymmetric_eigenvalues(ops: OperatorPair, count: int) -> tuple[np.ndarray, int] | None:
-    """The lowest k = min(count + 2, N) eigenvalues of P for a ground-state
-    pair, from its supersymmetric structure, and the order of the matrix
-    solved for them; None when the structure or the certificate fails.
+    """The lowest k = min(max(count, 2), N) eigenvalues of P for a ground-state
+    pair, unordered, from its supersymmetric structure, and the order of the
+    matrix solved for them; None when the structure or the certificate fails.
+    k >= 2 keeps both zeros inside the block: at k = 1 they tie across the gap.
 
     With D = M^-1/2, v = M^1/2 A(p), L0 = (L+ + L-)/2 and S0 = D L0 D, the
     structure is L+- = L0 +- w w^T, w = M A, and L0 A = M A, that is
     S+- = D L+- D = S0 +- v v^T and S0 v = v.  It holds when
     F = (L+ - L-)/2 - w w^T and r = S0 u - u, u = v/|v|, have ||F||_F and
     |r| within _STRUCTURE_TOL; the coupling residual G = D F D has
-    ||G||_2 <= ||F||_F, since ||D||_2 = 1.  P = D (S- S+) D^-1, and for
-    symmetric L+- (as every builder makes them) the symmetric
+    ||G||_2 <= ||F||_F, since ||D||_2 = 1, and ||B - B^T||_F (B below, an
+    asymmetry of L+ + L-; one of L+ - L- shows in F) is within it too.
+    P = D (S- S+) D^-1, and for symmetric L+- the symmetric
     S~0 = S0 - (r u^T + u r^T - (u^T r) u u^T) has S~0 v = v exactly and
     ||S0 - S~0||_2 <= eps = 3|r|.  Then S~- S~+ = S~0^2 - |v|^2 v v^T with
     S~+- = S~0 +- v v^T is symmetric: 1 - |v|^4 on v, sigma^2 on the other
@@ -381,7 +375,8 @@ def _supersymmetric_eigenvalues(ops: OperatorPair, count: int) -> tuple[np.ndarr
     s = ||S0||_2 + eps + |v|^2 >= ||S~+-||_2, where ||S0||_2 <= 2 ||B||_F + 1
     below, ||S- S+ - S~- S~+||_2 <= delta = (2s + h) h,
     so by Bauer-Fike (Numer. Math. 2 (1960) 137) every eigenvalue of P lies
-    within delta of one of S~- S~+ (all of this to the rounding of forming B).
+    within delta of one of S~- S~+ (all of this to the rounding of forming B
+    and to its asymmetry).
 
     S0 = 2B - I with B = D T D, T = (L0 + M)/2, so the top k + 1 eigenvalues
     mu of B from ``_top_block`` give sigma = 2 mu - 1 within
@@ -413,10 +408,14 @@ def _supersymmetric_eigenvalues(ops: OperatorPair, count: int) -> tuple[np.ndarr
     mat.flat[:: n_modes + 1] += 0.5
     norm_v = float(np.linalg.norm(v))
     residual = 2.0 * float(np.linalg.norm(mat @ v - v)) / norm_v
+    # twice this sum over 64-row blocks, cache-sized for the transposed reads,
+    # bounds ||B - B^T||_F^2: it counts the diagonal blocks whole, the rest once
+    skew = (mat[i : i + 64, i:] - mat[i:, i : i + 64].T for i in range(0, n_modes, 64))
+    asymmetry = np.sqrt(2.0 * sum(float(np.vdot(d, d)) for d in skew))
     # "not <=" also refuses NaN
-    if not max(coupling, residual) <= _STRUCTURE_TOL:
+    if not max(coupling, residual, asymmetry) <= _STRUCTURE_TOL:
         return None
-    k = min(count + 2, n_modes)
+    k = min(max(count, 2), n_modes)
     mu, solved = _top_block(mat, min(k + 1, n_modes))
     sigma = 2.0 * mu - 1.0
     eps = 3.0 * residual

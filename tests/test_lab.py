@@ -337,20 +337,24 @@ def test_cli_spectrum_reports_reduction(tmp_path, capsys):
 
 
 def test_cli_spectrum_reports_coupled_block(tmp_path, capsys):
-    # the order of the block the route works on and of the matrix whose
-    # eigenvalues were computed, on each stability line and entry: at N = 128
-    # no leading block of B certifies, so it is solved whole
+    # the order of the matrix whose eigenvalues were computed, on each
+    # stability line and entry: at N = 128 no leading block of B certifies, so
+    # it is solved whole, and the general route solves the single modes'
+    # coupled blocks; every entry counts its frequencies against the closed form
     assert main(["spectrum", "--n", "16", "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "spectrum.json").read_text())
-    ground = dict.fromkeys(("0.0", "0.3", "0.6"), 128)
-    assert {p: e["coupled"] for p, e in report["ground"].items()} == ground
-    assert {m: e["coupled"] for m, e in report["single_mode"].items()} == {"0": 0, "1": 3, "2": 5}
-    assert {p: e["solved"] for p, e in report["ground"].items()} == ground
+    assert {p: e["solved"] for p, e in report["ground"].items()} == dict.fromkeys(("0.0", "0.3", "0.6"), 128)
     assert {m: e["solved"] for m, e in report["single_mode"].items()} == {"0": 0, "1": 3, "2": 5}
+    assert all("coupled" not in e for group in ("ground", "single_mode") for e in report[group].values())
+    counts = {p: (e["count_got"], e["count_expected"]) for p, e in report["ground"].items()}
+    assert counts == dict.fromkeys(("0.0", "0.3", "0.6"), (9, 9))
+    counts = {m: (e["count_got"], e["count_expected"]) for m, e in report["single_mode"].items()}
+    assert counts == {"0": (126, 126), "1": (125, 125), "2": (124, 124)}
     out = capsys.readouterr().out
-    assert out.count("(supersymmetric solve, coupled 128, solved 128)") == 3
-    assert "general solve, coupled 0, solved 0," in out
-    assert "general solve, coupled 5, solved 5," in out
+    assert "coupled" not in out
+    assert out.count("(supersymmetric solve, solved 128)") == 3
+    assert "general solve, solved 0," in out
+    assert "general solve, solved 5," in out
 
 
 def test_spectrum_suite_at_benchmark_size():
@@ -359,6 +363,19 @@ def test_spectrum_suite_at_benchmark_size():
     report = run_spectrum_suite(512)
     assert _spectrum_failures(report) == []
     assert {p: e["solved"] for p, e in report["ground"].items()} == {0.0: 64, 0.3: 64, 0.6: 128}
+    # ground and single-mode entries are judged alike on their frequency counts
+    report["ground"][0.3]["count_got"] = 8
+    report["single_mode"][1]["count_got"] = 10
+    assert _spectrum_failures(report) == ["ground 0.3 count", "single_mode 1 count"]
+
+
+def test_frequency_error():
+    # every closed-form frequency list is compared by one helper: the max
+    # abs error, inf when the sizes differ
+    got = np.array([0.25, 0.5])
+    assert lab._frequency_error(got, np.array([0.25, 0.5 + 1e-9])) == pytest.approx(1e-9)
+    assert lab._frequency_error(got, np.array([0.25])) == np.inf
+    assert lab._frequency_error(got[:0], got[:0]) == 0.0
 
 
 def test_cli_spectrum_exits_three_past_its_bounds(tmp_path, monkeypatch, capsys):

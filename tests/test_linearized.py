@@ -10,7 +10,6 @@ from conformalflow import linearized
 from conformalflow.lab import main
 from conformalflow.linearized import (
     MAX_IDENTITY_ORDER,
-    STABILITY_TOL,
     TAIL_TOL,
     OperatorPair,
     _coupled_order,
@@ -264,39 +263,34 @@ def _route(name, n_modes):
     return "general" if (float(name[7:]), n_modes) in GENERAL_GROUND else "supersymmetric"
 
 
-def _assert_matches_eigvals(report, ops):
-    # oracle: the nonsymmetric eigenvalues of P = M^-1 L- M^-1 L+ itself.  A
-    # supersymmetric report is real, the values beyond STABILITY_TOL ascending
-    # and then those within it; asked for fewer than N, its values beyond the
-    # tolerance are the oracle's lowest
+def _oracle(ops):
+    """The nonsymmetric eigenvalues of P = M^-1 L- M^-1 L+ itself, np.sort-ed."""
     minv = 1.0 / ops.M
-    want = np.sort_complex(np.linalg.eigvals((minv[:, None] * ops.Lminus) @ (minv[:, None] * ops.Lplus)))
+    return np.sort(np.linalg.eigvals((minv[:, None] * ops.Lminus) @ (minv[:, None] * ops.Lplus)))
+
+
+def _assert_matches_eigvals(report, ops, want=None):
+    # the report holds the oracle's lowest len(p_eigenvalues), zeros included,
+    # in np.sort order, whichever route solved them
+    want = _oracle(ops) if want is None else want
     got = report.p_eigenvalues
     scale = max(float(np.max(np.abs(want))), 1.0)
-    if report.reduction == "general":
-        assert got.shape == want.shape
-        assert np.max(np.abs(np.sort_complex(got) - want)) <= 1e-10 * scale
-        return
-    assert got.dtype == np.float64
-    zero = got <= STABILITY_TOL
-    assert np.all(np.diff(got[~zero]) >= 0.0)
-    assert np.array_equal(zero, np.sort(zero))  # no value beyond the tolerance after a zero
-    assert np.max(np.abs(want.imag)) <= 1e-10 * scale
-    lowest = np.sort(want.real)
-    lowest = lowest[np.abs(lowest) > STABILITY_TOL][: np.count_nonzero(~zero)]
-    assert np.max(np.abs(got[~zero] - lowest), initial=0.0) <= 1e-10 * scale
-    if got.size == want.size:
-        assert np.max(np.abs(np.sort(got) - np.sort(want.real))) <= 1e-10 * scale
+    assert np.array_equal(got, np.sort(got))
+    assert np.max(np.abs(got - want[: got.size])) <= 1e-10 * scale
 
 
 @short_truncation
 @pytest.mark.parametrize("n_modes", [16, 128, 512])
 @pytest.mark.parametrize("name", list(SUITE_OPERATORS))
 def test_stability_reduction_matches_eigvals(name, n_modes):
+    # the contract on both routes: the min(count, N) lowest eigenvalues of P
     ops = SUITE_OPERATORS[name](n_modes)
-    report = stability_spectrum(ops)
-    assert report.reduction == _route(name, n_modes)
-    _assert_matches_eigvals(report, ops)
+    want = _oracle(ops)
+    for count in (1, 2, 9, 11, None):
+        report = stability_spectrum(ops, count)
+        assert report.reduction == _route(name, n_modes)
+        assert report.p_eigenvalues.shape == (min(count or n_modes, n_modes),)
+        _assert_matches_eigvals(report, ops, want)
 
 
 @short_truncation
@@ -308,15 +302,18 @@ def test_supersymmetric_route_matches_eigvals(p, n_modes):
     # TAIL_TOL
     ops = build_ground_ops(p, n_modes)
     route = "general" if (p, n_modes) in GENERAL_GROUND else "supersymmetric"
+    want = _oracle(ops)
     for count in (9, None):
         report = stability_spectrum(ops, count)
         assert report.reduction == route
-        _assert_matches_eigvals(report, ops)
-        if route == "supersymmetric":
-            assert report.p_eigenvalues.shape == (count or n_modes,)
+        assert report.p_eigenvalues.shape == (count or n_modes,)
+        _assert_matches_eigvals(report, ops, want)
         if p ** (n_modes / 2) <= TAIL_TOL:
-            closed = [(m - 1) / (m + 1) for m in range(2, 11)]
-            np.testing.assert_allclose(report.omegas[:9], closed, rtol=0, atol=1e-12)
+            # the two zeros lead, so count 9 holds Omega_2 .. Omega_8 only
+            got = report.omegas[:9]
+            assert got.size == min(9, (count or n_modes) - 2)
+            closed = [(m - 1) / (m + 1) for m in range(2, 2 + got.size)]
+            np.testing.assert_allclose(got, closed, rtol=0, atol=1e-12)
 
 
 def _ground_pair(p, n_modes, ladder=None, coupling=None):
@@ -387,6 +384,58 @@ def test_certificate_refuses_misplaced_top(planted, mu, count, monkeypatch):
     _assert_matches_eigvals(report, ops)
 
 
+def test_asymmetric_pair_falls_back():
+    # an antisymmetric K with K A = 0 added to both L+- leaves L+ - L- and
+    # L0 A = M A intact, so only the symmetry check sees it; the Bauer-Fike
+    # certificate assumes symmetric L+-, and the general route runs instead
+    p, n_modes = 0.3, 128
+    ops = build_ground_ops(p, n_modes)
+    rng = np.random.Generator(np.random.Philox(key=3))
+    noise = rng.standard_normal((n_modes, n_modes))
+    ground = ground_amplitudes(p, n_modes)
+    project = np.eye(n_modes) - np.outer(ground, ground) / (ground @ ground)
+    skew = project @ (1e-2 * (noise - noise.T)) @ project
+    bent = OperatorPair(ops.Lplus + skew, ops.Lminus + skew, ops.M, p)
+    assert max(_structure_residuals(bent)) <= 1e-14
+    for count in (9, None):
+        report = stability_spectrum(bent, count)
+        assert report.reduction == "general"
+        _assert_matches_eigvals(report, bent)
+
+
+def test_stability_margin_refuses_planted_coupling():
+    # the planted matrix of test_leading_block_margin_rejects_strong_coupling,
+    # moved into B = M^-1/2 T M^-1/2 of a structured ground pair at p = 0.3,
+    # N = 512: mode 300 is cut loose, given B's diagonal sigma - 0.002, with
+    # sigma = (1/12 + 1/13)/2 the midpoint below B's top 12, and coupled to
+    # mode 60 by the B entry 0.05, where A and B's top eigenvectors have
+    # decayed below rounding.  The structure holds, every leading block passes
+    # its residual and Gershgorin, and only the margin ||B12||^2 / gamma > 1.2
+    # refuses them, so B is solved whole; its lifted eigenvalue mu = 0.106 puts
+    # Omega^2 = 0.620 among the 11 lowest, which the block of order 64 misses
+    p, n_modes, mode, partner = 0.3, 512, 300, 60
+    clean_ops = build_ground_ops(p, n_modes)
+    m_diag = clean_ops.M
+    base = 0.5 * (clean_ops.Lplus + clean_ops.Lminus)
+    cut = np.zeros_like(base)
+    cut[mode, :] = -base[mode, :]
+    cut[:, mode] = -base[:, mode]
+    # B_ii = (L0_ii + M_i) / (2 M_i) and B_ij = L0_ij / (2 sqrt(M_i M_j))
+    cut[mode, mode] += (2.0 * (0.5 * (1 / 12 + 1 / 13) - 0.002) - 1.0) * m_diag[mode]
+    entry = 2.0 * 0.05 * np.sqrt(m_diag[mode] * m_diag[partner])
+    cut[mode, partner] += entry
+    cut[partner, mode] += entry
+    ops = _ground_pair(p, n_modes, ladder=cut)
+    assert max(_structure_residuals(ops)) <= 1e-14
+    report = stability_spectrum(ops, 11)
+    assert (report.reduction, report.solved) == ("supersymmetric", n_modes)
+    _assert_matches_eigvals(report, ops)
+    clean = stability_spectrum(clean_ops, 11)
+    assert clean.solved == 64
+    assert np.min(np.abs(report.p_eigenvalues - 0.620)) <= 1e-3
+    assert np.min(np.abs(clean.p_eigenvalues - 0.620)) > 0.01
+
+
 @short_truncation
 @pytest.mark.parametrize("n_modes", [16, 512])
 def test_coupled_order_of_suite_operators(n_modes):
@@ -399,9 +448,10 @@ def test_coupled_order_of_suite_operators(n_modes):
         want = coupled[name]
         assert _coupled_order(ops.Lplus, ops.Lminus) == want, name
         assert _coupled_order(ops.Lplus) == _coupled_order(ops.Lminus) == want, name
-        # the supersymmetric route works on the whole pair
+        # the whole supersymmetric solve takes all of B, the general route
+        # the coupled block
         route = _route(name, n_modes)
-        assert stability_spectrum(ops).coupled == (n_modes if route == "supersymmetric" else want), name
+        assert stability_spectrum(ops).solved == (n_modes if route == "supersymmetric" else want), name
 
 
 @pytest.mark.parametrize("n_modes", [128, 512])
@@ -451,7 +501,7 @@ def test_decoupled_solves_match_full_solves(order, positive_tail):
     n_modes = 24
     ops = _block_coupled_pair(order, n_modes, positive_tail)
     report = stability_spectrum(ops)
-    assert (report.coupled, report.solved) == ((order if order > 1 else 0),) * 2
+    assert report.solved == (order if order > 1 else 0)
     assert report.reduction == "general"
     _assert_matches_eigvals(report, ops)
     for mat in (ops.Lplus, ops.Lminus):
@@ -470,14 +520,13 @@ def test_stability_count_matches_whole_solve(p, n_modes):
     # the lowest 9 are the first 9 of the whole solve; they come from a
     # certified leading block of B = M^-1/2 T M^-1/2 where B's top decays fast
     # enough.  At N = 128, p = 0.9 the truncation breaks the structure and
-    # both solves take the general route, which returns every eigenvalue
+    # both solves take the general route, which sorts all N and slices
     ops = build_ground_ops(p, n_modes)
     whole = stability_spectrum(ops)
     lowest = stability_spectrum(ops, 9)
     route = "general" if (p, n_modes) == (0.9, 128) else "supersymmetric"
-    assert (lowest.reduction, lowest.coupled) == (whole.reduction, whole.coupled) == (route, n_modes)
-    want = whole.p_eigenvalues if route == "general" else whole.p_eigenvalues[:9]
-    np.testing.assert_allclose(lowest.p_eigenvalues, want, rtol=0, atol=1e-12)
+    assert lowest.reduction == whole.reduction == route
+    np.testing.assert_allclose(lowest.p_eigenvalues, whole.p_eigenvalues[:9], rtol=0, atol=1e-12)
     np.testing.assert_allclose(lowest.omegas, whole.omegas[: lowest.omegas.size], rtol=0, atol=1e-12)
     assert lowest.unstable == whole.unstable
     assert (lowest.zero_geometric, lowest.jordan_partners) == (whole.zero_geometric, whole.jordan_partners)
@@ -489,8 +538,8 @@ def test_stability_count_matches_whole_solve(p, n_modes):
 
 @pytest.mark.parametrize("p", [0.0, 0.3])
 def test_stability_count_range(p):
-    # count = N returns the whole solve's values, padding zeros included; a
-    # count outside 1..N raises
+    # count = 1 returns the lowest of the whole solve, a zero, and count = N all
+    # of it; a count outside 1..N raises
     ops = build_ground_ops(p, 128)
     whole = stability_spectrum(ops).p_eigenvalues
     for count in (1, 128):
@@ -499,6 +548,37 @@ def test_stability_count_range(p):
     for count in (0, 129):
         with pytest.raises(ValueError, match="count"):
             stability_spectrum(ops, count)
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_stability_fewest_counts_stay_supersymmetric(count):
+    # k = max(count, 2) keeps v's zero and the zero mode's inside the block:
+    # the top 3 of B certify at order 64
+    ops = build_ground_ops(0.3, 512)
+    report = stability_spectrum(ops, count)
+    assert (report.reduction, report.solved) == ("supersymmetric", 64)
+    _assert_matches_eigvals(report, ops)
+    assert report.omegas.size == 0
+
+
+def test_stability_unstable_beyond_count():
+    # a general-route pair whose P has the complex pair 5 +- i above its
+    # lowest values: the 2 x 2 block P = X Y of the symmetric
+    # X = M^-1 L- M^-1 = diag(1, -1) and Y = L+ = [[5, -1], [-1, -5]], the
+    # rest P_ii = M_i / N.  The 3 lowest are real, and still the report is
+    # unstable, judged on every value computed
+    n_modes = 24
+    m_diag = np.arange(1.0, n_modes + 1)
+    lminus = -np.diag(m_diag**2)
+    lminus[0, 0] = 1.0
+    lplus = -np.diag(m_diag / n_modes)
+    lplus[:2, :2] = [[5.0, -1.0], [-1.0, -5.0]]
+    ops = OperatorPair(lplus, lminus, m_diag, None)
+    report = stability_spectrum(ops, 3)
+    assert (report.reduction, report.solved) == ("general", 2)
+    _assert_matches_eigvals(report, ops)
+    assert np.all(report.p_eigenvalues.imag == 0.0)
+    assert report.unstable
 
 
 def test_stability_count_finds_planted_instability():
@@ -510,7 +590,7 @@ def test_stability_count_finds_planted_instability():
     lowest = stability_spectrum(ops, 9)
     assert whole.unstable and lowest.unstable
     assert (lowest.reduction, lowest.solved) == ("general", 512)
-    np.testing.assert_array_equal(lowest.p_eigenvalues, whole.p_eigenvalues)
+    np.testing.assert_array_equal(lowest.p_eigenvalues, whole.p_eigenvalues[:9])
     _assert_matches_eigvals(lowest, ops)
     assert np.min(lowest.p_eigenvalues.real) < -0.1
 
@@ -532,8 +612,7 @@ def test_stability_count_margin_rejects_strong_coupling():
     report = stability_spectrum(ops, 12)
     assert (report.reduction, report.solved, report.unstable) == ("general", 512, True)
     _assert_matches_eigvals(report, ops)
-    lowest = np.sort(report.p_eigenvalues.real)[:12]
-    np.testing.assert_allclose(lowest, want, rtol=0, atol=1e-12 * abs(want[0]))
+    np.testing.assert_allclose(report.p_eigenvalues, want, rtol=0, atol=1e-12 * abs(want[0]))
 
 
 @short_truncation
