@@ -24,5 +24,5 @@ for p in (0.2, 0.5):
     print("  mu ladder residuals:",
           np.array2string(mu.residuals, formatter={"all": "{:.1e}".format}))
     c1 = mu.coefficients[1][0]
-    print(f"  m = 1 expansion coefficient: {abs(c1):.9f} "
-          f"(closed form {(1 + p * p) / (1 - p * p):.9f})")
+    print(f"  m = 1 expansion coefficient: {c1:.9f} "
+          f"(closed form {-(1 + p * p) / (1 - p * p):.9f})")

@@ -188,7 +188,8 @@ SPECTRUM_MIN_MODES = 128
 SPECTRUM_TOL = 1e-8
 #: ladder and mu-ladder eigen-residuals (worst 2.1e-12), the ladder's
 #: commutation and first-vector residuals and its shift angle (worst 2.9e-14
-#: at N <= 1024)
+#: at N <= 1024), and the relative errors of the mu-ladder's m = 1 and m = 2
+#: coefficients (worst 3.7e-15 at N <= 1024, p in {0.3, 0.4, 0.6})
 LADDER_TOL = 1e-9
 #: ladder_check's scalar numbers, written to spectrum.json under their own names
 _LADDER_FIELDS = (
@@ -238,6 +239,7 @@ def run_spectrum_suite(n_modes: int) -> dict:
                     "ladder_max_residual": float(np.max(ladder.eigen_residuals)),
                     **{name: float(getattr(ladder, name)) for name in _LADDER_FIELDS},
                     "mu_max_residual": float(np.max(mu.residuals)),
+                    "mu_coefficient_err": _mu_coefficient_error(p, mu.coefficients),
                     "commutator_max": max(comm),
                 }
             )
@@ -263,7 +265,9 @@ def run_spectrum_suite(n_modes: int) -> dict:
 def _spectrum_failures(report: dict) -> list[str]:
     """Names of the spectrum-suite report's entries that miss the closed forms."""
     bounds = dict.fromkeys(("minus_err", "plus_err", "omega_err", "commutator_max"), SPECTRUM_TOL)
-    bounds |= dict.fromkeys(("ladder_max_residual", "mu_max_residual", *_LADDER_FIELDS), LADDER_TOL)
+    bounds |= dict.fromkeys(
+        ("ladder_max_residual", "mu_max_residual", "mu_coefficient_err", *_LADDER_FIELDS), LADDER_TOL
+    )
     failed = []
     for group in ("ground", "single_mode"):
         for key, entry in report[group].items():
@@ -302,6 +306,16 @@ def _identity_failures(appendix: dict, mode_energy: dict) -> list[str]:
         for p, entry in mode_energy.items()
     }
     return [f"identities {name}" for name, err in errors.items() if not err <= IDENTITY_TOL]
+
+
+def _mu_coefficient_error(p: float, coefficients: list[np.ndarray]) -> float:
+    """Largest relative error of ``mu_ladder``'s m = 1 and m = 2 coefficients
+    against their closed forms (``mu_ladder``'s docstring); NaN stays NaN."""
+    q = p * p
+    ratio = (1.0 + q) / (1.0 - q)
+    closed = ([-ratio, 1.0], [2.0 * (1.0 + q + q * q) / (1.0 - q) ** 2, -3.0 * ratio, 1.0])
+    errors = [np.abs(got - want) / np.abs(want) for got, want in zip(coefficients[1:3], closed)]
+    return float(np.max(np.concatenate(errors)))
 
 
 def _frequency_error(got: np.ndarray, expected: np.ndarray) -> float:

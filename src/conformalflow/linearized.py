@@ -105,12 +105,13 @@ LADDER_SEED = 0
 #: appendix_identities sums each infinite tail until its terms drop below this
 TAIL_EPS = 1e-22
 #: most tail terms appendix_identities may sum: it holds (n_max + 1) x kmax
-#: temporaries, a 16 MiB peak at n_max = 50 and kmax near this bound (p = 0.995);
-#: also the most modes mode_energy_relation may sum, which rejects p >= 0.9964
+#: temporaries, a 10 MiB peak at n_max = 50 and kmax near this bound (p = 0.9948;
+#: p = 0.995 is refused); also the most modes mode_energy_relation may sum,
+#: which rejects p >= 0.9964
 MAX_TAIL_TERMS = 10_000
 #: largest n_max appendix_identities accepts: its work grows like n_max^2 kmax,
-#: and at this order with kmax near MAX_TAIL_TERMS a call takes about 1 s
-#: (21 MiB peak)
+#: and at this order with kmax near MAX_TAIL_TERMS a call takes about 0.3 s
+#: (12.4 MiB peak)
 MAX_IDENTITY_ORDER = 64
 
 
@@ -440,17 +441,24 @@ def commutators(ops: OperatorPair, inner: int) -> tuple[float, float]:
 
     The inner block (inner <= N/2) keeps truncation-tail contamination below
     tolerance; the operators commute exactly in the untruncated system.
+    Each commutator reads only the leading ``inner`` rows and columns of its
+    operands, so only those of M^-1 L+- are scaled, entry for entry the
+    products of scaling the whole matrices.
     """
     if not 1 <= inner <= ops.n_modes // 2:
         raise ValueError(f"inner block must lie in 1..N/2 = {ops.n_modes // 2}, got {inner}")
 
-    def block(x: np.ndarray, y: np.ndarray) -> float:
-        # only the leading inner x inner block of [x, y] is formed
-        return float(np.max(np.abs(x[:inner] @ y[:, :inner] - y[:inner] @ x[:, :inner])))
+    def block(x_rows: np.ndarray, x_cols: np.ndarray, y_rows: np.ndarray, y_cols: np.ndarray) -> float:
+        # the leading inner x inner block of [x, y]
+        return float(np.max(np.abs(x_rows @ y_cols - y_rows @ x_cols)))
 
     lp, lm = ops.Lplus, ops.Lminus
     minv = 1.0 / ops.M
-    return block(lp, lm), block(minv[:, None] * lp, minv[:, None] * lm)
+    head, left = minv[:inner, None], minv[:, None]
+    return (
+        block(lp[:inner], lp[:, :inner], lm[:inner], lm[:, :inner]),
+        block(head * lp[:inner], left * lp[:, :inner], head * lm[:inner], left * lm[:, :inner]),
+    )
 
 
 def toeplitz_core(p: float, n_modes: int) -> np.ndarray:
@@ -494,17 +502,18 @@ def ladder_check(ops: OperatorPair, m_max: int = 10) -> LadderReport:
 
     On vectors orthogonal to {A(p), M A(p)} the shift S and left-shift S*
     intertwine L0 with itself -+ I; iterating S on the closed-form first
-    eigenvector generates eigenvalue -m for every m.  The m-th vector is
+    eigenvector v1 generates eigenvalue -m for every m.  The m-th vector is
     shifted m - 1 places, so m_max is at most N/2: beyond that the truncation
     cuts into the shifted vectors (and past N they vanish).
+
+    L0 is applied once, to the block X = [a, S a, S* a, v1, S v1, ..,
+    S^{m_max-1} v1], as L0 X = (L+ X + L- X)/2: no N x N L0 is formed.
     """
     if ops.p is None:
         raise ValueError("ladder_check is defined for ground-state operators")
     p, n_modes = ops.p, ops.n_modes
     if not 1 <= m_max <= n_modes // 2:
         raise ValueError(f"m_max must lie in 1..N/2 = {n_modes // 2}, got {m_max}")
-    ladder_op = ops.Lplus + ops.Lminus
-    ladder_op *= 0.5
     ground = ground_amplitudes(p, n_modes)
     weighted = ops.M * ground
 
@@ -516,19 +525,24 @@ def ladder_check(ops: OperatorPair, m_max: int = 10) -> LadderReport:
     basis = np.stack([ground[:half], weighted[:half]])
     q, _ = np.linalg.qr(basis.T)
     a[:half] -= q @ (q.T @ a[:half])
-
-    shifted = np.concatenate([[0.0], a[:-1]])  # S a
-    lhs1 = ladder_op @ shifted
-    rhs1 = np.concatenate([[0.0], (ladder_op @ a - a)[:-1]])  # S (2T - M - I) a
-    res1 = np.linalg.norm(lhs1 - rhs1) / max(np.linalg.norm(a), 1e-300)
-
-    unshifted = np.concatenate([a[1:], [0.0]])  # S* a
-    lhs2 = ladder_op @ unshifted
-    rhs2 = (ladder_op @ a + a)[1:]  # S* (2T - M + I) a
-    res2 = np.linalg.norm(lhs2 - np.concatenate([rhs2, [0.0]])) / max(np.linalg.norm(a), 1e-300)
-
     v1 = _first_ladder_vector(p, n_modes)
-    v1_res = np.linalg.norm(ladder_op @ v1 + v1) / np.linalg.norm(v1)
+
+    block = np.zeros((n_modes, 3 + m_max))
+    block[:, 0] = a
+    block[1:, 1] = a[:-1]  # S a
+    block[:-1, 2] = a[1:]  # S* a
+    for m in range(m_max):  # v^{m+1} = S^m v1
+        block[m:, 3 + m] = v1[: n_modes - m]
+    image = ops.Lplus @ block
+    image += ops.Lminus @ block
+    image *= 0.5
+    l0_a = image[:, 0]
+
+    norm_a = max(np.linalg.norm(a), 1e-300)
+    rhs1 = np.concatenate([[0.0], (l0_a - a)[:-1]])  # S (2T - M - I) a
+    res1 = np.linalg.norm(image[:, 1] - rhs1) / norm_a
+    rhs2 = np.concatenate([(l0_a + a)[1:], [0.0]])  # S* (2T - M + I) a
+    res2 = np.linalg.norm(image[:, 2] - rhs2) / norm_a
 
     dground = ground_derivative(p, n_modes)
     star = np.concatenate([v1[1:], [0.0]])
@@ -539,12 +553,11 @@ def ladder_check(ops: OperatorPair, m_max: int = 10) -> LadderReport:
         rejection = star - (star @ unit) * unit
         angle = float(np.arcsin(min(1.0, np.linalg.norm(rejection) / np.linalg.norm(star))))
 
-    eigen_res = []
-    v = v1.copy()
-    for m in range(1, m_max + 1):
-        eigen_res.append(np.linalg.norm(ladder_op @ v + m * v) / np.linalg.norm(v))
-        v = np.concatenate([[0.0], v[:-1]])  # v^{m+1} = S v^{m}
-    return LadderReport(res1, res2, v1_res, angle, np.array(eigen_res))
+    vecs = block[:, 3:]
+    eigen_res = np.linalg.norm(image[:, 3:] + np.arange(1, m_max + 1) * vecs, axis=0)
+    eigen_res /= np.linalg.norm(vecs, axis=0)
+    # v1's relation is the m = 1 entry
+    return LadderReport(res1, res2, eigen_res[0], angle, eigen_res)
 
 
 @dataclass
@@ -557,10 +570,14 @@ class MuLadderReport:
 def mu_ladder(ops: OperatorPair, m_max: int) -> MuLadderReport:
     """Eigenvectors of T(p) v = mu M v in the polynomial ladder span{M^j A}.
 
-    v^(m) = M^m A - sum_{j<m} alpha_j M^j A is fixed by the eigen-condition
-    with mu_m = 1/(m+1); the coefficients are obtained from a least-squares
-    solve in the ladder basis and the residual is verified on the full
-    truncation.
+    v^(m) = sum_{j<=m} x_j M^j A, x_m = 1, is fixed by the eigen-condition
+    with mu_m = 1/(m+1): x_0 .. x_{m-1} come from a least-squares solve in
+    the ladder basis, and the residual is verified on the full truncation.
+    The closed forms are x = [-(1+p^2)/(1-p^2), 1] for m = 1 and
+    [2(1+p^2+p^4)/(1-p^2)^2, -3(1+p^2)/(1-p^2), 1] for m = 2.
+
+    T = (L+ + L- + 2M)/4 is formed once and applied in two block products:
+    to the basis [A, M A, .., M^m_max A], then to the ladder vectors.
     """
     if ops.p is None:
         raise ValueError("mu_ladder is defined for ground-state operators")
@@ -571,31 +588,25 @@ def mu_ladder(ops: OperatorPair, m_max: int) -> MuLadderReport:
     t_mat = ops.Lplus + ops.Lminus
     t_mat.flat[:: n_modes + 1] += 2.0 * m_diag
     t_mat *= 0.25
-    ground = ground_amplitudes(ops.p, n_modes)
-    basis = [ground.copy()]
-    for _ in range(m_max):
-        basis.append(m_diag * basis[-1])
-    t_basis = [t_mat @ v for v in basis]
+    # column j is M^j A, j = 0 .. m_max + 1; the first m_max + 1 are the basis
+    powers = np.empty((n_modes, m_max + 2))
+    powers[:, 0] = ground_amplitudes(ops.p, n_modes)
+    for j in range(1, m_max + 2):
+        powers[:, j] = m_diag * powers[:, j - 1]
+    basis = powers[:, :-1]
+    t_basis = t_mat @ basis
 
-    mus, residuals, coeff_list = [], [], []
-    for m in range(m_max + 1):
-        mu = 1.0 / (m + 1)
-        cols = np.stack(
-            [t_basis[j] - mu * m_diag * basis[j] for j in range(m + 1)], axis=1
-        )
-        if m == 0:
-            x = np.array([1.0])
-        else:
-            sol, *_ = np.linalg.lstsq(cols[:, :m], -cols[:, m], rcond=None)
-            x = np.concatenate([sol, [1.0]])
-        vec = sum(x[j] * basis[j] for j in range(m + 1))
-        res = np.linalg.norm(t_mat @ vec - mu * m_diag * vec) / max(
-            np.linalg.norm(m_diag * vec), 1e-300
-        )
-        mus.append(mu)
-        residuals.append(res)
-        coeff_list.append(x)
-    return MuLadderReport(np.array(mus), np.array(residuals), coeff_list)
+    mus = 1.0 / np.arange(1.0, m_max + 2)
+    coeffs = np.identity(m_max + 1)  # column m: x of v^(m)
+    for m in range(1, m_max + 1):
+        cols = t_basis[:, : m + 1] - mus[m] * powers[:, 1 : m + 2]
+        coeffs[:m, m], *_ = np.linalg.lstsq(cols[:, :m], -cols[:, m], rcond=None)
+    vecs = basis @ coeffs
+    weighted_vecs = m_diag[:, None] * vecs
+    residuals = np.linalg.norm(t_mat @ vecs - mus * weighted_vecs, axis=0)
+    residuals /= np.maximum(np.linalg.norm(weighted_vecs, axis=0), 1e-300)
+    coeff_list = [coeffs[: m + 1, m].copy() for m in range(m_max + 1)]
+    return MuLadderReport(mus, residuals, coeff_list)
 
 
 def coercivity(ops: OperatorPair) -> tuple[float, float]:
@@ -633,13 +644,17 @@ def coercivity(ops: OperatorPair) -> tuple[float, float]:
 def appendix_identities(p: float, n_max: int) -> dict[str, float]:
     """Max relative error of each closed-form summation identity vs direct sums.
 
-    Infinite tails are summed until the geometric term drops below TAIL_EPS;
-    a p so close to 1 that this takes more than MAX_TAIL_TERMS terms raises
+    Each kernel row (n, j) is summed from its first term, k0 = max(0, j - n),
+    for span = ceil(log TAIL_EPS / log p^2) + 2 terms: its terms fall by a
+    factor p^2 each, so the last is p^2 TAIL_EPS of the first.  The folded
+    sums run over k = 1..kmax - 1, kmax = max(200, ceil(log TAIL_EPS / log p)
+    + 2 n_max + 4); a p so close to 1 that kmax exceeds MAX_TAIL_TERMS raises
     ``ValueError``, as does an n_max that is not an integer in
     0..MAX_IDENTITY_ORDER.
     Keys: geometric_sum, geometric_weighted, kernel_row_le, kernel_row_ge,
     kernel_total, folded_sum, folded_weighted.  kernel_total is the largest
-    absolute error of an exact integer identity, so it must be 0.
+    absolute error of an exact integer identity, which does not depend on p,
+    so it must be 0.
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
@@ -648,8 +663,10 @@ def appendix_identities(p: float, n_max: int) -> dict[str, float]:
     kmax = max(200, int(np.ceil(np.log(TAIL_EPS) / np.log(p))) + 2 * n_max + 4)
     if kmax > MAX_TAIL_TERMS:
         raise ValueError(f"tails of {kmax} terms at p = {p}; at most {MAX_TAIL_TERMS}")
-    # every exponent below is at most n_max + 2 kmax
-    powers = p ** np.arange(2.0 * kmax + n_max + 1)
+    # every exponent below is at most n_max + 2 kmax.  Scalar pow: numpy's
+    # vectorized pow may be an ulp off (p^3 at p = 0.99), and the closed forms'
+    # 1/(1 - p^2)^2 magnifies that near p = 1
+    powers = np.array([p**e for e in range(2 * kmax + n_max + 1)])
     q = p * p
     n = np.arange(n_max + 1)
     col = n[:, None]
@@ -673,23 +690,26 @@ def appendix_identities(p: float, n_max: int) -> dict[str, float]:
     folded_weighted = rel(np.abs((k * terms).sum(axis=1) - closed), closed)
 
     # kernel rows sum_k S p^{n+2k-j} with S = min(n, j, k, n+k-j) + 1 over
-    # k >= max(0, j-n); one pass per n = m over the (j, k) grid
-    j = col
-    k = np.arange(kmax)
-    k_int = np.arange(2 * n_max + 1)
-    kernel_rel = np.empty((n_max + 1, n_max + 1))  # [m, j]
+    # k >= k0 = max(0, j-n).  At k = k0 + t the term is (min(n, j, t) + 1)
+    # p^{|n-j|+2t}: each row starts at p^{|n-j|} and falls by p^2 a term, so
+    # span terms reach p^2 TAIL_EPS of its first.  One pass per n = m over the
+    # (j, t) grid, and over the (j, k) grid of the exact integer identity
+    # sum_{k=0}^{m+j} (min(m, k, m+j-k) + 1) = (1+j)(1+m) for j >= m, its
+    # summand clipped at 0 past k = m + j
+    span = int(np.ceil(np.log(TAIL_EPS) / np.log(q))) + 2
+    t = np.arange(span)
+    k = np.arange(2 * n_max + 1, dtype=np.int32)
+    rows = col.astype(np.int32)
+    direct = np.empty((n_max + 1, n_max + 1))  # [m, j]
     total_err = np.empty(n_max + 1, dtype=np.int64)
     for m in range(n_max + 1):
-        before = k < j - m  # below the range of row j > m
-        coeff = np.where(before, 0.0, np.minimum(np.minimum(m, j), np.minimum(k, m + k - j)) + 1.0)
-        direct = np.sum(coeff * powers[np.where(before, 0, m + 2 * k - j)], axis=1)
-        closed = (powers[np.abs(m - n)] - powers[2 + n + m]) / (1.0 - q) ** 2  # j = 0..n_max
-        kernel_rel[m] = rel(np.abs(direct - closed), closed)
-        # exact integer identity for j >= m: sum_{k=0}^{m+j} S = (1+j)(1+m)
-        rows = j[m:]
-        coeff_int = np.minimum(np.minimum(m, rows), np.minimum(k_int, m + rows - k_int)) + 1
-        totals = np.sum(np.where(k_int <= m + rows, coeff_int, 0), axis=1)
-        total_err[m] = np.max(np.abs(totals - (1 + n[m:]) * (1 + m)))
+        coeff = np.minimum(np.minimum(m, col), t) + 1.0
+        direct[m] = np.sum(coeff * powers[np.abs(m - col) + 2 * t], axis=1)
+        j = rows[m:]
+        totals = np.sum(np.maximum(np.minimum(m, np.minimum(k, m + j - k)) + 1, 0), axis=1)
+        total_err[m] = np.max(np.abs(totals - (1 + j[:, 0]) * (1 + m)))
+    closed = (powers[np.abs(col - n)] - powers[2 + col + n]) / (1.0 - q) ** 2
+    kernel_rel = rel(np.abs(direct - closed), closed)
 
     return {
         "geometric_sum": float(np.max(geometric_sum)),

@@ -409,6 +409,28 @@ def test_cli_spectrum_judges_the_ladder_numbers(field, tmp_path, monkeypatch, ca
     assert capsys.readouterr().err.strip().endswith(f"ground 0.3 {field}")
 
 
+@pytest.mark.parametrize(("m", "index"), [(1, 0), (2, 0), (2, 1)])
+def test_cli_spectrum_judges_the_mu_coefficients(m, index, tmp_path, monkeypatch, capsys):
+    # the m = 1 and m = 2 coefficients of the mu-ladder are judged against
+    # their signed closed forms: a flipped sign at p = 0.3 exits 3 and is named
+    mu_ladder = linearized.mu_ladder
+
+    def corrupted(ops, m_max):
+        report = mu_ladder(ops, m_max)
+        if ops.p == 0.3:
+            report.coefficients[m][index] *= -1.0
+        return report
+
+    assert lab._mu_coefficient_error(0.3, mu_ladder(linearized.build_ground_ops(0.3, 128), 2).coefficients) <= 1e-14
+    monkeypatch.setattr(linearized, "mu_ladder", corrupted)
+    assert main(["spectrum", "--out", str(tmp_path)]) == 3
+    report = json.loads((tmp_path / "spectrum.json").read_text())
+    assert report["ground"]["0.3"]["mu_coefficient_err"] == pytest.approx(2.0)
+    assert report["ground"]["0.6"]["mu_coefficient_err"] <= 1e-14
+    assert "mu_coefficient_err" not in report["ground"]["0.0"]
+    assert capsys.readouterr().err.strip().endswith("ground 0.3 mu_coefficient_err")
+
+
 def test_cli_simulate_writes_outputs(tmp_path, capsys):
     code = main(
         ["simulate", "--n", "24", "--p0", "0.3", "--delta", "1e-4", "--t-end", "1", "--out", str(tmp_path)]

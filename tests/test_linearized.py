@@ -700,6 +700,21 @@ def test_single_mode_signature_counts():
             assert (pos, zero) == (pos_want, zeros_want)
 
 
+@pytest.mark.parametrize("n_modes", [128, 512])
+@pytest.mark.parametrize("p", [0.3, 0.6])
+def test_commutators_bitwise_whole_matrix_scaling(p, n_modes):
+    # reference: M^-1 L+- scaled whole, then the inner blocks of the products read
+    inner = 64
+    ops = build_ground_ops(p, n_modes)
+
+    def block(x, y):
+        return float(np.max(np.abs(x[:inner] @ y[:, :inner] - y[:inner] @ x[:, :inner])))
+
+    minv = 1.0 / ops.M
+    want = (block(ops.Lplus, ops.Lminus), block(minv[:, None] * ops.Lplus, minv[:, None] * ops.Lminus))
+    assert np.array_equal(commutators(ops, inner), want)
+
+
 def test_commutators_vanish_on_inner_block():
     ops = build_ground_ops(0.5, 128)
     c1, c2 = commutators(ops, 64)
@@ -792,23 +807,92 @@ def test_mu_ladder(p):
     np.testing.assert_allclose(report.mus, 1.0 / (np.arange(9) + 1.0))
     # the {M^j A} basis is badly conditioned at high m and small p
     assert np.max(report.residuals) <= 1e-8
-    # frozen m = 1 coefficient: v = MA - (1+p^2)/(1-p^2) A ... sign per the
-    # eigen-condition solve; magnitude matches the closed form
-    coeff = report.coefficients[1]
-    assert abs(coeff[0]) == pytest.approx((1 + p * p) / (1 - p * p), rel=1e-9)
+    # m = 1: v = MA - (1+p^2)/(1-p^2) A
+    c0, c1 = report.coefficients[1]
+    assert c1 == 1.0
+    assert c0 == pytest.approx(-(1 + p * p) / (1 - p * p), rel=1e-9)
 
 
 def test_mu_ladder_second_vector_coefficients():
-    # m = 2: v = M^2 A + 3(1+p^2)/(1-p^2) MA - 2(1+p^2+p^4)/(1-p^2)^2 A,
-    # up to the overall sign convention of the intermediate coefficient
+    # m = 2: v = M^2 A - 3(1+p^2)/(1-p^2) MA + 2(1+p^2+p^4)/(1-p^2)^2 A
     p = 0.4
     report = mu_ladder(build_ground_ops(p, 256), 3)
     c0, c1, c2 = report.coefficients[2]
     assert c2 == 1.0
-    assert abs(c1) == pytest.approx(3 * (1 + p * p) / (1 - p * p), rel=1e-8)
-    assert abs(c0) == pytest.approx(
-        2 * (1 + p * p + p**4) / (1 - p * p) ** 2, rel=1e-8
-    )
+    assert c1 == pytest.approx(-3 * (1 + p * p) / (1 - p * p), rel=1e-8)
+    assert c0 == pytest.approx(2 * (1 + p * p + p**4) / (1 - p * p) ** 2, rel=1e-8)
+
+
+def _bumped(ops, u, size):
+    """The pair with the symmetric bump size u u^T added to both operators,
+    so that L0 = (L+ + L-)/2 gains it and the coupling does not."""
+    bump = size * np.outer(u, u)
+    return OperatorPair(ops.Lplus + bump, ops.Lminus + bump, ops.M, ops.p)
+
+
+def _ladder_residual_reference(ops, v, m):
+    """||L0 v + m v|| / ||v|| with L0 = (L+ + L-)/2 formed whole, one vector at a time."""
+    ladder_op = ops.Lplus + ops.Lminus
+    ladder_op *= 0.5
+    return np.linalg.norm(ladder_op @ v + m * v) / np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("target", [1, 4, 10])
+def test_ladder_block_matches_per_vector_reference(target):
+    # v^m = S^{m-1} v1 starts at index m - 1.  A bump u u^T with u in the
+    # first ``target`` coordinates, orthogonal there to v^1 .. v^{target-1},
+    # breaks the eigen-relation of v^target alone: later vectors vanish on u's
+    # support.  Only that entry moves, to the per-vector reference's value
+    p, n_modes, m_max = 0.6, 128, 10
+    ops = build_ground_ops(p, n_modes)
+    before = ladder_check(ops, m_max).eigen_residuals
+    v1 = linearized._first_ladder_vector(p, n_modes)
+    vecs = [np.concatenate([np.zeros(m), v1[: n_modes - m]]) for m in range(m_max)]
+    head = np.stack([v[:target] for v in vecs[: target - 1]] + [np.zeros(target)])
+    u = np.zeros(n_modes)
+    u[:target] = np.linalg.svd(head)[2][-1]  # the null direction of the earlier vectors
+    bumped = _bumped(ops, u, 1e-3)
+    after = ladder_check(bumped, m_max).eigen_residuals
+    others = np.arange(m_max) != target - 1
+    assert np.max(np.abs(after[others] - before[others])) <= 1e-13
+    want = _ladder_residual_reference(bumped, vecs[target - 1], target)
+    assert want > 1e-7
+    assert after[target - 1] == pytest.approx(want, rel=1e-10, abs=0.0)
+
+
+def _mu_residual_reference(ops, m):
+    """The m-th mu-ladder residual, every product with T a matrix-vector one."""
+    t_mat = ops.Lplus + ops.Lminus
+    t_mat.flat[:: ops.n_modes + 1] += 2.0 * ops.M
+    t_mat *= 0.25
+    basis = [ground_amplitudes(ops.p, ops.n_modes)]
+    for _ in range(m):
+        basis.append(ops.M * basis[-1])
+    mu = 1.0 / (m + 1)
+    cols = np.stack([t_mat @ v - mu * ops.M * v for v in basis], axis=1)
+    sol, *_ = np.linalg.lstsq(cols[:, :m], -cols[:, m], rcond=None)
+    vec = sum(x * v for x, v in zip(np.append(sol, 1.0), basis))
+    return np.linalg.norm(t_mat @ vec - mu * ops.M * vec) / np.linalg.norm(ops.M * vec)
+
+
+def test_mu_ladder_block_matches_per_vector_reference():
+    # a bump along u, orthogonal to A, MA, .., M^{m_max-1} A, leaves every
+    # least-squares problem but the last one as it was: only v^(m_max)'s
+    # residual moves, to the per-vector reference's value
+    p, n_modes, m_max = 0.5, 128, 3
+    ops = build_ground_ops(p, n_modes)
+    before = mu_ladder(ops, m_max).residuals
+    powers = ground_amplitudes(p, n_modes)[:, None] * ops.M[:, None] ** np.arange(m_max + 1)
+    q, _ = np.linalg.qr(powers[:, :m_max])
+    u = powers[:, m_max] - q @ (q.T @ powers[:, m_max])
+    u -= q @ (q.T @ u)
+    u /= np.linalg.norm(u)
+    bumped = _bumped(ops, u, 1e-3)
+    after = mu_ladder(bumped, m_max).residuals
+    assert np.max(np.abs(after[:m_max] - before[:m_max])) <= 1e-12
+    want = _mu_residual_reference(bumped, m_max)
+    assert want > 1e-6
+    assert after[m_max] == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
 def test_coercivity_negative_on_constrained_subspace():
@@ -910,7 +994,7 @@ def _appendix_identities_loop(p, n_max, tail_eps=1e-22):
 
 
 @pytest.mark.parametrize("n_max", [0, 1, 50, MAX_IDENTITY_ORDER])
-@pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.7, 0.9])
+@pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99])
 def test_appendix_identities_match_reference_loop(p, n_max):
     report = appendix_identities(p, n_max)
     want = _appendix_identities_loop(p, n_max)
@@ -935,6 +1019,26 @@ def test_appendix_identities_tail_bound():
         report = appendix_identities(p, 50)
         for key, value in _appendix_identities_loop(p, 50).items():
             assert abs(report[key] - value) <= 1e-15, (p, key)
+
+
+@pytest.mark.parametrize(("n_max", "limit_mib"), [(50, 10.5), (MAX_IDENTITY_ORDER, 13.0)])
+def test_appendix_identities_peak_near_tail_bound(n_max, limit_mib):
+    # p = 0.9948 is about the largest p whose kmax fits MAX_TAIL_TERMS; the
+    # (n_max + 1) x kmax temporaries of the folded sums set the peak (9.8 and
+    # 12.4 MiB measured), the kernel rows hold (n_max + 1) x span, about half
+    tracemalloc.start()
+    try:
+        appendix_identities(0.9948, n_max)
+        peak = tracemalloc.get_traced_memory()[1]
+        # p = 0.995 is refused before any temporary
+        tracemalloc.reset_peak()
+        with pytest.raises(ValueError, match="tails of"):
+            appendix_identities(0.995, n_max)
+        refused_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mib * 2**20
+    assert refused_peak < 2**20
 
 
 @pytest.mark.parametrize("n_max", [-1, 1.5, MAX_IDENTITY_ORDER + 1])
