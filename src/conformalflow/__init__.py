@@ -2,11 +2,11 @@
 
 Modules
 -------
-kernel       N x N pair-sum table behind the fast vector field; table-free energy walk
+kernel       N x N pair-sum table behind the fast vector field and its contraction
 state        states, the gauge action, ground-state family
-observables  conserved quantities H, Q, E, the gap, the Hankel identity
+observables  H (its oracle and its table-free walk), Q, E, the gap, the Hankel identity
 flow         vector field (naive and fast), co-rotating DOP853 integration
-linearized   operators L+-, spectra, stability, ladders, coercivity
+linearized   operators L+- with the weight M = diag(n+1), spectra, stability, ladders, coercivity
 modulation   decomposition in the q-chart, orbit distance, tracking
 lab          seeded experiments, persistence, and the CLI entry point
 

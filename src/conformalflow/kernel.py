@@ -1,4 +1,4 @@
-"""The layered pair sums behind the fast field and energy.
+"""The layered pair sums behind the fast vector field.
 
 The quartic coupling S(n, j, k, m) = min(n, j, k, m) + 1 (with n + j = k + m)
 admits the representation S = sum_{l=0}^{min} 1.  Splitting every quartic
@@ -7,9 +7,9 @@ contraction by the layer index l gives the layered pair sums
     C_l(s) = sum_{k=l}^{s-l} alpha_k alpha_{s-k},
 
 whose l = 0 row is a plain self-convolution and whose later rows follow from
-the endpoint recurrence C_{l+1}(s) = C_l(s) - 2 alpha_l alpha_{s-l}.  Both
-walks below carry one row C_l down the layers, updated in place, and never
-materialise C.
+the endpoint recurrence C_{l+1}(s) = C_l(s) - 2 alpha_l alpha_{s-l}.  The walk
+below carries one row C_l down the layers, updated in place, and never
+materialises C.
 
 The field contracts the running sums over the layers,
 
@@ -21,22 +21,14 @@ N x N upper-triangular table H[a, j] = D[a, a+j] (j >= a) in O(N^2), and
 
     (n+1) F_n = sum_{j>=n} H[n, j] conj(alpha_j) + sum_{j<n} conj(alpha_j) H[j, n].
 
-The energy needs no table: it is the sum of squares of the layers,
-
-    H = sum_l sum_s |C_l(s)|^2,
-
-and ``layer_square_sums`` returns it for every row of a stack of states in
-O(B N^2) time and O(B N) memory.  C_l agrees with C_0 at s >= N + l - 1,
-where every endpoint alpha_{s-m} (m < l) lies above N - 1, so each layer
-sums only its changed segment [2l, N + l - 1) and the unchanged tail of
-every layer is one weighted sum of |C_0|^2.
+The energy walks the same layers without a table (``observables.energy_fast``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["layer_cumulative_sums", "weighted_field", "layer_square_sums"]
+__all__ = ["layer_cumulative_sums", "weighted_field"]
 
 
 def layer_cumulative_sums(alpha: np.ndarray) -> np.ndarray:
@@ -64,32 +56,3 @@ def weighted_field(alpha: np.ndarray) -> np.ndarray:
     # j >= n, j < n, and the diagonal j = n counted once
     return table @ conj + conj @ table - table.diagonal() * conj
 
-
-def layer_square_sums(alpha: np.ndarray) -> np.ndarray:
-    """sum_l sum_s |C_l(s)|^2 of every row of alpha, shape (..., N) -> (...).
-
-    O(B N^2) time and O(B N) memory for B rows; each row's value depends on
-    that row alone, bit for bit.
-    """
-    from numpy import fft  # here, so that importing the package leaves numpy.fft unloaded
-
-    alpha = np.asarray(alpha, dtype=np.complex128)
-    n = alpha.shape[-1]
-    stack = alpha.reshape(-1, n)
-    # C_0 of every row from one transform, zero-padded to a power of two >= 2N - 1
-    spec = fft.fft(stack, 1 << (2 * n - 2).bit_length())
-    spec *= spec
-    row = fft.ifft(spec)[:, : 2 * n - 1]  # C_0, updated in place to C_l
-    parts = row.view(np.float64)  # (re, im) pairs: |z|^2 is a dot product
-    sums = np.empty((stack.shape[0], max(n - 1, 1)))
-    # layer 0 whole, plus the tail s >= N - 1 that layers 1 .. s - N + 1 share with it
-    weights = np.ones(parts.shape[1])
-    weights[2 * n - 2 :] = np.repeat(np.arange(1.0, n + 1), 2)
-    np.vecdot(parts, weights * parts, out=sums[:, 0])
-    twice = 2.0 * stack
-    for l in range(n - 2):
-        lo = 2 * (l + 1)
-        row[:, lo : n + l] -= twice[:, l, None] * stack[:, lo - l :]
-        changed = parts[:, 2 * lo : 2 * (n + l)]
-        np.vecdot(changed, changed, out=sums[:, l + 1])
-    return sums.sum(axis=-1).reshape(alpha.shape[:-1])

@@ -59,10 +59,6 @@ r x r block), the nonsymmetric eigenvalues of that block of P are computed,
 and the N - r eigenvalues L-_ii L+_ii / M_i^2 of the diagonal tail are
 appended in closed form.  For single mode 0 r is 0, for single modes 1 and 2
 it is 3 and 5.
-
-scipy.linalg is imported on first use, inside the functions that call it
-(``spectrum`` and the supersymmetric route), so that importing the package
-loads numpy only.
 """
 
 from __future__ import annotations
@@ -117,16 +113,19 @@ MAX_IDENTITY_ORDER = 64
 
 @dataclass
 class OperatorPair:
-    """Dense truncations of L+, L- with the diagonal weight M = diag(n+1)."""
+    """Dense truncations of L+, L-; the model's weight M = diag(n+1) follows from their order."""
 
     Lplus: np.ndarray
     Lminus: np.ndarray
-    M: np.ndarray  # diagonal entries (n+1)
     p: float | None  # ground-state parameter; None for a single-mode state
 
     @property
     def n_modes(self) -> int:
-        return self.M.size
+        return self.Lplus.shape[0]
+
+    @property
+    def M(self) -> np.ndarray:
+        return np.arange(1.0, self.n_modes + 1)
 
 
 @dataclass
@@ -145,10 +144,16 @@ class StabilityReport:
     solved: int
 
 
+def _check_order(n_modes: int) -> None:
+    if not isinstance(n_modes, (int, np.integer)) or n_modes < 1:
+        raise ValueError(f"n_modes must be an integer >= 1, got {n_modes!r}")
+
+
 def build_ground_ops(p: float, n_modes: int) -> OperatorPair:
     """L+-(p) truncated to n_modes; warns when p^{N/2} exceeds TAIL_TOL."""
     if not 0.0 <= p < 1.0:
         raise ValueError("p must lie in [0, 1)")
+    _check_order(n_modes)
     if p > 0.0 and p ** (n_modes / 2) > TAIL_TOL:
         import warnings
 
@@ -164,13 +169,14 @@ def build_ground_ops(p: float, n_modes: int) -> OperatorPair:
     coupling = np.outer(weighted, weighted)
     lminus = lplus - coupling
     lplus += coupling
-    return OperatorPair(lplus, lminus, m_diag, p)
+    return OperatorPair(lplus, lminus, p)
 
 
 def build_single_mode_ops(mode: int, c: float, n_modes: int) -> OperatorPair:
     """L+- for the single-mode state c delta_{n, mode}; requires N > 2 mode."""
     if mode < 0:
         raise ValueError("mode index must be nonnegative")
+    _check_order(n_modes)
     if n_modes <= 2 * mode:
         raise ValueError("truncation must exceed twice the mode index")
     n = np.arange(n_modes)
@@ -187,7 +193,7 @@ def build_single_mode_ops(mode: int, c: float, n_modes: int) -> OperatorPair:
         mat[i, 2 * mode - i] = scale * (sign * band)
         mat[mode, mode] = scale * (diagonal[mode] + sign * band[mode])
         pair.append(mat)
-    return OperatorPair(*pair, n + 1.0, None)
+    return OperatorPair(*pair, None)
 
 
 def _coupled_order(*mats: np.ndarray) -> int:
@@ -512,6 +518,8 @@ def ladder_check(ops: OperatorPair, m_max: int = 10) -> LadderReport:
     if ops.p is None:
         raise ValueError("ladder_check is defined for ground-state operators")
     p, n_modes = ops.p, ops.n_modes
+    if n_modes < 3:
+        raise ValueError(f"ladder_check needs n_modes >= 3, got {n_modes}")
     if not 1 <= m_max <= n_modes // 2:
         raise ValueError(f"m_max must lie in 1..N/2 = {n_modes // 2}, got {m_max}")
     ground = ground_amplitudes(p, n_modes)
@@ -544,14 +552,13 @@ def ladder_check(ops: OperatorPair, m_max: int = 10) -> LadderReport:
     rhs2 = np.concatenate([(l0_a + a)[1:], [0.0]])  # S* (2T - M + I) a
     res2 = np.linalg.norm(image[:, 2] - rhs2) / norm_a
 
+    # neither vanishes at N >= 3: S* v1 has entries -2p(1-p^2) and
+    # (1-p^2)(1-3p^2), A' has -2p and 1-3p^2 at n = 0, 1
     dground = ground_derivative(p, n_modes)
     star = np.concatenate([v1[1:], [0.0]])
-    if np.linalg.norm(star) == 0.0 or np.linalg.norm(dground) == 0.0:
-        angle = 0.0
-    else:
-        unit = dground / np.linalg.norm(dground)
-        rejection = star - (star @ unit) * unit
-        angle = float(np.arcsin(min(1.0, np.linalg.norm(rejection) / np.linalg.norm(star))))
+    unit = dground / np.linalg.norm(dground)
+    rejection = star - (star @ unit) * unit
+    angle = float(np.arcsin(min(1.0, np.linalg.norm(rejection) / np.linalg.norm(star))))
 
     vecs = block[:, 3:]
     eigen_res = np.linalg.norm(image[:, 3:] + np.arange(1, m_max + 1) * vecs, axis=0)
@@ -576,25 +583,25 @@ def mu_ladder(ops: OperatorPair, m_max: int) -> MuLadderReport:
     The closed forms are x = [-(1+p^2)/(1-p^2), 1] for m = 1 and
     [2(1+p^2+p^4)/(1-p^2)^2, -3(1+p^2)/(1-p^2), 1] for m = 2.
 
-    T = (L+ + L- + 2M)/4 is formed once and applied in two block products:
-    to the basis [A, M A, .., M^m_max A], then to the ladder vectors.
+    T = (L+ + L- + 2M)/4 is never formed: T X = (L+ X + L- X + 2 M X)/4 on the
+    basis X = [A, M A, .., M^m_max A], and the residuals read T v = (T X) x.
     """
     if ops.p is None:
         raise ValueError("mu_ladder is defined for ground-state operators")
     if m_max < 0:
         raise ValueError(f"m_max must be >= 0, got {m_max}")
     n_modes, m_diag = ops.n_modes, ops.M
-    # T = (L0 + M)/2 = (L+ + L- + 2M)/4, formed in place
-    t_mat = ops.Lplus + ops.Lminus
-    t_mat.flat[:: n_modes + 1] += 2.0 * m_diag
-    t_mat *= 0.25
     # column j is M^j A, j = 0 .. m_max + 1; the first m_max + 1 are the basis
     powers = np.empty((n_modes, m_max + 2))
     powers[:, 0] = ground_amplitudes(ops.p, n_modes)
     for j in range(1, m_max + 2):
         powers[:, j] = m_diag * powers[:, j - 1]
     basis = powers[:, :-1]
-    t_basis = t_mat @ basis
+    # T X = (L0 + M) X / 2 = (L+ X + L- X + 2 M X)/4, and M X is powers[:, 1:]
+    t_basis = ops.Lplus @ basis
+    t_basis += ops.Lminus @ basis
+    t_basis += 2.0 * powers[:, 1:]
+    t_basis *= 0.25
 
     mus = 1.0 / np.arange(1.0, m_max + 2)
     coeffs = np.identity(m_max + 1)  # column m: x of v^(m)
@@ -603,7 +610,7 @@ def mu_ladder(ops: OperatorPair, m_max: int) -> MuLadderReport:
         coeffs[:m, m], *_ = np.linalg.lstsq(cols[:, :m], -cols[:, m], rcond=None)
     vecs = basis @ coeffs
     weighted_vecs = m_diag[:, None] * vecs
-    residuals = np.linalg.norm(t_mat @ vecs - mus * weighted_vecs, axis=0)
+    residuals = np.linalg.norm(t_basis @ coeffs - mus * weighted_vecs, axis=0)
     residuals /= np.maximum(np.linalg.norm(weighted_vecs, axis=0), 1e-300)
     coeff_list = [coeffs[: m + 1, m].copy() for m in range(m_max + 1)]
     return MuLadderReport(mus, residuals, coeff_list)

@@ -2,10 +2,18 @@
 
 ``energy_naive`` is the trusted cubic-cost oracle taken straight from the
 quadruple-sum definition; ``energy_fast`` is the quadratic-cost production
-path, the sum of squares H = sum_l sum_s |C_l(s)|^2 of the layered pair
-sums, walked by ``kernel.layer_square_sums`` without the N x N table that
+path, the sum of squares H = sum_l sum_s |C_l(s)|^2 of the layered pair sums
+C_l(s) of ``kernel``, walked down the layers without the N x N table that
 the vector field contracts.  The two paths are kept independent so that
 every fast-path bug shows up as a disagreement.
+
+The walk takes C_0 of every state from one FFT and updates it in place by
+the endpoint recurrence C_{l+1}(s) = C_l(s) - 2 alpha_l alpha_{s-l}, in
+O(B N^2) time and O(B N) memory for B states, each value bitwise independent
+of the other states.  C_l agrees with C_0 at s >= N + l - 1, where every
+endpoint alpha_{s-m} (m < l) lies above N - 1, so each layer sums only its
+changed segment [2l, N + l - 1) and every layer's unchanged tail is one
+weighted sum of |C_0|^2.
 
 Every quantity but ``energy_naive`` and ``hankel_identity_check`` takes one
 state (and returns a float) or a stack of states along the last axis (and
@@ -15,8 +23,6 @@ returns an array, one value per state).
 from __future__ import annotations
 
 import numpy as np
-
-from .kernel import layer_square_sums
 
 __all__ = [
     "charge",
@@ -82,7 +88,28 @@ def energy_naive(alpha: np.ndarray) -> float:
 
 def energy_fast(alpha: np.ndarray) -> float | np.ndarray:
     """Quartic energy H = sum_l sum_s |C_l(s)|^2 by one table-free layer walk; O(N^2) a state."""
-    return _per_state(layer_square_sums(alpha))
+    from numpy import fft  # here, so that importing the package leaves numpy.fft unloaded
+
+    alpha = np.asarray(alpha, dtype=np.complex128)
+    n = alpha.shape[-1]
+    stack = alpha.reshape(-1, n)
+    # C_0 of every row from one transform, zero-padded to a power of two >= 2N - 1
+    spec = fft.fft(stack, 1 << (2 * n - 2).bit_length())
+    spec *= spec
+    row = fft.ifft(spec)[:, : 2 * n - 1]  # C_0, updated in place to C_l
+    parts = row.view(np.float64)  # (re, im) pairs: |z|^2 is a dot product
+    sums = np.empty((stack.shape[0], max(n - 1, 1)))
+    # layer 0 whole, plus the tail s >= N - 1 that layers 1 .. s - N + 1 share with it
+    weights = np.ones(parts.shape[1])
+    weights[2 * n - 2 :] = np.repeat(np.arange(1.0, n + 1), 2)
+    np.vecdot(parts, weights * parts, out=sums[:, 0])
+    twice = 2.0 * stack
+    for l in range(n - 2):
+        lo = 2 * (l + 1)
+        row[:, lo : n + l] -= twice[:, l, None] * stack[:, lo - l :]
+        changed = parts[:, 2 * lo : 2 * (n + l)]
+        np.vecdot(changed, changed, out=sums[:, l + 1])
+    return _per_state(sums.sum(axis=-1).reshape(alpha.shape[:-1]))
 
 
 def gap(alpha: np.ndarray) -> float | np.ndarray:

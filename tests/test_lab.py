@@ -409,6 +409,24 @@ def test_cli_spectrum_judges_the_ladder_numbers(field, tmp_path, monkeypatch, ca
     assert capsys.readouterr().err.strip().endswith(f"ground 0.3 {field}")
 
 
+@pytest.mark.parametrize(
+    ("changes", "name"),
+    [({"unstable": True}, "unstable"), ({"zero_geometric": 2}, "kernel"), ({"jordan_partners": 0}, "kernel")],
+)
+def test_cli_spectrum_judges_stability_and_kernel(changes, name, tmp_path, monkeypatch, capsys):
+    # an unstable ground report, or one with a wrong kernel structure, exits 3
+    # and is named
+    stability_spectrum = linearized.stability_spectrum
+
+    def corrupted(ops, count=None):
+        report = stability_spectrum(ops, count)
+        return replace(report, **changes) if ops.p == 0.3 else report
+
+    monkeypatch.setattr(linearized, "stability_spectrum", corrupted)
+    assert main(["spectrum", "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.strip().endswith(f"ground 0.3 {name}")
+
+
 @pytest.mark.parametrize(("m", "index"), [(1, 0), (2, 0), (2, 1)])
 def test_cli_spectrum_judges_the_mu_coefficients(m, index, tmp_path, monkeypatch, capsys):
     # the m = 1 and m = 2 coefficients of the mu-ladder are judged against
@@ -489,7 +507,7 @@ def test_cli_config_file_with_flag_override(tmp_path, capsys):
     assert code == 2
     bad = tmp_path / "bad.cfg"
     capsys.readouterr()
-    for text in ("unknown_key = 3\n", "n = abc\n", "seed = 1\nseed = 2\n", "t_end = 1\nt-end = 2\n"):
+    for text in ("unknown_key = 3\n", "n = abc\n", "seed = 1\nseed = 2\n", "t_end = 1\nt-end = 2\n", "n 24\n"):
         bad.write_text(text)
         assert main(["simulate", "--config", str(bad)]) == 2
         err = capsys.readouterr().err

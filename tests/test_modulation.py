@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conformalflow import modulation
 from conformalflow.flow import IntegratorConfig, integrate
 from conformalflow.modulation import (
     NoConvergence,
@@ -112,6 +113,33 @@ def test_decompose_rejects_far_state():
     alpha = 3.0 * ground_amplitudes(0.5, n_modes).astype(complex)
     with pytest.raises(NoConvergence):
         decompose(alpha, 0.5)
+
+
+def test_decompose_zero_state_has_singular_jacobian():
+    with pytest.raises(NoConvergence, match="singular root-map Jacobian"):
+        decompose(np.zeros(16, dtype=complex), 0.5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_decompose_non_finite_state(bad):
+    alpha = ground_amplitudes(0.5, 16).astype(complex)
+    alpha[3] = bad
+    with np.errstate(all="ignore"), pytest.raises(NoConvergence, match="non-finite Newton step"):
+        decompose(alpha, 0.5)
+
+
+def test_decompose_reports_the_iteration_cap(monkeypatch):
+    monkeypatch.setattr(modulation, "NEWTON_MAX_ITER", 1)
+    alpha = ground_amplitudes(0.5, 16) + perturbation(7, 16, 1e-3)
+    with pytest.raises(NoConvergence, match="no convergence after 1 iterations"):
+        decompose(alpha, 0.5)
+
+
+def test_track_modulation_names_the_failed_sample():
+    traj = integrate(ground_amplitudes(0.5, 16).astype(complex), IntegratorConfig(t_end=0.5, sample_dt=0.25))
+    traj.states[1] = 0.0
+    with pytest.raises(NoConvergence, match="tracking failed at sample 1"):
+        track_modulation(traj, 0.5)
 
 
 def test_orbit_distance_zero_on_orbit():

@@ -28,6 +28,13 @@ def test_gauge_preserves_moduli():
     np.testing.assert_allclose(twice, gauge_apply(alpha, 0.5, 0.6), rtol=1e-13)
 
 
+@pytest.mark.parametrize("p", [1.0, -0.1])
+def test_ground_family_refuses_p_outside(p):
+    for build in (ground_amplitudes, ground_derivative):
+        with pytest.raises(ValueError, match="ground-state parameter must lie in"):
+            build(p, 4)
+
+
 def test_ground_amplitudes_closed_form():
     ground = ground_amplitudes(0.5, 5)
     np.testing.assert_allclose(ground, 0.75 * 0.5 ** np.arange(5), rtol=1e-15)
