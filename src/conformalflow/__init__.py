@@ -2,7 +2,7 @@
 
 Modules
 -------
-kernel       N x N pair-sum table behind the fast vector field and its contraction
+kernel       the fast vector field's layered pair sums, walked and contracted in blocks
 state        states, the gauge action, ground-state family
 observables  H (its oracle and its table-free walk), Q, E, the gap, the Hankel identity
 flow         vector field (naive and fast), co-rotating DOP853 integration

@@ -4,9 +4,11 @@ The evolution equation is d alpha / dt = -i F(alpha) with
 
     [F(alpha)]_n = (1/(n+1)) sum_{j,k} S(n,j,k,n+j-k) conj(alpha_j) alpha_k alpha_{n+j-k}.
 
-``vector_field_fast`` evaluates F in O(N^2): it divides ``kernel.weighted_field``,
-the contraction of the N x N layer-cumulative pair-sum table H[a, j] = D[a, a+j],
-by n + 1.  ``vector_field_naive`` is the cubic oracle.
+``vector_field_fast`` evaluates F in O(N^2): it divides ``kernel.weighted_field``
+by n + 1, which walks the layered pair sums in blocks of ``kernel.SCAN_CHUNK``
+layers, one GEMM a block, and contracts each block of the layer-cumulative
+table H[a, j] = D[a, a+j] as it is made, so no N x N table is formed.
+``vector_field_naive`` is the cubic oracle.
 
 ``integrate`` runs one DOP853 stepper (Hairer-Norsett-Wanner, Solving ODEs I,
 II.10; ``_DOP853`` at the end of this module) straight to t_end in the

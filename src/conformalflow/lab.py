@@ -98,8 +98,8 @@ def random_state(seed: int, n_modes: int, q_normalize: float | None = None) -> n
     return alpha
 
 
-#: largest truncation N a run may ask for; at N = 4096 a field evaluation peaks at
-#: its N x N complex pair-sum table, 0.25 GiB, and each dense N x N operator takes 0.13 GiB
+#: largest truncation N a run may ask for; at N = 4096 each dense N x N operator
+#: takes 0.13 GiB, while a field evaluation's blocked walk peaks at about 5 MiB
 MAX_MODES = 4096
 #: largest perturbation size delta, the h^1 norm of the unit-charge ground state
 #: A(0).  Beyond it DOP853's step falls like 1/delta^2: at N = 8 a run to t = 1

@@ -144,8 +144,13 @@ class StabilityReport:
     solved: int
 
 
+def _is_integer(value) -> bool:
+    """An int or numpy integer, but not a bool, which would pass as 0 or 1."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_order(n_modes: int) -> None:
-    if not isinstance(n_modes, (int, np.integer)) or n_modes < 1:
+    if not _is_integer(n_modes) or n_modes < 1:
         raise ValueError(f"n_modes must be an integer >= 1, got {n_modes!r}")
 
 
@@ -174,8 +179,8 @@ def build_ground_ops(p: float, n_modes: int) -> OperatorPair:
 
 def build_single_mode_ops(mode: int, c: float, n_modes: int) -> OperatorPair:
     """L+- for the single-mode state c delta_{n, mode}; requires N > 2 mode."""
-    if mode < 0:
-        raise ValueError("mode index must be nonnegative")
+    if not _is_integer(mode) or mode < 0:
+        raise ValueError(f"mode index must be nonnegative and an integer, got {mode!r}")
     _check_order(n_modes)
     if n_modes <= 2 * mode:
         raise ValueError("truncation must exceed twice the mode index")
@@ -665,7 +670,7 @@ def appendix_identities(p: float, n_max: int) -> dict[str, float]:
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
-    if not isinstance(n_max, (int, np.integer)) or not 0 <= n_max <= MAX_IDENTITY_ORDER:
+    if not _is_integer(n_max) or not 0 <= n_max <= MAX_IDENTITY_ORDER:
         raise ValueError(f"n_max must be an integer in 0..{MAX_IDENTITY_ORDER}, got {n_max!r}")
     kmax = max(200, int(np.ceil(np.log(TAIL_EPS) / np.log(p))) + 2 * n_max + 4)
     if kmax > MAX_TAIL_TERMS:

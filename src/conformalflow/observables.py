@@ -3,8 +3,8 @@
 ``energy_naive`` is the trusted cubic-cost oracle taken straight from the
 quadruple-sum definition; ``energy_fast`` is the quadratic-cost production
 path, the sum of squares H = sum_l sum_s |C_l(s)|^2 of the layered pair sums
-C_l(s) of ``kernel``, walked down the layers without the N x N table that
-the vector field contracts.  The two paths are kept independent so that
+C_l(s) of ``kernel``, walked down the layers one at a time (the vector field
+walks them in blocks).  The two paths are kept independent so that
 every fast-path bug shows up as a disagreement.
 
 The walk takes C_0 of every state from one FFT and updates it in place by

@@ -1,13 +1,18 @@
-"""Layer-cumulative pair-sum table H[a, j] = D[a, a+j] against the brute-force
-definitions and the earlier formulation (layered table C, then a cumsum and a gather)."""
+"""The blocked layer walk behind the fast field: the layer-cumulative table
+H[a, j] = D[a, a+j], assembled from the walk's blocks, against the brute-force
+definitions and the earlier formulation (layered table C, then a cumsum and a
+gather); the field across block boundaries, its SU(1,1) equivariance beyond the
+cubic oracle's reach, and the walk's memory."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conformalflow.flow import vector_field_fast
-from conformalflow.kernel import layer_cumulative_sums
+from conformalflow.flow import vector_field_fast, vector_field_naive
+from conformalflow.kernel import SCAN_CHUNK, _layer_blocks, weighted_field
 from conformalflow.observables import energy_fast
 
 
@@ -64,16 +69,28 @@ def row_copy_build(alpha: np.ndarray) -> np.ndarray:
     return table
 
 
+def assembled_table(alpha: np.ndarray) -> np.ndarray:
+    """H assembled from the walk's blocks; each block is copied before the next is made."""
+    alpha = np.asarray(alpha, dtype=np.complex128)
+    n = alpha.size
+    table = np.full((n, n), np.nan, dtype=np.complex128)
+    for a0, block in _layer_blocks(alpha):
+        table[a0 : a0 + block.shape[0], a0:] = block
+    return np.triu(table)
+
+
 def random_state(seed: int, n: int) -> np.ndarray:
     rng = np.random.Generator(np.random.Philox(key=seed))
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
-@pytest.mark.parametrize("seed,n", [(0, 1), (1, 2), (2, 5), (3, 12), (4, 24)])
+@pytest.mark.parametrize(
+    "seed,n", [(0, 1), (1, 2), (2, 5), (3, 12), (4, 24), (5, SCAN_CHUNK + 2), (6, 2 * SCAN_CHUNK + 3)]
+)
 def test_table_matches_oracle(seed, n):
-    # includes the last column H[a, N-1], which the layer walk does not reach
+    # the whole table: row 0, the last column H[a, N-1] and the block boundaries
     alpha = random_state(seed, n)
-    got = layer_cumulative_sums(alpha)
+    got = assembled_table(alpha)
     want = cumulative_oracle(alpha)
     assert got.shape == want.shape == (n, n)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * max(1.0, np.max(np.abs(want))))
@@ -85,11 +102,11 @@ def test_table_equals_row_copy_build(n):
     alpha = random_state(40 + n, n)
     reference = shifted(np.cumsum(row_copy_build(alpha), axis=0))
     np.testing.assert_allclose(
-        layer_cumulative_sums(alpha), reference, rtol=0, atol=1e-13 * np.max(np.abs(reference))
+        assembled_table(alpha), reference, rtol=0, atol=1e-13 * np.max(np.abs(reference))
     )
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 48, 512])
+@pytest.mark.parametrize("n", [1, 2, 3, 48, 512, 1024])
 def test_field_equals_prefix_gather(n):
     # the earlier vector field: cumsum of C, gather D[min(n,j), n+j], contract
     alpha = random_state(60 + n, n)
@@ -112,21 +129,22 @@ def test_energy_matches_layer_square_sum(n):
 
 def test_row_zero_is_self_convolution():
     alpha = random_state(7, 9)
-    table = layer_cumulative_sums(alpha)
+    table = assembled_table(alpha)
     np.testing.assert_allclose(table[0], np.convolve(alpha, alpha)[:9], rtol=1e-14)
 
 
 def test_triangular_support():
-    table = layer_cumulative_sums(random_state(11, 8))
-    assert table.shape == (8, 8)
-    assert np.all(np.tril(table, -1) == 0.0)
+    # the walk zeroes each block's j < a corner
+    for n in (8, 2 * SCAN_CHUNK + 3):
+        for a0, block in _layer_blocks(random_state(11, n)):
+            assert np.all(np.tril(block, -1) == 0.0)
 
 
 def test_prefix_sums_are_cumulative():
     # D[a, s] - D[a-1, s] = C_a(s) on s >= 2a, i.e. H[a, j] - H[a-1, j+1] = C_a(a+j)
     alpha = random_state(5, 7)
     n = alpha.size
-    table = layer_cumulative_sums(alpha)
+    table = assembled_table(alpha)
     layers = pair_sums_oracle(alpha)
     for a in range(1, n):
         np.testing.assert_allclose(
@@ -141,6 +159,67 @@ def test_prefix_sums_are_cumulative():
 @given(st.integers(min_value=1, max_value=10), st.integers(min_value=0, max_value=2**31))
 def test_table_oracle_property(n, seed):
     alpha = random_state(seed, n)
-    got = layer_cumulative_sums(alpha)
+    got = assembled_table(alpha)
     want = cumulative_oracle(alpha)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * max(1.0, np.max(np.abs(want))))
+
+
+def block_boundary_sizes() -> list[int]:
+    # every N up to two full blocks and a short third, then N = b k +- 1 further out
+    far = {SCAN_CHUNK * k + d for k in (3, 4) for d in (-1, 1)}
+    return sorted(set(range(1, 2 * SCAN_CHUNK + 4)) | far)
+
+
+@pytest.mark.parametrize("n", block_boundary_sizes())
+def test_field_matches_naive_across_block_boundaries(n):
+    alpha = random_state(100 + n, n)
+    naive = vector_field_naive(alpha)
+    np.testing.assert_allclose(
+        vector_field_fast(alpha), naive, rtol=0, atol=1e-13 * np.max(np.abs(naive))
+    )
+
+
+def su11_generator(alpha: np.ndarray) -> np.ndarray:
+    """(X alpha)_n = -(i/2) (n alpha_{n-1} + (n+2) alpha_{n+1}), the raising plus lowering
+    generator of the SU(1,1) symmetry of the conformal flow (anti-Hermitian in the
+    weighted inner product sum (n+1) conj(u_n) v_n)."""
+    n = np.arange(alpha.size)
+    out = np.zeros_like(alpha)
+    out[1:] += n[1:] * alpha[:-1]
+    out[:-1] += (n[:-1] + 2) * alpha[1:]
+    return -0.5j * out
+
+
+@pytest.mark.parametrize("n", [128, 512, 1024])
+def test_field_is_su11_equivariant(n):
+    # F(exp(tX) alpha) = exp(tX) F(alpha) differentiated at t = 0: DF(alpha)[X alpha] = X F(alpha).
+    # F is cubic, F(alpha + v) = F(alpha) + DF[v] + (quadratic in v) + F(v), so
+    # DF[v] = (F(alpha + v) - F(alpha - v)) / 2 - F(v) exactly.  Support below N/3 keeps
+    # X alpha, F and X F inside the truncation, where the identity holds exactly;
+    # v = eps X alpha with |v| = |alpha| keeps the polarization well conditioned
+    rng = np.random.Generator(np.random.Philox(key=n))
+    support = -(-n // 3) - 1
+    alpha = np.zeros(n, dtype=np.complex128)
+    alpha[:support] = rng.standard_normal(support) + 1j * rng.standard_normal(support)
+    direction = su11_generator(alpha)
+    eps = np.linalg.norm(alpha) / np.linalg.norm(direction)
+    v = eps * direction
+    field = vector_field_fast
+    derivative = ((field(alpha + v) - field(alpha - v)) / 2 - field(v)) / eps
+    want = su11_generator(field(alpha))
+    np.testing.assert_allclose(derivative, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("n", [512, 2048])
+def test_walk_memory_is_blocks_not_a_table(n):
+    # O(SCAN_CHUNK N), about 0.7 MiB at N = 512, where the N x N table took 4 MiB
+    alpha = random_state(3, n)
+    weighted_field(alpha)
+    tracemalloc.start()
+    try:
+        weighted_field(alpha)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * (SCAN_CHUNK + 2) * n
+    assert peak < n * n * 16 / 4

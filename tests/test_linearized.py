@@ -684,6 +684,26 @@ def test_builders_refuse_degenerate_orders(n_modes):
             build()
 
 
+@pytest.mark.parametrize("n_modes", [True, False, np.True_])
+def test_builders_refuse_boolean_orders(n_modes):
+    # a bool is an int in Python; True must not pass as an order of 1
+    for build in (lambda: build_ground_ops(0.3, n_modes), lambda: build_single_mode_ops(0, 1.0, n_modes)):
+        with pytest.raises(ValueError, match="n_modes must be an integer >= 1"):
+            build()
+
+
+@pytest.mark.parametrize("mode", [1.5, 2.0, True, False, "1", None, -1])
+def test_single_mode_builder_refuses_non_integer_modes(mode):
+    with pytest.raises(ValueError, match=r"mode index must be nonnegative and an integer, got "):
+        build_single_mode_ops(mode, 1.0, 16)
+
+
+def test_single_mode_builder_accepts_numpy_integer_modes():
+    want = build_single_mode_ops(2, 1.0, 16)
+    got = build_single_mode_ops(np.int64(2), 1.0, 16)
+    assert np.array_equal(got.Lplus, want.Lplus) and np.array_equal(got.Lminus, want.Lminus)
+
+
 def test_builders_accept_the_smallest_orders():
     assert build_ground_ops(0.0, 1).Lplus.shape == (1, 1)
     assert build_single_mode_ops(0, 1.0, 1).Lminus.shape == (1, 1)
@@ -1147,7 +1167,7 @@ def test_appendix_identities_refuses_p_outside_the_open_interval(p):
         appendix_identities(p, 50)
 
 
-@pytest.mark.parametrize("n_max", [-1, 1.5, MAX_IDENTITY_ORDER + 1])
+@pytest.mark.parametrize("n_max", [-1, 1.5, MAX_IDENTITY_ORDER + 1, True])
 def test_appendix_identities_order_bound(n_max):
     # refused before any (n_max + 1) x kmax temporary is allocated
     tracemalloc.start()
