@@ -4,9 +4,9 @@ Modules
 -------
 kernel       the fast vector field's layered pair sums, walked and contracted in blocks
 state        states, the gauge action, ground-state family
-observables  H (its oracle and its table-free walk), Q, E, the gap, the Hankel identity
+observables  H (its oracle and its table-free walk), Q, E, the gap, the functional K
 flow         vector field (naive and fast), co-rotating DOP853 integration
-linearized   operators L+- with the weight M = diag(n+1), spectra, stability, ladders, coercivity
+linearized   operators L+- with the weight M = diag(n+1), spectra, stability, ladders, identities
 modulation   decomposition in the q-chart, orbit distance, tracking
 lab          seeded experiments, persistence, and the CLI entry point
 

@@ -7,31 +7,30 @@ coupling.  For the ground state A(p),
 
     L+- = L0 +- w w^T,   L0 = 2 T(p) - M,   w = M A(p),
 
-with T(p)_{nj} = p^{|n-j|} - p^{n+j+2} (``toeplitz_core``), M = diag(n+1), and
-L0 the ladder operator of ``ladder_check``; for a single-mode state L0 is
-diagonal and the coupling an anti-diagonal band.  This module builds the
-dense truncations and verifies the exactly-known spectra, the shift-operator
-ladder that locates the negative eigenvalues at the negative integers, the
-commutation relations, coercivity on the symplectically orthogonal subspace,
-and the closed-form summation identities these facts rest on.
+with T(p)_{nj} = p^{|n-j|} - p^{n+j+2}, M = diag(n+1), and L0 the ladder
+operator of ``ladder_check``; for a single-mode state L0 is diagonal and the
+coupling an anti-diagonal band.  This module builds the dense truncations and
+verifies the exactly-known spectra, the shift-operator ladder that locates
+the negative eigenvalues at the negative integers, the commutation
+relations, and the closed-form summation identities these facts rest on.
 
-``toeplitz_core`` evaluates the powers p^0 .. p^{2N} once and reads both of
-its terms as sliding windows of that table: raising p element-wise over the
+``_toeplitz_core`` evaluates the powers p^0 .. p^{2N} once and reads both
+terms of T as sliding windows of that table: raising p element-wise over the
 N x N exponent grids gives bitwise the same entries at several times the
 cost, most of it in underflowing powers.  L0 and then L+ are formed in place
 on that array and L- = L0 - w w^T beside it, bitwise equal to the sums of
 dense terms.
 
-Every symmetric eigenvalue the module returns, of L+-, of the stability
-problem and on the constrained subspace of ``coercivity``, comes from one
-route, ``spectrum(mat, count)``: the top ``count`` eigenvalues (all N by
-default) under a residual contract.  The eigenvectors behind the top decay
-like poly(n) p^n, so that top is first taken from a leading K x K block,
-K = max(64, 2 count + 2) doubling while K < N/2, under a certificate on the
-whole matrix (Kahan's residual bound, a Gershgorin bound, Haynsworth's
-inertia additivity and Weyl's inequality; ``_leading_top``), and from the
-whole matrix when no K certifies.  For L+ at p = 0.3 and N = 512 the top 12
-take about 1.5 ms against 20 ms for the whole solve (one BLAS thread).
+Every symmetric eigenvalue the module returns, of L+- and of the stability
+problem, comes from one route, ``spectrum(mat, count)``: the top ``count``
+eigenvalues (all N by default) under a residual contract.  The eigenvectors
+behind the top decay like poly(n) p^n, so that top is first taken from a
+leading K x K block, K = max(64, 2 count + 2) doubling while K < N/2, under
+a certificate on the whole matrix (Kahan's residual bound, a Gershgorin
+bound, Haynsworth's inertia additivity and Weyl's inequality;
+``_leading_top``), and from the whole matrix when no K certifies.  For L+ at
+p = 0.3 and N = 512 the top 12 take about 1.5 ms against 20 ms for the whole
+solve (one BLAS thread).
 
 The stability problem P = M^-1 L- M^-1 L+ is nonsymmetric, but the ground
 state's carries the paper's supersymmetric structure: with D = M^-1/2,
@@ -44,12 +43,21 @@ thus the top of the symmetric B, whose eigenvectors decay, and
 ``stability_spectrum`` takes them through ``spectrum``'s route.  It checks
 the structure, symmetry included, on the pair as given, in O(N^2), and a
 Bauer-Fike certificate on every call (``_supersymmetric_eigenvalues``); at
-N = 512 a block of order 64 certifies at p = 0 and 0.3 and one of order 128
-at p = 0.6, and B is solved whole at p >= 0.8, at N = 128 and when all N
-are asked for.  The same structure fixes ``coercivity``'s value: on the
-subspace {<MA, a> = <MA', a> = 0} the coupling vanishes, the subspace is the
-M-complement of the mu = 1 and mu = 1/2 eigenvectors, and the top
-h^{1/2} quotient is 2/3 - 1 = -1/3 for every p.
+N = 512 a block of order 64 certifies at p = 0.3 and one of order 128 at
+p = 0.6, and B is solved whole at p >= 0.8, at N = 128 and when all N are
+asked for.
+
+The same structure settles coercivity, so no function computes it.  On the
+constrained set {<MA, a> = <MA', a> = 0} the coupling w w^T a = MA <MA, a>
+vanishes, so both L+- act there as L0, and in the frame u = M^1/2 a the set
+is the complement of two eigenvectors of S0: v, with sigma = 1, which the
+stability route checks, and M^1/2 A', with sigma = 0, which follows from
+L+ A' = 0 (the suite's 3+1 kernel verdict) and <MA, A'> = 0.  The top
+h^1/2 quotient <L+- a, a> / <M a, a> there is thus the next eigenvalue
+sigma_3 of S0.  The suite certifies the top sigma^2 as {0, 0, 1/9, 1/4, ..};
+at each p > 0 ``mu_ladder`` certifies mu = 1/3, which is sigma = -1/3, so
+sigma_3 = -1/3 < 0.  At p = 0 the pair is diagonal and
+sigma_n = (1 - n)/(1 + n).
 
 Every other pair, and a ground pair whose structure or certificate fails,
 takes the general route, which computes all N and sorts and slices like the
@@ -57,8 +65,10 @@ first: ``_coupled_order`` reads the order r of the coupled block from the
 zero pattern (the smallest r with every off-diagonal nonzero in the leading
 r x r block), the nonsymmetric eigenvalues of that block of P are computed,
 and the N - r eigenvalues L-_ii L+_ii / M_i^2 of the diagonal tail are
-appended in closed form.  For single mode 0 r is 0, for single modes 1 and 2
-it is 3 and 5.
+appended in closed form.  The zero pattern is read first, and only a ground
+pair whose coupled block is the whole matrix tries the supersymmetric route:
+at p = 0 r is 0 and the tail is exact.  For single mode 0 r is 0, for single
+modes 1 and 2 it is 3 and 5.
 """
 
 from __future__ import annotations
@@ -78,10 +88,8 @@ __all__ = [
     "spectrum",
     "stability_spectrum",
     "commutators",
-    "toeplitz_core",
     "ladder_check",
     "mu_ladder",
-    "coercivity",
     "appendix_identities",
     "mode_energy_relation",
 ]
@@ -154,6 +162,18 @@ def _check_order(n_modes: int) -> None:
         raise ValueError(f"n_modes must be an integer >= 1, got {n_modes!r}")
 
 
+def _toeplitz_core(p: float, n_modes: int) -> np.ndarray:
+    """T(p) with entries p^{|n-j|} - p^{n+j+2}, read from one table of powers
+    (module docstring); ``build_ground_ops`` forms L0 = 2T - M on it."""
+    powers = p ** np.arange(2 * n_modes + 1.0)  # every exponent 0 .. 2N the entries use
+    # row n of each is a window of a power vector: p^{|n-j|} from the mirrored
+    # p^{N-1} .. p^1 p^0 p^1 .. p^{N-1} read backwards, p^{n+j+2} from p^2 .. p^{2N}
+    mirrored = np.concatenate((powers[n_modes - 1 : 0 : -1], powers[:n_modes]))
+    toeplitz = sliding_window_view(mirrored, n_modes)[::-1]
+    hankel = sliding_window_view(powers[2:], n_modes)
+    return toeplitz - hankel
+
+
 def build_ground_ops(p: float, n_modes: int) -> OperatorPair:
     """L+-(p) truncated to n_modes; warns when p^{N/2} exceeds TAIL_TOL."""
     if not 0.0 <= p < 1.0:
@@ -167,7 +187,7 @@ def build_ground_ops(p: float, n_modes: int) -> OperatorPair:
             stacklevel=2,
         )
     m_diag = np.arange(1.0, n_modes + 1)
-    lplus = toeplitz_core(p, n_modes)  # made L0 = 2T - M and then L+ in place
+    lplus = _toeplitz_core(p, n_modes)  # made L0 = 2T - M and then L+ in place
     lplus *= 2.0
     lplus.flat[:: n_modes + 1] -= m_diag
     weighted = m_diag * ground_amplitudes(p, n_modes)
@@ -314,12 +334,14 @@ def stability_spectrum(ops: OperatorPair, count: int | None = None) -> Stability
     Eigenvalues of P are Omega^2 = -Lambda^2.  ``p_eigenvalues`` holds the
     ``count`` lowest, zeros included, np.sort-ed (real part first), whichever
     route solved them; ``omegas`` the frequencies sqrt(Re) of the nonzero ones
-    among them, ascending.  A ground-state pair whose structure and certificate
-    hold takes the "supersymmetric" route (``_supersymmetric_eigenvalues``),
-    which computes min(max(count, 2), N) real values; any other pair takes the
-    "general" route, which computes all N (module docstring).  A negative real
-    part or a significant imaginary part among every value computed marks
-    instability (or truncation failure), also beyond the ``count`` returned.
+    among them, ascending.  A ground-state pair whose coupled block is the
+    whole matrix and whose structure and certificate hold takes the
+    "supersymmetric" route (``_supersymmetric_eigenvalues``), which computes
+    min(max(count, 2), N) real values; any other pair, the diagonal p = 0 pair
+    included, takes the "general" route, which computes all N (module
+    docstring).  A negative real part or a significant imaginary part among
+    every value computed marks instability (or truncation failure), also
+    beyond the ``count`` returned.
     ``reduction`` names the route and ``solved`` the order of the matrix whose
     eigenvalues were computed.  For the ground state the kernel structure
     (three eigenvectors, one Jordan partner) is verified explicitly on the
@@ -329,13 +351,14 @@ def stability_spectrum(ops: OperatorPair, count: int | None = None) -> Stability
         count = ops.n_modes
     elif not 1 <= count <= ops.n_modes:
         raise ValueError(f"count must lie in 1..{ops.n_modes}, got {count}")
-    found = None if ops.p is None else _supersymmetric_eigenvalues(ops, count)
+    solved = _coupled_order(ops.Lplus, ops.Lminus)
+    dense = ops.p is not None and solved == ops.n_modes
+    found = _supersymmetric_eigenvalues(ops, count) if dense else None
     if found is not None:
         reduction = "supersymmetric"
         vals, solved = found
     else:
         reduction = "general"
-        solved = _coupled_order(ops.Lplus, ops.Lminus)
         lplus, lminus = ops.Lplus[:solved, :solved], ops.Lminus[:solved, :solved]
         minv = 1.0 / ops.M[:solved]
         compose = (minv[:, None] * lminus) @ (minv[:, None] * lplus)
@@ -470,18 +493,6 @@ def commutators(ops: OperatorPair, inner: int) -> tuple[float, float]:
         block(lp[:inner], lp[:, :inner], lm[:inner], lm[:, :inner]),
         block(head * lp[:inner], left * lp[:, :inner], head * lm[:inner], left * lm[:, :inner]),
     )
-
-
-def toeplitz_core(p: float, n_modes: int) -> np.ndarray:
-    """T(p) with entries p^{|n-j|} - p^{n+j+2}; on the constrained subspace
-    B+- = 2T and the negative spectrum of L+- equals that of 2T - M."""
-    powers = p ** np.arange(2 * n_modes + 1.0)  # every exponent 0 .. 2N the entries use
-    # row n of each is a window of a power vector: p^{|n-j|} from the mirrored
-    # p^{N-1} .. p^1 p^0 p^1 .. p^{N-1} read backwards, p^{n+j+2} from p^2 .. p^{2N}
-    mirrored = np.concatenate((powers[n_modes - 1 : 0 : -1], powers[:n_modes]))
-    toeplitz = sliding_window_view(mirrored, n_modes)[::-1]
-    hankel = sliding_window_view(powers[2:], n_modes)
-    return toeplitz - hankel
 
 
 def _first_ladder_vector(p: float, n_modes: int) -> np.ndarray:
@@ -619,38 +630,6 @@ def mu_ladder(ops: OperatorPair, m_max: int) -> MuLadderReport:
     residuals /= np.maximum(np.linalg.norm(weighted_vecs, axis=0), 1e-300)
     coeff_list = [coeffs[: m + 1, m].copy() for m in range(m_max + 1)]
     return MuLadderReport(mus, residuals, coeff_list)
-
-
-def coercivity(ops: OperatorPair) -> tuple[float, float]:
-    """Largest h^{1/2}-Rayleigh quotients of L+- on the symplectically
-    orthogonal subspace {<MA, a> = <MA', a> = 0}; both must be negative, and
-    both are -1/3 (module docstring).
-
-    In the frame W^{1/2} a, W = diag(n+1), the subspace is the orthogonal
-    complement of span U, U the orthonormal QR factor of the two scaled
-    constraint vectors W^{-1/2} M A and W^{-1/2} M A'.  Each value is the top
-    eigenvalue of (I - U U^T) S (I - U U^T) - s U U^T, S = W^{-1/2} L W^{-1/2},
-    by ``spectrum(., 1)``: the shift s = ||S||_F + 1 > ||S||_2 puts the two
-    eigenvalues on span U below all others.  The matrix is the rank-four
-    update S - U Z^T - Z U^T, Z = S U - U (U^T S U)/2 + (s/2) U, so no N x N
-    product is formed.
-    """
-    if ops.p is None:
-        raise ValueError("coercivity is defined for ground-state operators")
-    n_modes = ops.n_modes
-    root = np.sqrt(ops.M)  # W^{1/2}, and W^{-1/2} M = W^{1/2}
-    constraints = np.stack([ground_amplitudes(ops.p, n_modes), ground_derivative(ops.p, n_modes)])
-    basis, _ = np.linalg.qr((root * constraints).T)
-    out = []
-    for mat in (ops.Lplus, ops.Lminus):
-        scaled = mat / root[:, None]
-        scaled /= root
-        image = scaled @ basis
-        shift = float(np.linalg.norm(scaled)) + 1.0
-        image += basis @ (0.5 * (shift * np.eye(2) - basis.T @ image))
-        scaled -= np.concatenate([basis, image], axis=1) @ np.concatenate([image, basis], axis=1).T
-        out.append(float(spectrum(scaled, 1)[0]))
-    return out[0], out[1]
 
 
 def appendix_identities(p: float, n_max: int) -> dict[str, float]:

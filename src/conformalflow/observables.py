@@ -15,9 +15,9 @@ endpoint alpha_{s-m} (m < l) lies above N - 1, so each layer sums only its
 changed segment [2l, N + l - 1) and every layer's unchanged tail is one
 weighted sum of |C_0|^2.
 
-Every quantity but ``energy_naive`` and ``hankel_identity_check`` takes one
-state (and returns a float) or a stack of states along the last axis (and
-returns an array, one value per state).
+Every quantity but ``energy_naive`` takes one state (and returns a float) or
+a stack of states along the last axis (and returns an array, one value per
+state).
 """
 
 from __future__ import annotations
@@ -31,11 +31,8 @@ __all__ = [
     "energy_fast",
     "gap",
     "functional_K",
-    "hankel_identity_check",
 ]
 
-#: hankel_identity_check rejects x with max |x - reversed x| above this times max(1, max |x|)
-PALINDROME_TOL = 1e-12
 #: energy_naive raises when its sum has an imaginary part above this times max(1, |H|)
 IMAG_TOL = 1e-12
 
@@ -121,39 +118,3 @@ def functional_K(alpha: np.ndarray, lam: float) -> float | np.ndarray:
     """K(alpha) = H(alpha)/2 - lambda Q(alpha); standing waves are its critical points."""
     return 0.5 * energy_fast(alpha) - lam * charge(alpha)
 
-
-def hankel_identity_check(x: np.ndarray) -> tuple[float, float]:
-    """Both sides of the quadratic-form identity behind the energy bound.
-
-    ``x`` has length n + 1 and must be palindromic, x_k = x_{n-k}.  The left
-    side is the full quadratic form
-
-        sum_k (k+1)(n+1-k) |x_k|^2 - sum_{j,k} [min(j, n-j, k, n-k) + 1] conj(x_j) x_k,
-
-    the right side the sum of squared differences over half indices,
-
-        4 sum_{j < k <= n//2} (j+1) w_k |x_j - x_k|^2,
-
-    with w_k = 1 except w_{n/2} = 1/2 when n is even (the middle entry is
-    self-paired).  Both sides vanish iff x is constant.
-    """
-    x = np.asarray(x, dtype=np.complex128)
-    n = x.size - 1
-    scale = max(1.0, float(np.max(np.abs(x)))) if x.size else 1.0
-    if np.max(np.abs(x - x[::-1])) > PALINDROME_TOL * scale:
-        raise ValueError("input is not palindromic")
-
-    k = np.arange(n + 1)
-    lhs_diag = float(np.sum((k + 1.0) * (n + 1.0 - k) * np.abs(x) ** 2))
-    depth = np.minimum(k, n - k)
-    coeff = np.minimum.outer(depth, depth) + 1.0
-    lhs_cross = np.real(np.conj(x) @ (coeff @ x))
-    lhs = lhs_diag - float(lhs_cross)
-
-    half = n // 2
-    rhs = 0.0
-    for j in range(half):
-        for kk in range(j + 1, half + 1):
-            w = 0.5 if (n % 2 == 0 and kk == half) else 1.0
-            rhs += 4.0 * (j + 1) * w * abs(x[j] - x[kk]) ** 2
-    return lhs, rhs

@@ -328,9 +328,12 @@ def test_cli_spectrum_reports_reduction(tmp_path, capsys):
     assert all(" solve" in line for line in lines)
     report = json.loads((tmp_path / "spectrum.json").read_text())
     assert report["n_modes"] == 128
-    assert {p: e["reduction"] for p, e in report["ground"].items()} == dict.fromkeys(
-        ("0.0", "0.3", "0.6"), "supersymmetric"
-    )
+    # the diagonal p = 0 pair takes the general route, like the single modes
+    assert {p: e["reduction"] for p, e in report["ground"].items()} == {
+        "0.0": "general",
+        "0.3": "supersymmetric",
+        "0.6": "supersymmetric",
+    }
     assert {m: e["reduction"] for m, e in report["single_mode"].items()} == dict.fromkeys(
         ("0", "1", "2"), "general"
     )
@@ -339,11 +342,12 @@ def test_cli_spectrum_reports_reduction(tmp_path, capsys):
 def test_cli_spectrum_reports_coupled_block(tmp_path, capsys):
     # the order of the matrix whose eigenvalues were computed, on each
     # stability line and entry: at N = 128 no leading block of B certifies, so
-    # it is solved whole, and the general route solves the single modes'
-    # coupled blocks; every entry counts its frequencies against the closed form
+    # it is solved whole, and the general route solves the coupled blocks of
+    # the diagonal p = 0 pair and the single modes; every entry counts its
+    # frequencies against the closed form
     assert main(["spectrum", "--n", "16", "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "spectrum.json").read_text())
-    assert {p: e["solved"] for p, e in report["ground"].items()} == dict.fromkeys(("0.0", "0.3", "0.6"), 128)
+    assert {p: e["solved"] for p, e in report["ground"].items()} == {"0.0": 0, "0.3": 128, "0.6": 128}
     assert {m: e["solved"] for m, e in report["single_mode"].items()} == {"0": 0, "1": 3, "2": 5}
     assert all("coupled" not in e for group in ("ground", "single_mode") for e in report[group].values())
     counts = {p: (e["count_got"], e["count_expected"]) for p, e in report["ground"].items()}
@@ -352,17 +356,19 @@ def test_cli_spectrum_reports_coupled_block(tmp_path, capsys):
     assert counts == {"0": (126, 126), "1": (125, 125), "2": (124, 124)}
     out = capsys.readouterr().out
     assert "coupled" not in out
-    assert out.count("(supersymmetric solve, solved 128)") == 3
+    assert out.count("(supersymmetric solve, solved 128)") == 2
+    assert "(general solve, solved 0)" in out
     assert "general solve, solved 0," in out
     assert "general solve, solved 5," in out
 
 
 def test_spectrum_suite_at_benchmark_size():
     # the suite at the benchmark's N = 512 meets every closed form, and its
-    # frequencies come from a certified leading block of B = M^-1/2 T M^-1/2
+    # frequencies at p > 0 come from a certified leading block of
+    # B = M^-1/2 T M^-1/2; the diagonal p = 0 pair has no coupled block
     report = run_spectrum_suite(512)
     assert _spectrum_failures(report) == []
-    assert {p: e["solved"] for p, e in report["ground"].items()} == {0.0: 64, 0.3: 64, 0.6: 128}
+    assert {p: e["solved"] for p, e in report["ground"].items()} == {0.0: 0, 0.3: 64, 0.6: 128}
     # ground and single-mode entries are judged alike on their frequency counts
     report["ground"][0.3]["count_got"] = 8
     report["single_mode"][1]["count_got"] = 10

@@ -15,17 +15,16 @@ from conformalflow.linearized import (
     OperatorPair,
     _coupled_order,
     _leading_top,
+    _toeplitz_core,
     appendix_identities,
     build_ground_ops,
     build_single_mode_ops,
-    coercivity,
     commutators,
     ladder_check,
     mode_energy_relation,
     mu_ladder,
     spectrum,
     stability_spectrum,
-    toeplitz_core,
 )
 from conformalflow.observables import functional_K
 from conformalflow.state import ground_amplitudes, ground_derivative
@@ -150,11 +149,9 @@ def test_spectrum_residual_contract(monkeypatch, capsys):
     # at N = 512 every leading block fails its residual, and the whole solve raises
     with pytest.raises(ArithmeticError, match="residual contract"):
         spectrum(build_ground_ops(0.3, 512).Lplus, 12)
-    # the whole stability solve and coercivity take the same route
+    # the whole stability solve takes the same route
     with pytest.raises(ArithmeticError, match="residual contract"):
         stability_spectrum(build_ground_ops(0.3, 128))
-    with pytest.raises(ArithmeticError, match="residual contract"):
-        coercivity(build_ground_ops(0.3, 128))
     assert main(["spectrum"]) == 3
     assert "numerical failure" in capsys.readouterr().err
 
@@ -257,11 +254,15 @@ SUITE_OPERATORS = {
 GENERAL_GROUND = {(0.3, 16), (0.6, 16), (0.8, 16), (0.9, 16), (0.9, 128)}
 
 
+def _ground_route(p, n_modes):
+    """The route stability_spectrum must take for the ground pair at p: the
+    diagonal p = 0 pair and the GENERAL_GROUND pairs take the general one."""
+    return "general" if p == 0.0 or (p, n_modes) in GENERAL_GROUND else "supersymmetric"
+
+
 def _route(name, n_modes):
     """The route stability_spectrum must take for a SUITE_OPERATORS entry."""
-    if name.startswith("mode"):
-        return "general"
-    return "general" if (float(name[7:]), n_modes) in GENERAL_GROUND else "supersymmetric"
+    return "general" if name.startswith("mode") else _ground_route(float(name[7:]), n_modes)
 
 
 def _oracle(ops):
@@ -302,7 +303,7 @@ def test_supersymmetric_route_matches_eigvals(p, n_modes):
     # against the closed forms where the truncation tail p^(N/2) is below
     # TAIL_TOL
     ops = build_ground_ops(p, n_modes)
-    route = "general" if (p, n_modes) in GENERAL_GROUND else "supersymmetric"
+    route = _ground_route(p, n_modes)
     want = _oracle(ops)
     for count in (9, None):
         report = stability_spectrum(ops, count)
@@ -453,6 +454,24 @@ def test_coupled_order_of_suite_operators(n_modes):
         # the coupled block
         route = _route(name, n_modes)
         assert stability_spectrum(ops).solved == (n_modes if route == "supersymmetric" else want), name
+
+
+@pytest.mark.parametrize("n_modes", [128, 512])
+def test_diagonal_ground_pair_takes_general_route(n_modes, monkeypatch):
+    # the p = 0 pair is diagonal, so its coupled order is 0 and the general
+    # route's closed-form tail holds Omega^2 = ((m-1)/(m+1))^2 exactly; the
+    # supersymmetric route is not tried.  A dense pair at p > 0 still takes it
+    assert stability_spectrum(build_ground_ops(0.3, n_modes), 11).reduction == "supersymmetric"
+
+    def refuse(*args):
+        raise AssertionError("a diagonal pair tried the supersymmetric route")
+
+    monkeypatch.setattr(linearized, "_supersymmetric_eigenvalues", refuse)
+    report = stability_spectrum(build_ground_ops(0.0, n_modes), 11)
+    assert (report.reduction, report.solved) == ("general", 0)
+    want = [0.0, 0.0] + [(m - 1) ** 2 / (m + 1) ** 2 for m in range(2, 11)]
+    assert np.array_equal(report.p_eigenvalues, want)
+    assert (report.zero_geometric, report.jordan_partners, report.unstable) == (3, 1, False)
 
 
 @pytest.mark.parametrize("n_modes", [128, 512])
@@ -823,7 +842,7 @@ def test_power_table_is_bitwise_elementwise_power(p, n_modes):
     ops = build_ground_ops(p, n_modes)
     assert np.array_equal(ops.Lplus, symmetric + np.outer(w, w))
     assert np.array_equal(ops.Lminus, symmetric - np.outer(w, w))
-    assert np.array_equal(toeplitz_core(p, n_modes), toeplitz - hankel)
+    assert np.array_equal(_toeplitz_core(p, n_modes), toeplitz - hankel)
 
 
 @pytest.mark.parametrize("n_modes", [8, 16, 128, 512])
@@ -843,7 +862,7 @@ def test_single_mode_assembly_is_bitwise_diag_construction(mode, n_modes):
 
 
 def test_toeplitz_core_entries():
-    t_mat = toeplitz_core(0.5, 6)
+    t_mat = _toeplitz_core(0.5, 6)
     assert t_mat[2, 4] == pytest.approx(0.5**2 - 0.5**8)
     np.testing.assert_allclose(t_mat, t_mat.T, atol=0)
 
@@ -1015,14 +1034,6 @@ def test_mu_ladder_block_matches_per_vector_reference():
     assert after[m_max] == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
-def test_coercivity_negative_on_constrained_subspace():
-    # both top quotients are 2 mu - 1 = -1/3 at mu = 1/3, whatever p
-    for p in (0.0, 0.3, 0.5, 0.6):
-        val_plus, val_minus = coercivity(build_ground_ops(p, 256))
-        assert val_plus == pytest.approx(-1.0 / 3.0, abs=1e-8)
-        assert val_minus == pytest.approx(-1.0 / 3.0, abs=1e-8)
-
-
 def test_solvability_inner_product():
     # L+ A = 2MA gives <L+^{-1} MA, MA> = <A, MA>/2 = Q(A)/2 = 1/2
     p, n_modes = 0.4, 200
@@ -1030,11 +1041,6 @@ def test_solvability_inner_product():
     weighted = ops.M * ground_amplitudes(p, n_modes)
     sol, *_ = np.linalg.lstsq(ops.Lplus, weighted, rcond=None)
     assert sol @ weighted == pytest.approx(0.5, abs=1e-9)
-
-
-def test_coercivity_requires_ground_state():
-    with pytest.raises(ValueError):
-        coercivity(build_single_mode_ops(0, 1.0, 16))
 
 
 def test_ladder_checks_require_ground_state():

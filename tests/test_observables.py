@@ -12,7 +12,6 @@ from conformalflow.observables import (
     energy_naive,
     functional_K,
     gap,
-    hankel_identity_check,
     higher_charge,
 )
 from conformalflow.state import ground_amplitudes
@@ -99,37 +98,6 @@ def test_energy_naive_raises_on_forced_imaginary(monkeypatch):
     monkeypatch.setattr(observables, "IMAG_TOL", 0.0)
     with pytest.raises(ArithmeticError):
         energy_naive(alpha)
-
-
-def test_hankel_identity_frozen():
-    lhs, rhs = hankel_identity_check(np.array([1.0, 0.0, 0.0, 1.0]))
-    assert lhs == pytest.approx(4.0)
-    assert rhs == pytest.approx(4.0)
-    lhs, rhs = hankel_identity_check(np.array([1.0, 1.0, 1.0]))
-    assert lhs == pytest.approx(0.0, abs=1e-13)
-    assert rhs == 0.0
-
-
-def test_hankel_identity_rejects_non_palindrome():
-    with pytest.raises(ValueError):
-        hankel_identity_check(np.array([1.0, 2.0, 3.0]))
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=9),
-    st.integers(min_value=0, max_value=2**31),
-)
-def test_hankel_identity_property(half_len, seed):
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    half = rng.standard_normal(half_len) + 1j * rng.standard_normal(half_len)
-    odd = bool(rng.integers(2))
-    middle = [] if odd else [rng.standard_normal() + 1j * rng.standard_normal()]
-    x = np.concatenate([half, middle, half[::-1]])
-    lhs, rhs = hankel_identity_check(x)
-    scale = max(1.0, abs(lhs), abs(rhs))
-    assert abs(lhs - rhs) <= 1e-11 * scale
-    assert rhs >= -1e-13
 
 
 @settings(max_examples=30, deadline=None)

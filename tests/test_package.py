@@ -66,6 +66,16 @@ def test_package_reexports_the_library_modules():
         assert stale == [], name
 
 
+def test_retired_names_are_off_the_surface():
+    # coercivity and hankel_identity_check are deleted, and toeplitz_core is
+    # private to build_ground_ops: none is a package attribute or in an __all__
+    retired = {"coercivity", "hankel_identity_check", "toeplitz_core"}
+    for name in MODULES:
+        module = importlib.import_module(f"conformalflow.{name}")
+        assert retired.isdisjoint(module.__all__), name
+    assert [attr for attr in retired if hasattr(conformalflow, attr)] == []
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_module_exceptions_are_arithmetic(name):
     # the CLI maps ArithmeticError to exit 3; any other exception class
