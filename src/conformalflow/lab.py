@@ -10,8 +10,9 @@ CLI subcommands: simulate | spectrum | inequality | decompose | drift-study
 command once, in ``_COMMANDS``, with the settings it reads: it accepts no other
 flag or config-file key, and ``<command> --help`` lists them.  Only the values
 given pass on, so the config dataclasses hold the only defaults.  Exit codes:
-0 success, 2 validation failure, 3 numerical failure (any ``ArithmeticError``,
-the base of ``FlowError`` and ``NoConvergence``) or a result past its bounds.
+0 success, 2 validation failure or an output file that cannot be written,
+3 numerical failure (any ``ArithmeticError``, the base of ``FlowError`` and
+``NoConvergence``) or a result past its bounds.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ class PerturbationSpec:
     """Seeded random perturbation with exact h^1 norm delta."""
 
     delta: float
-    zero_mode0: bool = False
 
     def __post_init__(self) -> None:
         _check_delta(self.delta)
@@ -74,11 +74,9 @@ def _uniform_disc(rng: np.random.Generator, size: int) -> np.ndarray:
 
 
 def generate_perturbation(spec: PerturbationSpec, seed: int, n_modes: int) -> np.ndarray:
-    """Deterministic perturbation: uniform complex disc per mode, optional
-    mode-0 suppression, exact h^1 normalization."""
+    """Deterministic perturbation: uniform complex disc per mode, exact h^1
+    normalization."""
     out = _uniform_disc(_rng(seed), n_modes)
-    if spec.zero_mode0:
-        out[0] = 0.0
     if spec.delta == 0.0:
         return np.zeros(n_modes, dtype=np.complex128)
     norm = weighted_norm(out, 1.0)
@@ -527,6 +525,9 @@ def main(argv: list[str] | None = None) -> int:
     except ArithmeticError as exc:  # FlowError, NoConvergence and the residual contracts
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # an output file that cannot be written
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 2
     if failed:
         print(f"{command} outside its bounds: {', '.join(failed)}", file=sys.stderr)
         return 3

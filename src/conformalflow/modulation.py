@@ -12,7 +12,9 @@ conditions of (a, b) = e^{-i mu n} r to M A(p) and M A'(p).  The four real
 unknowns (c, theta_orbit, Re q, Im q) are found by one Newton iteration that
 is regular at q = 0, where the second constraint reads r_1 = 0.  A frame
 stores p = |q| and mu = arg q, which is 0 at q = 0, and its theta in the
-decomposition convention theta = theta_orbit - mu.
+decomposition convention theta = theta_orbit - mu.  The constraints make its
+gauge the h^{1/2}-nearest point of the orbit of A(p), so ``orbit_distance``
+serves only the h^1 distance and the first frame's seed.
 """
 
 from __future__ import annotations
@@ -247,8 +249,8 @@ class ModulationTrack:
     p: np.ndarray
     theta: np.ndarray
     mu: np.ndarray
-    dist_h12: np.ndarray
-    dist_h1: np.ndarray
+    dist_h12: np.ndarray  # ||(c - 1) A(p) + a + i b||_{h^{1/2}}, read off the frame
+    dist_h1: np.ndarray  # orbit_distance(state, p, 1)
     constraint_residual: np.ndarray
     newton_iters: np.ndarray  # entries of each frame's residual_history
     energy_budget_error: np.ndarray  # E-expansion identity residual per sample
@@ -265,6 +267,16 @@ def track_modulation(traj: TrajectoryRecord, p_init: float) -> ModulationTrack:
     constraint residual and the higher-charge budget error
 
         c^2 (1+p^2)/(1-p^2) + ||Ma||^2 + ||Mb||^2 - E(alpha(0)).
+
+    The h^{1/2} distance is read off the frame.  With z = e^{-i(theta_orbit
+    + mu n)} alpha = c A(p) + a + i b, the theta- and mu-derivatives of
+    ||alpha - e^{i(theta + mu n)} A(p)||^2_{h^{1/2}} at the frame's gauge are
+    2 <MA, b> and 2 <M n A, b>, and M A' = M n A / p - 2p/(1 - p^2) M A, so
+    the constraints make both vanish (at p = 0, mu does not enter), and the
+    second theta-derivative 2 Re<MA, z> = 2c ||A||^2 > 0 makes it a minimum
+    along theta.  The distance
+    ||(c - 1) A(p) + a + i b|| is summed directly, not as the cancelling
+    1 + Q - 2c; the h^1 distance comes from ``orbit_distance``.
     """
     e_ref = traj.E[0]
     lam = traj.H[0] / traj.Q[0] if traj.Q[0] > 0 else 0.0
@@ -289,7 +301,8 @@ def track_modulation(traj: TrajectoryRecord, p_init: float) -> ModulationTrack:
             + np.sum((m_diag * frame.a) ** 2)
             + np.sum((m_diag * frame.b) ** 2)
         )
-        dists = [orbit_distance(state, frame.p, s).distance for s in (0.5, 1.0)]
+        offset = (frame.c - 1.0) * ground_amplitudes(frame.p, m_diag.size) + frame.a + 1j * frame.b
+        dists = (weighted_norm(offset, 0.5), orbit_distance(state, frame.p, 1.0).distance)
         residual = np.max(np.abs(frame.constraint_residuals()))
         rows.append((frame.c, frame.p, frame.theta, frame.mu, *dists, residual, e_model - e_ref))
     *columns, budget = np.array(rows).T

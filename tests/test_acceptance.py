@@ -272,7 +272,8 @@ def p0_distance_sandwich(alpha0: np.ndarray) -> tuple[float, float]:
 
 @pytest.fixture(scope="module")
 def p0_scaling_tracks():
-    """delta-scaling runs at p0 = 0, keyed by zero_mode0 (False: generic).
+    """delta-scaling runs at p0 = 0, keyed by restricted (False: generic; True:
+    the same disc draw with mode 0 set to zero, rescaled to h^1 norm delta).
 
     Each branch maps to (sup dist_h1 per delta, max |E-budget error|,
     min d^2/lo, max d^2/hi), the last two over every sample of every delta,
@@ -287,12 +288,16 @@ def p0_scaling_tracks():
     out = {}
     base = cf.ground_amplitudes(0.0, 48).astype(complex)
     cfg = cf.IntegratorConfig(t_end=TRACK_T_END, sample_dt=1.0)
-    for zero0 in (False, True):
+    for restricted in (False, True):
         sups, budgets, ratio_lo, ratio_hi = [], [], [], []
         for delta in P0_SCALING_DELTAS:
-            alpha0 = base + generate_perturbation(
-                PerturbationSpec(delta=delta, zero_mode0=zero0), 77, 48
-            )
+            if restricted:
+                draw = lab._uniform_disc(lab._rng(77), 48)
+                draw[0] = 0.0
+                pert = draw * (delta / cf.weighted_norm(draw, 1.0))
+            else:
+                pert = generate_perturbation(PerturbationSpec(delta=delta), 77, 48)
+            alpha0 = base + pert
             track = cf.track_modulation(cf.integrate(alpha0, cfg), 0.0)
             lo, hi = p0_distance_sandwich(alpha0)
             d2 = track.dist_h1**2
@@ -300,7 +305,7 @@ def p0_scaling_tracks():
             budgets.append(float(np.max(np.abs(track.energy_budget_error))))
             ratio_lo.append(float(np.min(d2)) / lo)
             ratio_hi.append(float(np.max(d2)) / hi)
-        out[zero0] = (np.array(sups), max(budgets), min(ratio_lo), max(ratio_hi))
+        out[restricted] = (np.array(sups), max(budgets), min(ratio_lo), max(ratio_hi))
     return out
 
 
@@ -330,8 +335,8 @@ def test_criterion_11a_delta_scaling(p0_scaling_tracks):
     """
     log_deltas = np.log(np.array(P0_SCALING_DELTAS))
     slopes, worst_lo, worst_hi = {}, np.inf, 0.0
-    for zero0, (sups, _, ratio_lo, ratio_hi) in p0_scaling_tracks.items():
-        slopes[zero0] = float(np.polyfit(log_deltas, np.log(sups), 1)[0])
+    for restricted, (sups, _, ratio_lo, ratio_hi) in p0_scaling_tracks.items():
+        slopes[restricted] = float(np.polyfit(log_deltas, np.log(sups), 1)[0])
         worst_lo = min(worst_lo, ratio_lo)
         worst_hi = max(worst_hi, ratio_hi)
     ok_slopes = all(abs(slope - 1.0) <= 0.15 for slope in slopes.values())
@@ -368,8 +373,8 @@ def test_criterion_11b_tracked_constants(ground_track):
 def test_criterion_11c_energy_budget(ground_track, p0_scaling_tracks):
     track, _ = ground_track
     worst = float(np.max(np.abs(track.energy_budget_error)))
-    for zero0 in (False, True):
-        worst = max(worst, p0_scaling_tracks[zero0][1])
+    for restricted in (False, True):
+        worst = max(worst, p0_scaling_tracks[restricted][1])
     ok = worst <= 1e-8
     report(11, "energy-budget (c)", ok, f"max E-budget error {worst:.2e}")
     assert ok

@@ -50,9 +50,6 @@ def test_perturbation_norm_and_support():
     pert = generate_perturbation(PerturbationSpec(delta=2.5e-4), 7, 32)
     assert weighted_norm(pert, 1.0) == pytest.approx(2.5e-4, rel=1e-12)
     assert np.all(pert != 0)
-    zeroed = generate_perturbation(PerturbationSpec(delta=1e-3, zero_mode0=True), 7, 32)
-    assert zeroed[0] == 0
-    assert weighted_norm(zeroed, 1.0) == pytest.approx(1e-3, rel=1e-12)
 
 
 def test_perturbation_validation():
@@ -64,7 +61,7 @@ def test_perturbation_validation():
         PerturbationSpec(delta=np.nextafter(MAX_DELTA, np.inf))
     assert PerturbationSpec(delta=MAX_DELTA).delta == MAX_DELTA
     with pytest.raises(ValueError, match="support is empty"):
-        generate_perturbation(PerturbationSpec(delta=1e-3, zero_mode0=True), 0, 1)
+        generate_perturbation(PerturbationSpec(delta=1e-3), 0, 0)
 
 
 def test_random_state_q_normalization():
@@ -302,6 +299,25 @@ def test_cli_validation_exit_two(capsys):
         err = capsys.readouterr().err
         assert "invalid configuration" in err, argv
         assert err.count("\n") == 1, argv
+
+
+@pytest.mark.parametrize(
+    "argv, written",
+    [
+        (["simulate", "--n", "8", "--t-end", "0.5"], "trajectory.csv"),
+        (["spectrum"], "spectrum.json"),
+        (["inequality"], "inequality.json"),
+        (["drift-study", "--n", "8", "--ensemble", "1", "--t-end", "0.5"], "summary.json"),
+    ],
+)
+def test_cli_unwritable_output_exit_two(argv, written, tmp_path, monkeypatch, capsys):
+    # a directory where the output file goes: one stderr line, no traceback
+    _small_scan(monkeypatch)
+    (tmp_path / written).mkdir()
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write output:") and written in err, argv
+    assert err.count("\n") == 1, argv
 
 
 def test_cli_simulate_takes_the_largest_seed(capsys):

@@ -313,3 +313,57 @@ def test_track_modulation_wide_sample_spacing(sample_dt):
     assert np.max(np.abs(track.p - p0)) <= 1e-3
     assert np.max(track.constraint_residual) <= 1e-10
     assert np.max(np.abs(track.energy_budget_error)) <= 1e-9
+
+
+def test_track_modulation_searches_the_gauge_once_per_sample(monkeypatch):
+    # dist_h12 is read off the frame: orbit_distance serves dist_h1 on every
+    # sample and the first frame's seed scan, nothing else
+    calls = []
+
+    def counted(alpha, p, s):
+        calls.append(s)
+        return orbit_distance(alpha, p, s)
+
+    n_modes, p0 = 32, 0.5
+    alpha0 = ground_amplitudes(p0, n_modes) + perturbation(65, n_modes, 1e-3)
+    traj = integrate(alpha0, IntegratorConfig(t_end=1.0, sample_dt=0.25))
+    monkeypatch.setattr(modulation, "orbit_distance", counted)
+    track_modulation(traj, p0)
+    assert calls == [0.0] + [1.0] * traj.times.size
+
+
+#: cells (p0, delta) of each N where the gauge search, not the frame, sets the
+#: gap: p(t) ~ 1e-7 leaves g = |h|^2 flat in mu to rounding, so the search
+#: misplaces mu and reads d^2 high by ~1e-16 (2e-8 relative at d ~ 5e-5)
+SEARCH_FLOOR_CELLS = {16: set(), 48: set(), 64: set(), 512: {(0.0, 1e-3)}}
+
+
+@pytest.mark.parametrize("n_modes", [16, 48, 64, 512])
+def test_track_dist_h12_is_the_orbit_optimum(n_modes):
+    # the frame's gauge is the h^{1/2} optimum: its distance matches the gauge
+    # search within 1e-12, or lies below it by no more than the search's
+    # rounding floor in d^2; where the tail of A(p0) is negligible it also
+    # matches the charge budget c^2 + R_{1/2} = Q, i.e. d^2 = 1 + Q - 2c
+    floor_cells = set()
+    for p0 in (0.0, 0.005, 0.5, 0.9):
+        for delta in (1e-3, 0.1):
+            alpha0 = ground_amplitudes(p0, n_modes) + perturbation(66, n_modes, delta)
+            traj = integrate(alpha0, IntegratorConfig(t_end=1.0, sample_dt=0.25))
+            track = track_modulation(traj, p0)
+            oracle = np.array(
+                [orbit_distance(s, p, 0.5).distance for s, p in zip(traj.states, track.p)]
+            )
+            # the frame's value is a distance at one gauge, an upper bound on the optimum
+            direct = [
+                weighted_norm(s - gauge_apply(ground_amplitudes(p, n_modes), th + mu, mu), 0.5)
+                for s, p, th, mu in zip(traj.states, track.p, track.theta, track.mu)
+            ]
+            np.testing.assert_allclose(track.dist_h12, direct, rtol=1e-12, atol=0)
+            if np.max(np.abs(track.dist_h12 - oracle) / oracle) > 1e-12:
+                floor_cells.add((p0, delta))
+                assert np.all(track.dist_h12 < oracle)
+                assert np.max(oracle**2 - track.dist_h12**2) <= 1e-15
+            if p0**n_modes <= 1e-15:
+                budget = track.dist_h12**2 - (1.0 + traj.Q - 2.0 * track.c)
+                assert np.max(np.abs(budget)) <= 5e-13
+    assert floor_cells == SEARCH_FLOOR_CELLS[n_modes]
