@@ -16,9 +16,9 @@ caps and seeds are upper-case module-level names; the residual contract and
 kernel verdicts of ``linearized`` and the verdicts of ``lab``'s commands stay
 inline.
 
-Importing the package loads numpy and nothing else.  scipy is imported on
-first use, ``scipy.linalg`` by the dense solves of ``linearized``; integrating
-loads no scipy, because ``flow`` steps its own numpy port of DOP853.
+The package runs on numpy alone: importing it loads numpy and nothing else,
+``linearized``'s eigen-solves go through ``numpy.linalg``, and ``flow`` steps
+its own numpy port of DOP853.  No command imports any other package.
 """
 
 # each module's __all__ is the package surface

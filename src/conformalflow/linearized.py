@@ -28,9 +28,12 @@ behind the top decay like poly(n) p^n, so that top is first taken from a
 leading K x K block, K = max(64, 2 count + 2) doubling while K < N/2, under
 a certificate on the whole matrix (Kahan's residual bound, a Gershgorin
 bound, Haynsworth's inertia additivity and Weyl's inequality;
-``_leading_top``), and from the whole matrix when no K certifies.  For L+ at
-p = 0.3 and N = 512 the top 12 take about 1.5 ms against 20 ms for the whole
-solve (one BLAS thread).
+``_leading_top``), and from the whole matrix when no K certifies.  Each solve
+is one ``numpy.linalg.eigh`` of the block or matrix, whose top ``count`` (and
+next) columns are kept.  For L+ at p = 0.3 and N = 512 the top 12 take about
+0.8 ms from a block of order 64; solved whole (p >= 0.8, or a matrix without
+decay) they take about 45 ms at N = 512 and 0.30 s at N = 1024, since eigh
+computes every eigenpair (one BLAS thread).
 
 The stability problem P = M^-1 L- M^-1 L+ is nonsymmetric, but the ground
 state's carries the paper's supersymmetric structure: with D = M^-1/2,
@@ -73,6 +76,7 @@ modes 1 and 2 it is 3 and 5.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -257,8 +261,6 @@ def spectrum(mat: np.ndarray, count: int | None = None) -> np.ndarray:
 def _top_block(mat: np.ndarray, count: int | None) -> tuple[np.ndarray, int]:
     """``spectrum(mat, count)`` and the order of the block it solved: the
     certified leading K, or N for the whole matrix."""
-    import scipy.linalg
-
     n_modes = mat.shape[0]
     if count is None:
         count = n_modes
@@ -267,9 +269,9 @@ def _top_block(mat: np.ndarray, count: int | None) -> tuple[np.ndarray, int]:
     found = _leading_top(mat, count)
     if found is not None:
         return found
-    # a symmetric matrix is its own transpose, which is Fortran-ordered when the
-    # matrix is C-ordered: LAPACK then reads it without a transposing copy
-    vals, vecs = scipy.linalg.eigh(mat.T, subset_by_index=[n_modes - count, n_modes - 1])
+    # eigh returns all N ascending; the top count are its last columns
+    vals, vecs = np.linalg.eigh(mat)
+    vals, vecs = vals[n_modes - count :], vecs[:, n_modes - count :]
     residuals = np.linalg.norm(mat @ vecs - vecs * vals, axis=0)
     if np.any(residuals > _residual_bound(vals)):
         raise ArithmeticError("eigendecomposition residual contract violated")
@@ -302,13 +304,13 @@ def _leading_top(mat: np.ndarray, count: int) -> tuple[np.ndarray, int] | None:
     ones above sigma.  References: Parlett, The Symmetric Eigenvalue Problem,
     11-5 (Kahan); Haynsworth, Linear Algebra Appl. 1 (1968) 73.
     """
-    import scipy.linalg
-
     order = mat.shape[0]
     size = max(_LEADING_MIN, 2 * count + 2)
     while size < order // 2:
-        vals, vecs = scipy.linalg.eigh(mat[:size, :size], subset_by_index=[size - count - 1, size - 1])
-        # eigh returns count + 1 ascending: the top count, descending, and the next below
+        vals, vecs = np.linalg.eigh(mat[:size, :size])
+        vals, vecs = vals[size - count - 1 :], vecs[:, size - count - 1 :]
+        # the last count + 1 of eigh's ascending output: the top count,
+        # descending, and the next below
         top, vecs, below = vals[:0:-1], vecs[:, :0:-1], vals[0]
         bound = _residual_bound(top)
         residual = mat[:, :size] @ vecs
@@ -425,16 +427,14 @@ def _supersymmetric_eigenvalues(ops: OperatorPair, count: int) -> tuple[np.ndarr
     discs about the returned values are apart from the others, and by
     continuity they hold exactly k eigenvalues of P, the lowest.
     """
-    import scipy.linalg
-
     n_modes = ops.n_modes
     half = 1.0 / np.sqrt(ops.M)
     weighted = ops.M * ground_amplitudes(ops.p, n_modes)
     v = half * weighted
-    # 2F = L+ - L- - 2 w w^T, the rank-one update in place through the
-    # Fortran-ordered transpose
+    # 2F = L+ - L- - 2 w w^T, the rank-one update in place over 64-row blocks
     mat = np.subtract(ops.Lplus, ops.Lminus)
-    scipy.linalg.blas.dger(-2.0, weighted, weighted, a=mat.T, overwrite_a=1)
+    for i in range(0, n_modes, 64):
+        mat[i : i + 64] -= np.outer(2.0 * weighted[i : i + 64], weighted)
     coupling = 0.5 * float(np.linalg.norm(mat))
     # B = D (L+ + L-) D / 4 + I / 2, in the same buffer
     np.add(ops.Lplus, ops.Lminus, out=mat)
@@ -645,7 +645,7 @@ def appendix_identities(p: float, n_max: int) -> dict[str, float]:
     Keys: geometric_sum, geometric_weighted, kernel_row_le, kernel_row_ge,
     kernel_total, folded_sum, folded_weighted.  kernel_total is the largest
     absolute error of an exact integer identity, which does not depend on p,
-    so it must be 0.
+    so it must be 0; it is summed once per n_max (``_kernel_total_error``).
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
@@ -684,21 +684,13 @@ def appendix_identities(p: float, n_max: int) -> dict[str, float]:
     # k >= k0 = max(0, j-n).  At k = k0 + t the term is (min(n, j, t) + 1)
     # p^{|n-j|+2t}: each row starts at p^{|n-j|} and falls by p^2 a term, so
     # span terms reach p^2 TAIL_EPS of its first.  One pass per n = m over the
-    # (j, t) grid, and over the (j, k) grid of the exact integer identity
-    # sum_{k=0}^{m+j} (min(m, k, m+j-k) + 1) = (1+j)(1+m) for j >= m, its
-    # summand clipped at 0 past k = m + j
+    # (j, t) grid
     span = int(np.ceil(np.log(TAIL_EPS) / np.log(q))) + 2
     t = np.arange(span)
-    k = np.arange(2 * n_max + 1, dtype=np.int32)
-    rows = col.astype(np.int32)
     direct = np.empty((n_max + 1, n_max + 1))  # [m, j]
-    total_err = np.empty(n_max + 1, dtype=np.int64)
     for m in range(n_max + 1):
         coeff = np.minimum(np.minimum(m, col), t) + 1.0
         direct[m] = np.sum(coeff * powers[np.abs(m - col) + 2 * t], axis=1)
-        j = rows[m:]
-        totals = np.sum(np.maximum(np.minimum(m, np.minimum(k, m + j - k)) + 1, 0), axis=1)
-        total_err[m] = np.max(np.abs(totals - (1 + j[:, 0]) * (1 + m)))
     closed = (powers[np.abs(col - n)] - powers[2 + col + n]) / (1.0 - q) ** 2
     kernel_rel = rel(np.abs(direct - closed), closed)
 
@@ -707,10 +699,29 @@ def appendix_identities(p: float, n_max: int) -> dict[str, float]:
         "geometric_weighted": float(np.max(geometric_weighted)),
         "kernel_row_le": float(np.max(kernel_rel[np.tril_indices(n_max + 1)])),
         "kernel_row_ge": float(np.max(kernel_rel[np.triu_indices(n_max + 1)])),
-        "kernel_total": float(np.max(total_err)),
+        "kernel_total": float(_kernel_total_error(n_max)),
         "folded_sum": float(np.max(folded_sum)),
         "folded_weighted": float(np.max(folded_weighted)),
     }
+
+
+@functools.cache
+def _kernel_total_error(n_max: int) -> int:
+    """Largest absolute error of the exact integer identity
+    sum_{k=0}^{m+j} (min(m, k, m+j-k) + 1) = (1+j)(1+m) over 0 <= m <= j <= n_max.
+
+    It does not depend on p, so each n_max is summed once (the cache holds at
+    most MAX_IDENTITY_ORDER + 1 integers).  One pass per m over the (j, k)
+    grid, the summand clipped at 0 past k = m + j.
+    """
+    k = np.arange(2 * n_max + 1, dtype=np.int32)
+    rows = np.arange(n_max + 1, dtype=np.int32)[:, None]
+    worst = 0
+    for m in range(n_max + 1):
+        j = rows[m:]
+        totals = np.sum(np.maximum(np.minimum(m, np.minimum(k, m + j - k)) + 1, 0), axis=1)
+        worst = max(worst, int(np.max(np.abs(totals - (1 + j[:, 0]) * (1 + m)))))
+    return worst
 
 
 def mode_energy_relation(p: float) -> dict[str, float]:

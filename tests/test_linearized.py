@@ -137,13 +137,13 @@ def test_spectrum_subset_matches_full_solve(p, n_modes):
 def test_spectrum_residual_contract(monkeypatch, capsys):
     # eigenvalues shifted off their eigenvectors break the contract, and the
     # CLI reports it as a numerical failure
-    eigh = scipy.linalg.eigh
+    eigh = np.linalg.eigh
 
     def shifted(*args, **kwargs):
         vals, vecs = eigh(*args, **kwargs)
         return vals + 1e-3, vecs
 
-    monkeypatch.setattr(scipy.linalg, "eigh", shifted)
+    monkeypatch.setattr(np.linalg, "eigh", shifted)
     with pytest.raises(ArithmeticError, match="residual contract"):
         spectrum(build_ground_ops(0.3, 128).Lplus)
     # at N = 512 every leading block fails its residual, and the whole solve raises
@@ -205,13 +205,13 @@ def test_leading_block_sizes(order, monkeypatch):
     # power-of-two order, and also 128 for the order-510 reduced matrix of the
     # stability problem at N = 512
     tried = []
-    eigh = scipy.linalg.eigh
+    eigh = np.linalg.eigh
 
     def spy(mat, *args, **kwargs):
         tried.append(mat.shape[0])
         return eigh(mat, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eigh", spy)
+    monkeypatch.setattr(np.linalg, "eigh", spy)
     rng = np.random.Generator(np.random.Philox(key=order))
     dense = rng.standard_normal((order, order))
     # without decay no block passes its residual, so every size is tried
@@ -403,6 +403,22 @@ def test_asymmetric_pair_falls_back():
         report = stability_spectrum(bent, count)
         assert report.reduction == "general"
         _assert_matches_eigvals(report, bent)
+
+
+def test_supersymmetric_update_forms_no_second_square_array():
+    # 2F = L+ - L- - 2 w w^T is updated in place over 64-row blocks of the one
+    # N x N buffer (2 MiB at N = 512); with the Gershgorin sums of the trailing
+    # block the peak is 3.7 MiB, and a whole outer(w, w) beside the buffer
+    # would pass 4
+    ops = build_ground_ops(0.3, 512)
+    tracemalloc.start()
+    try:
+        found = linearized._supersymmetric_eigenvalues(ops, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found is not None
+    assert peak < 2 * 512 * 512 * 8
 
 
 def test_stability_margin_refuses_planted_coupling():
@@ -1184,6 +1200,16 @@ def test_appendix_identities_order_bound(n_max):
     finally:
         tracemalloc.stop()
     assert peak < 2**16
+
+
+def test_kernel_total_is_summed_once_per_order():
+    # the exact integer identity does not depend on p: a second p at the same
+    # n_max reads its error from the cache
+    linearized._kernel_total_error.cache_clear()
+    assert appendix_identities(0.3, 20)["kernel_total"] == 0.0
+    assert appendix_identities(0.6, 20)["kernel_total"] == 0.0
+    info = linearized._kernel_total_error.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
 
 
 def test_mode_energy_relation():
