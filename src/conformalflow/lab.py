@@ -5,11 +5,11 @@ determines every ensemble member, independent of execution order.  CSV is
 the canonical output format for series; one JSON writer serves the reports
 (metadata.json, spectrum.json, inequality.json, summary.json).
 
-CLI subcommands: simulate | spectrum | inequality | decompose | drift-study
-| verify-identities.  Each setting is declared once, in ``_SETTINGS``, and each
-command once, in ``_COMMANDS``, with the settings it reads: it accepts no other
-flag or config-file key, and ``<command> --help`` lists them.  Only the values
-given pass on, so the config dataclasses hold the only defaults.  Exit codes:
+CLI subcommands: simulate | spectrum | inequality | decompose | drift-study.
+Settings are flags only.  Each is declared once, in ``_SETTINGS``, and each
+command once, in ``_COMMANDS``, with the flags it reads: it accepts no other
+flag, and ``<command> --help`` lists them.  Only the flags given pass on, so
+the config dataclasses hold the only defaults.  Exit codes:
 0 success, 2 validation failure or an output file that cannot be written,
 3 numerical failure (any ``ArithmeticError``, the base of ``FlowError`` and
 ``NoConvergence``) or a result past its bounds.
@@ -196,8 +196,8 @@ _LADDER_FIELDS = (
     "v1_residual",
     "v1_shift_angle",
 )
-#: appendix identities and the mode-energy relation (worst 4.9e-16 and
-#: 1.6e-16); verify-identities applies it too
+#: appendix identities and the mode-energy relation, at every p > 0 of
+#: SPECTRUM_P_GRID (worst 4.9e-16 and 1.6e-16)
 IDENTITY_TOL = 1e-12
 
 
@@ -283,27 +283,19 @@ def _spectrum_failures(report: dict) -> list[str]:
     for p, entry in report["ground"].items():
         if (entry["zero_geometric"], entry["jordan_partners"]) != (3, 1):
             failed.append(f"ground {p} kernel")
+    # the largest appendix error, and the largest of the mode-energy relation's
+    # |orthogonality| and two relative errors; np.max, unlike max, returns NaN
+    # wherever a NaN sits
     for p, entry in report["identities"].items():
-        failed += _identity_failures({p: entry["appendix"]}, {p: entry["mode_energy"]})
+        relation = entry["mode_energy"]
+        errors = {
+            "appendix": np.max(list(entry["appendix"].values())),
+            "mode_energy": np.max(
+                [abs(relation["orthogonality"]), relation["inner_rel_err"], relation["series_rel_err"]]
+            ),
+        }
+        failed += [f"identities {p} {name}" for name, err in errors.items() if not err <= IDENTITY_TOL]
     return failed
-
-
-def _identity_failures(appendix: dict, mode_energy: dict) -> list[str]:
-    """Names of the identities past IDENTITY_TOL, from ``appendix_identities``
-    and ``mode_energy_relation`` results keyed by p.
-
-    The mode-energy relation is judged by |orthogonality| and its two relative
-    errors.  np.max, unlike max, returns NaN wherever a NaN sits, and "not <="
-    fails a NaN.
-    """
-    errors = {f"{p} appendix": np.max(list(entry.values())) for p, entry in appendix.items()}
-    errors |= {
-        f"{p} mode_energy": np.max(
-            [abs(entry["orthogonality"]), entry["inner_rel_err"], entry["series_rel_err"]]
-        )
-        for p, entry in mode_energy.items()
-    }
-    return [f"identities {name}" for name, err in errors.items() if not err <= IDENTITY_TOL]
 
 
 def _mu_coefficient_error(p: float, coefficients: list[np.ndarray]) -> float:
@@ -439,8 +431,7 @@ def _write_json(path: Path, payload: dict) -> None:
 # ------------------------------------------------------------------------ CLI
 
 
-#: every CLI setting, once: flag (also the config-file key, with "-" or "_")
-#: -> (ExperimentConfig or IntegratorConfig field, type)
+#: every CLI setting, once: flag -> (ExperimentConfig or IntegratorConfig field, type)
 _SETTINGS = {
     "n": ("n_modes", int),
     "p0": ("p0", float),
@@ -459,30 +450,7 @@ _COMMANDS = {
     "inequality": ("seed", "out"),
     "decompose": ("n", "p0", "delta", "seed"),
     "drift-study": tuple(_SETTINGS),
-    "verify-identities": (),
 }
-
-
-def _read_config_file(path: str, reads: tuple[str, ...]) -> dict:
-    """Config fields from ``key = value`` lines, converted as the flags are."""
-    values = {}
-    for raw in Path(path).read_text().splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"bad config line: {raw!r}")
-        key, _, text = (part.strip() for part in line.partition("="))
-        if (flag := key.replace("_", "-")) not in reads:
-            raise ValueError(f"config key not read by this command: {key}")
-        name, kind = _SETTINGS[flag]
-        if name in values:
-            raise ValueError(f"config setting given twice: {key}")
-        try:
-            values[name] = kind(text)
-        except ValueError:
-            raise ValueError(f"bad config value: {raw!r}") from None
-    return values
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -493,7 +461,6 @@ def _build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
     for command, reads in _COMMANDS.items():
         sub = commands.add_parser(command)
-        sub.add_argument("--config", help="key = value config file")
         for flag in reads:
             # a flag not given sets nothing, so the dataclass default holds; the
             # metavar is derived from the flag, as argparse does without a dest
@@ -507,10 +474,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     given = vars(_build_parser().parse_args(argv))
-    command, config = given.pop("command"), given.pop("config")
+    command = given.pop("command")
     try:
-        # flags override the config file
-        given = {**(_read_config_file(config, _COMMANDS[command]) if config else {}), **given}
         run = {f.name: given.pop(f.name) for f in fields(IntegratorConfig) if f.name in given}
         integrator = IntegratorConfig(**run)
         cfg = ExperimentConfig(kind=command, integrator=integrator, **given)
@@ -597,16 +562,6 @@ def _dispatch(cfg: ExperimentConfig) -> list[str]:
             f"min_p={ens['min_p']:.6g} max_p_drop={ens['max_p_drop']:.3e} "
             f"theorem_ratio={ens['max_theorem_ratio']:.3g}"
         )
-    elif cfg.kind == "verify-identities":
-        appendix = {p: linearized.appendix_identities(p, 50) for p in (0.3, 0.5, 0.7)}
-        for p, errors in appendix.items():
-            print(f"p={p}: max relative error {np.max(list(errors.values())):.3e}")
-        relation = linearized.mode_energy_relation(0.5)
-        print(
-            f"mode-energy relation at p=0.5: inner rel err {relation['inner_rel_err']:.3e}, "
-            f"orthogonality {relation['orthogonality']:.3e}"
-        )
-        return _identity_failures(appendix, {0.5: relation})
     return []
 
 

@@ -319,7 +319,9 @@ def _leading_top(mat: np.ndarray, count: int) -> tuple[np.ndarray, int] | None:
             sigma = 0.5 * (top[-1] + below)
             tail = mat[size:, size:]
             diagonal = np.diagonal(tail)
-            off = np.sum(np.abs(tail), axis=1) - np.abs(diagonal)
+            # row sums of |tail| over 64-row blocks: no (N - K)^2 temporary
+            rows = [np.sum(np.abs(tail[i : i + 64]), axis=1) for i in range(0, len(tail), 64)]
+            off = np.concatenate(rows) - np.abs(diagonal)
             gamma = float(np.min(sigma - diagonal - off))
             if gamma > 0.0:
                 eps = np.linalg.norm(mat[:size, size:]) ** 2 / gamma

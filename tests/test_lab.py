@@ -223,13 +223,7 @@ def test_trajectory_and_track_csv(tmp_path):
     assert [row[-2] for row in trows[1:]] == want
 
 
-def test_cli_verify_identities_exit_zero(capsys):
-    assert main(["verify-identities"]) == 0
-    out = capsys.readouterr().out
-    assert "max relative error" in out
-
-
-def test_cli_verify_identities_exits_three_on_nan(monkeypatch, capsys):
+def test_cli_spectrum_exits_three_on_identity_nan(monkeypatch, capsys):
     # a NaN in the last key: Python's max(0.0, nan) is 0.0 and would pass it
     identities = lab.linearized.appendix_identities
 
@@ -237,22 +231,23 @@ def test_cli_verify_identities_exits_three_on_nan(monkeypatch, capsys):
         return {**identities(p, n_max), "folded_weighted": float("nan")}
 
     monkeypatch.setattr(lab.linearized, "appendix_identities", last_key_nan)
-    assert main(["verify-identities"]) == 3
-    assert capsys.readouterr().err.count("\n") == 1
+    assert main(["spectrum", "--n", "128"]) == 3
+    err = capsys.readouterr().err
+    assert err == "spectrum outside its bounds: identities 0.3 appendix, identities 0.6 appendix\n"
 
 
-def test_cli_verify_identities_judges_mode_energy_relation(monkeypatch, capsys):
-    # the relation the command prints is part of its verdict, by the rule the
-    # spectrum suite applies: |orthogonality| and both relative errors
+def test_cli_spectrum_judges_mode_energy_relation(monkeypatch, capsys):
+    # the relation is judged by |orthogonality| and both relative errors, at
+    # every p > 0 of the grid
     relation = lab.linearized.mode_energy_relation
 
     def broken(p):
         return {**relation(p), "inner_rel_err": float("nan"), "orthogonality": 1.0}
 
     monkeypatch.setattr(lab.linearized, "mode_energy_relation", broken)
-    assert main(["verify-identities"]) == 3
+    assert main(["spectrum", "--n", "128"]) == 3
     err = capsys.readouterr().err
-    assert err == "verify-identities outside its bounds: identities 0.5 mode_energy\n"
+    assert err == "spectrum outside its bounds: identities 0.3 mode_energy, identities 0.6 mode_energy\n"
 
 
 @pytest.mark.parametrize(
@@ -520,27 +515,11 @@ def test_cli_drift_study_small_p0(capsys):
     assert abs(float(fields["max_p_drop"])) <= 5 * delta
 
 
-def test_cli_config_file_with_flag_override(tmp_path, capsys):
-    config = tmp_path / "run.cfg"
-    config.write_text("n = 24\np0 = 0.3\ndelta = 1e-4\nt-end = 1\n# comment\n")
-    code = main(["simulate", "--config", str(config), "--p0", "0.35"])
-    assert code == 0
-    code = main(["simulate", "--config", str(tmp_path / "missing.cfg")])
-    assert code == 2
-    bad = tmp_path / "bad.cfg"
-    capsys.readouterr()
-    for text in ("unknown_key = 3\n", "n = abc\n", "seed = 1\nseed = 2\n", "t_end = 1\nt-end = 2\n", "n 24\n"):
-        bad.write_text(text)
-        assert main(["simulate", "--config", str(bad)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("invalid configuration: ") and err.count("\n") == 1, text
-
-
 def test_cli_entry_point_installed():
     # the module runs as a program, from an uninstalled checkout too, and
     # every command's --help exits 0
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    for args in (["verify-identities"], *([command, "--help"] for command in lab._COMMANDS)):
+    for args in (["decompose", "--n", "16"], *([command, "--help"] for command in lab._COMMANDS)):
         proc = subprocess.run(
             [sys.executable, "-W", "error", "-m", "conformalflow.lab", *args],
             capture_output=True,
@@ -552,23 +531,44 @@ def test_cli_entry_point_installed():
 
 @pytest.mark.parametrize("flag", lab._SETTINGS)
 @pytest.mark.parametrize("command", lab._COMMANDS)
-def test_cli_accepts_only_the_settings_a_command_reads(command, flag, tmp_path, capsys):
-    # a flag or config key the command does not read exits 2, as a bad value does
-    reads = lab._COMMANDS[command]
+def test_cli_accepts_only_the_settings_a_command_reads(command, flag):
+    # a flag the command does not read exits 2, as a bad value does
     name, kind = lab._SETTINGS[flag]
-    config = tmp_path / "run.cfg"
-    config.write_text(f"{flag} = 1\n")
-    if flag in reads:
+    if flag in lab._COMMANDS[command]:
         given = vars(lab._build_parser().parse_args([command, f"--{flag}", "1"]))
         assert given[name] == kind("1")
-        assert lab._read_config_file(str(config), reads) == {name: kind("1")}
         return
     with pytest.raises(SystemExit) as exc:
         main([command, f"--{flag}", "1"])
     assert exc.value.code == 2
-    assert main([command, "--config", str(config)]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert err[-1] == f"invalid configuration: config key not read by this command: {flag}"
+
+
+def test_cli_refuses_the_deleted_command_and_config(tmp_path, capsys):
+    # settings are flags only and the identities are judged by spectrum: the
+    # verify-identities command, alone or with any flag, and --config FILE on
+    # every command end in argparse's usage message with exit 2
+    config = tmp_path / "run.cfg"
+    config.write_text("n = 16\n")
+    argvs = [["verify-identities"], *(["verify-identities", f"--{flag}", "1"] for flag in lab._SETTINGS)]
+    argvs += [[command, "--config", str(config)] for command in lab._COMMANDS]
+    for argv in argvs:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert capsys.readouterr().err.startswith("usage: conformalflow"), argv
+
+
+def test_readme_cli_examples_parse():
+    # every command line of the README's CLI example block parses, so the
+    # docs name no deleted command or flag
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## CLI\n")[1].split("```sh\n")[1].split("```")[0]
+    lines = [line.split() for line in block.splitlines()]
+    assert len(lines) == len(lab._COMMANDS)
+    parser = lab._build_parser()
+    for program, *argv in lines:
+        assert program == "conformalflow"
+        parser.parse_args(argv)
 
 
 def test_readme_command_table_matches_the_cli():
@@ -603,17 +603,9 @@ def test_cli_drift_study_exits_three_when_every_member_fails(tmp_path, monkeypat
     assert capsys.readouterr().err == "drift-study outside its bounds: n_failed\n"
 
 
-def test_cli_config_file_matches_flags(tmp_path):
-    # all eight settings from a file, spelt with "-" and "_", give the
-    # configuration the same flags give
+def test_cli_flags_set_the_configuration(tmp_path):
+    # all eight settings, given as flags, reach summary.json's configuration
     out = tmp_path / "run"
-    config = tmp_path / "run.cfg"
-    config.write_text(
-        "n = 24\np0 = 0.3\ndelta = 1e-4\nseed = 5\nt-end = 1\nrel_tol = 1e-9\n"
-        f"ensemble = 3\nout = {out}\n"
-    )
-    assert main(["drift-study", "--config", str(config)]) == 0
-    from_file = json.loads((out / "summary.json").read_text())["config"]
     flags = [
         "--n", "24",
         "--p0", "0.3",
@@ -625,11 +617,10 @@ def test_cli_config_file_matches_flags(tmp_path):
         "--out", str(out),
     ]  # fmt: skip
     assert main(["drift-study", *flags]) == 0
-    from_flags = json.loads((out / "summary.json").read_text())["config"]
-    assert from_file == from_flags
-    assert from_flags["integrator"] == {"rel_tol": 1e-9, "t_end": 1.0, "sample_dt": 0.5}
-    assert (from_flags["n_modes"], from_flags["seed"], from_flags["ensemble"]) == (24, 5, 3)
-    assert from_flags["out_dir"] == str(out)
+    config = json.loads((out / "summary.json").read_text())["config"]
+    assert config["integrator"] == {"rel_tol": 1e-9, "t_end": 1.0, "sample_dt": 0.5}
+    assert (config["n_modes"], config["p0"], config["delta"]) == (24, 0.3, 1e-4)
+    assert (config["seed"], config["ensemble"], config["out_dir"]) == (5, 3, str(out))
 
 
 def test_cli_unwritable_out_exit_two(tmp_path, capsys):
@@ -643,8 +634,5 @@ def test_cli_unwritable_out_exit_two(tmp_path, capsys):
 
 def test_cli_empty_out_writes_nothing(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    config = tmp_path / "run.cfg"
-    config.write_text("n = 16\nt-end = 0.5\nout =\n")
-    assert main(["simulate", "--config", str(config)]) == 0
     assert main(["simulate", "--n", "16", "--t-end", "0.5", "--out", ""]) == 0
-    assert [path.name for path in tmp_path.iterdir()] == ["run.cfg"]
+    assert list(tmp_path.iterdir()) == []

@@ -219,6 +219,21 @@ def test_leading_block_sizes(order, monkeypatch):
     assert tried == {128: [], 510: [64, 128], 512: [64, 128], 1024: [64, 128, 256]}[order]
 
 
+@pytest.mark.parametrize("p", [0.3, 0.6])
+def test_leading_block_forms_no_square_temporary(p):
+    # the Gershgorin sums of the trailing block go over 64-row blocks of it, so
+    # a certified top stays below half an N x N float64 array (1 MiB at N = 512)
+    mat = build_ground_ops(p, 512).Lplus
+    tracemalloc.start()
+    try:
+        _, solved = linearized._top_block(mat, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert solved < 512
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize("p", [0.0, 0.3, 0.6])
 def test_ground_stability_frequencies(p):
     ops = build_ground_ops(p, 128)
@@ -407,9 +422,8 @@ def test_asymmetric_pair_falls_back():
 
 def test_supersymmetric_update_forms_no_second_square_array():
     # 2F = L+ - L- - 2 w w^T is updated in place over 64-row blocks of the one
-    # N x N buffer (2 MiB at N = 512); with the Gershgorin sums of the trailing
-    # block the peak is 3.7 MiB, and a whole outer(w, w) beside the buffer
-    # would pass 4
+    # N x N buffer (2 MiB at N = 512); the peak is 2.6 MiB, and a whole
+    # outer(w, w) beside the buffer would pass 4
     ops = build_ground_ops(0.3, 512)
     tracemalloc.start()
     try:

@@ -30,8 +30,10 @@ loaded = {"import": scipy_modules()}
 loaded["import numpy.fft"] = sorted(m for m in sys.modules if m.startswith("numpy.fft"))
 from conformalflow.lab import main
 with contextlib.redirect_stdout(io.StringIO()):
-    codes = [main(["verify-identities"])]
-    loaded["verify-identities"] = scipy_modules()
+    codes = [main(["decompose", "--n", "16"])]
+    loaded["decompose"] = scipy_modules()
+    codes.append(main(["inequality", "--out", sys.argv[1]]))
+    loaded["inequality"] = scipy_modules()
     out = os.path.join(sys.argv[1], "simulate")
     codes.append(main(["simulate", "--n", "8", "--t-end", "0.5", "--out", out]))
     loaded["simulate"] = scipy_modules()
@@ -90,10 +92,10 @@ def test_module_exceptions_are_arithmetic(name):
 
 
 def test_cold_start_imports_scipy_only_where_used(tmp_path):
-    # a fresh interpreter: the import, verify-identities, the integrating
-    # commands simulate and drift-study, and spectrum, whose eigen-solves go
-    # through numpy.linalg, load no scipy; the import loads no numpy.fft
-    # either, which only the energy walk uses
+    # a fresh interpreter: the import and every command (decompose,
+    # inequality, the integrating simulate and drift-study, and spectrum,
+    # whose eigen-solves go through numpy.linalg) load no scipy; the import
+    # loads no numpy.fft either, which only the energy walk uses
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-c", _COLD_START, str(tmp_path)],
@@ -103,11 +105,12 @@ def test_cold_start_imports_scipy_only_where_used(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert result["codes"] == [0, 0, 0, 0]
+    assert result["codes"] == [0, 0, 0, 0, 0]
     loaded = result["loaded"]
     assert loaded["import"] == []
     assert loaded["import numpy.fft"] == []
-    assert loaded["verify-identities"] == []
+    assert loaded["decompose"] == []
+    assert loaded["inequality"] == []
     assert loaded["simulate"] == []
     assert loaded["drift-study"] == []
     assert loaded["spectrum"] == []
