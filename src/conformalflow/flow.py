@@ -12,8 +12,8 @@ table H[a, j] = D[a, a+j] as it is made, so no N x N table is formed.
 
 ``integrate`` runs one DOP853 stepper (Hairer-Norsett-Wanner, Solving ODEs I,
 II.10; ``_DOP853`` at the end of this module) straight to t_end in the
-co-rotating frame
-beta = exp(i lambda t) alpha, lambda = H(alpha_0)/Q(alpha_0), where
+co-rotating frame beta = exp(i lambda t) alpha, lambda = H(alpha_0)/Q(alpha_0),
+where
 
     d beta / dt = -i (F(beta) - lambda beta)
 
@@ -24,6 +24,9 @@ off the orbit.  Samples inside a step come from the stepper's dense output, a
 sample on a step end is the step's state, and each is mapped back exactly by
 alpha = exp(-i lambda t) beta.
 
+One field evaluation at alpha_0 serves twice: it gives H(alpha_0) =
+Re <alpha_0, (n+1) F(alpha_0)> and so lambda, and the stepper's first
+derivative f_0 = rhs(alpha_0), formed the same way and so bitwise the same.
 At every step end ``integrate`` checks the O(N) conserved charges Q and E
 (equal in both frames) against their initial values and raises ``FlowError``
 past ``CONSERVATION_TOL``; after the run it takes H, Q and E of all samples
@@ -169,12 +172,17 @@ def integrate(alpha0: np.ndarray, cfg: IntegratorConfig) -> TrajectoryRecord:
     if not np.all(np.isfinite(y.view(np.float64))):
         raise FlowError("initial state contains NaN/Inf")
     n_modes = y.size
-    energy0, charge0, higher0 = energy_fast(y), charge(y), higher_charge(y)
+    # the stepper's first field evaluation gives H = Re<alpha, (n+1) F(alpha)> too
+    field0 = weighted_field(y)
+    energy0, charge0, higher0 = np.vdot(y, field0).real, charge(y), higher_charge(y)
     # the zero state has no frequency; any lambda leaves it fixed
     lam = energy0 / charge0 if charge0 > 0 else 0.0
 
     def rhs(beta: np.ndarray) -> np.ndarray:
         return -1j * (vector_field_fast(beta) - lam * beta)
+
+    # rhs(y), bitwise: vector_field_fast divides weighted_field the same way
+    f0 = -1j * (field0 / np.arange(1, n_modes + 1, dtype=np.float64) - lam * y)
 
     n_samples = int(round(cfg.t_end / cfg.sample_dt))
     times = [0.0] + [min((i + 1) * cfg.sample_dt, cfg.t_end) for i in range(n_samples)]
@@ -186,7 +194,7 @@ def integrate(alpha0: np.ndarray, cfg: IntegratorConfig) -> TrajectoryRecord:
     h_min, h_max = math.inf, 0.0
     oracle_errs = []
     with np.errstate(over="ignore", invalid="ignore"):
-        solver = _DOP853(rhs, y, cfg.t_end, cfg.rel_tol)
+        solver = _DOP853(rhs, y, f0, cfg.t_end, cfg.rel_tol)
         while solver.t < cfg.t_end:
             solver.step()
             h = float(solver.h)
@@ -337,18 +345,19 @@ def _rms(x: np.ndarray) -> float:
 
 
 class _DOP853:
-    """DOP853 from t = 0 towards t_bound for the autonomous field fun(y).
+    """DOP853 from t = 0 towards t_bound for the autonomous field fun(y),
+    given f = fun(y) at the start.
 
     ``step`` takes one accepted step and raises FlowError when none can be
     taken; ``t``, ``y`` and ``h`` are the step's end, state and size.  The
     counters are the accepted steps, the rejected attempts and the field
-    evaluations, dense output included.
+    evaluations, the caller's f and the dense output included.
     """
 
-    def __init__(self, fun, y: np.ndarray, t_bound: float, rtol: float) -> None:
+    def __init__(self, fun, y: np.ndarray, f: np.ndarray, t_bound: float, rtol: float) -> None:
         self.fun, self.t_bound, self.rtol = fun, t_bound, rtol
-        self.accepted = self.rejected = self.nfev = 0
-        self.t, self.y, self.f = 0.0, y, self._eval(y)
+        self.accepted, self.rejected, self.nfev = 0, 0, 1  # nfev counts the caller's f
+        self.t, self.y, self.f = 0.0, y, f
         self.K = np.empty((16, y.size), dtype=y.dtype)
         # the first step (Hairer I, II.4) for an error estimate of order 7
         scale = ABS_TOL + np.abs(y) * rtol

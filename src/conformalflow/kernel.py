@@ -35,6 +35,12 @@ width; its j < a corner is zeroed and the block is contracted at once, so
 the walk holds O(SCAN_CHUNK N) numbers and makes a fixed number of numpy
 calls a block.
 
+Weight row k is zero past column k + 2, so a full block at least
+``_SPLIT_MIN_WIDTH`` wide makes its rows k < b/2 in a second GEMM from the
+first b/2 + 2 stacked rows alone: a quarter fewer flops for one more numpy
+call, which pays only on wide blocks.  Dropping exact zeros from the sums
+leaves every value bitwise the same.
+
 The energy walks the same layers one at a time (``observables.energy_fast``).
 """
 
@@ -52,6 +58,14 @@ __all__ = ["weighted_field"]
 #: N = 1024.  Larger blocks cost GEMM flops, smaller ones numpy calls.  The
 #: walk holds about 0.7 MiB at N = 512 and 5 MiB at N = 4096
 SCAN_CHUNK = 32
+#: the narrowest full block whose rows k < SCAN_CHUNK / 2 come from a second
+#: GEMM on the first SCAN_CHUNK / 2 + 2 stacked rows, chosen by measurement
+#: (BENCH_36.json, one BLAS thread, ms a weighted_field call against the
+#: unsplit walk, interleaved): split at every width, N = 48 and 128 read 2-4 %
+#: slower and N = 256 1 %, as the extra matmul call costs more than the flops
+#: it saves; from width 256 on, N <= 224 never splits, N = 256 and 384 move by
+#: under 1.2 %, and N = 512 and 1024 gain 7-8 % and 11 %
+_SPLIT_MIN_WIDTH = 256
 
 
 @cache  # made on first use: importing the package does no numpy work here
@@ -118,8 +132,18 @@ def _layer_blocks(alpha: np.ndarray):
         np.multiply(scale, c0[reached:hi], out=stacked[0:2, kept:width])
         # in a short last block the final row is unused, but gives the view room
         made = result[: (rows + 1) * width].reshape(rows + 1, width)
+        # on a wide full block, rows k < b/2 skip the zero weights past column b/2 + 1
+        half = b // 2 if rows == b and width >= _SPLIT_MIN_WIDTH else 0
+        if half:
+            np.matmul(
+                weights[:half, : half + 2],
+                stacked[: half + 2].view(np.float64),
+                out=made[:half].view(np.float64),
+            )
         np.matmul(
-            weights[: rows + 1, : rows + 2], stacked.view(np.float64), out=made.view(np.float64)
+            weights[half : rows + 1, : rows + 2],
+            stacked.view(np.float64),
+            out=made[half:].view(np.float64),
         )
         carries, reached = made[rows - 1 :], hi
         # H[a0+k, a0+j'] = D_{a0+k}(lo + k + j') = made[k, k + j']

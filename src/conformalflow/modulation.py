@@ -13,8 +13,9 @@ unknowns (c, theta_orbit, Re q, Im q) are found by one Newton iteration that
 is regular at q = 0, where the second constraint reads r_1 = 0.  A frame
 stores p = |q| and mu = arg q, which is 0 at q = 0, and its theta in the
 decomposition convention theta = theta_orbit - mu.  The constraints make its
-gauge the h^{1/2}-nearest point of the orbit of A(p), so ``orbit_distance``
-serves only the h^1 distance and the first frame's seed.
+gauge the h^{1/2}-nearest point of the orbit of A(p), so ``orbit_distance``'s
+grid scan serves only the first frame's seed: the tracked h^1 distance is
+its Newton refinement started at the frame's mu, with the scan as fallback.
 """
 
 from __future__ import annotations
@@ -199,6 +200,15 @@ def orbit_distance(alpha: np.ndarray, p: float, s: float) -> OrbitDistanceResult
     FFT, then refine by Newton on g'(mu) = 0 from the grid maximum, kept in
     the grid cell around it by bisection.
     """
+    return _orbit_distance(alpha, p, s)
+
+
+def _orbit_distance(
+    alpha: np.ndarray, p: float, s: float, mu_seed: float | None = None
+) -> OrbitDistanceResult:
+    """``orbit_distance``, refined from ``mu_seed`` within one grid cell of it
+    when given; the scan runs without a seed, or when the refinement ends on
+    the edge of the seed's bracket (the maximum lies outside it)."""
     alpha = np.asarray(alpha, dtype=np.complex128)
     n_modes = alpha.size
     n = np.arange(n_modes)
@@ -207,37 +217,54 @@ def orbit_distance(alpha: np.ndarray, p: float, s: float) -> OrbitDistanceResult
     coeffs = weights * np.conj(alpha) * ground
 
     span = 2.0 * np.pi / (8 * n_modes)
-    mu_star = span * int(np.argmax(_coarse_scan(coeffs)))
-    lo, hi = mu_star - span, mu_star + span
-    for _ in range(REFINE_MAX_ITER):
-        phase = np.exp(1j * mu_star * n)
-        h0 = np.sum(coeffs * phase)
-        h1 = np.sum(coeffs * (1j * n) * phase)
-        h2 = np.sum(coeffs * -(n * n) * phase)
-        g1 = 2.0 * np.real(np.conj(h0) * h1)
-        g2 = 2.0 * np.real(np.conj(h1) * h1 + np.conj(h0) * h2)
-        # g is flat (p = 0, alpha = 0) or mu_star is an exact critical point
-        if g1 == 0.0:
-            break
-        # the maximum lies on the side g rises towards
-        if g1 > 0.0:
-            lo = mu_star
-        else:
-            hi = mu_star
-        # Newton where g is concave and the step stays in the bracket, else bisect
-        if g2 < 0.0 and lo < mu_star - g1 / g2 < hi:
-            nxt = mu_star - g1 / g2
-        else:
-            nxt = 0.5 * (lo + hi)
-        step, mu_star = nxt - mu_star, nxt
-        if abs(step) <= 1e-15 * max(1.0, abs(mu_star)):
-            break
+    on_edge = True
+    if mu_seed is not None:
+        mu_star, on_edge = _refine(coeffs, mu_seed, span)
+    if on_edge:
+        mu_star, _ = _refine(coeffs, span * int(np.argmax(_coarse_scan(coeffs))), span)
     h_val = np.sum(coeffs * np.exp(1j * mu_star * n))
     theta_star = float(-np.angle(h_val)) if abs(h_val) > 0 else 0.0
     # evaluate the norm directly at the optimum; the expanded form
     # ||alpha||^2 + ||A||^2 - 2|h| loses half the digits to cancellation
     diff = alpha - gauge_apply(ground, theta_star, mu_star)
     return OrbitDistanceResult(weighted_norm(diff, s), theta_star, float(mu_star))
+
+
+def _refine(coeffs: np.ndarray, mu: float, span: float) -> tuple[float, bool]:
+    """Newton on g'(mu) = 0 for g = |h|^2 from mu, kept in [mu - span, mu + span]
+    by bisection, and whether it ended on an edge of that bracket.
+
+    Towards a maximum outside the bracket every step bisects to the edge and
+    stops when the step, and so the gap left to the edge, falls to 1e-15.
+    """
+    n = np.arange(coeffs.size)
+    lo, hi = mu - span, mu + span
+    edges = (lo, hi)
+    for _ in range(REFINE_MAX_ITER):
+        phase = np.exp(1j * mu * n)
+        h0 = np.sum(coeffs * phase)
+        h1 = np.sum(coeffs * (1j * n) * phase)
+        h2 = np.sum(coeffs * -(n * n) * phase)
+        g1 = 2.0 * np.real(np.conj(h0) * h1)
+        g2 = 2.0 * np.real(np.conj(h1) * h1 + np.conj(h0) * h2)
+        # g is flat (p = 0, alpha = 0) or mu is an exact critical point
+        if g1 == 0.0:
+            break
+        # the maximum lies on the side g rises towards
+        if g1 > 0.0:
+            lo = mu
+        else:
+            hi = mu
+        # Newton where g is concave and the step stays in the bracket, else bisect
+        if g2 < 0.0 and lo < mu - g1 / g2 < hi:
+            nxt = mu - g1 / g2
+        else:
+            nxt = 0.5 * (lo + hi)
+        step, mu = nxt - mu, nxt
+        if abs(step) <= 1e-15 * max(1.0, abs(mu)):
+            break
+    gap = min(mu - edges[0], edges[1] - mu)
+    return mu, gap <= 2e-15 * max(1.0, abs(mu))
 
 
 @dataclass
@@ -250,7 +277,7 @@ class ModulationTrack:
     theta: np.ndarray
     mu: np.ndarray
     dist_h12: np.ndarray  # ||(c - 1) A(p) + a + i b||_{h^{1/2}}, read off the frame
-    dist_h1: np.ndarray  # orbit_distance(state, p, 1)
+    dist_h1: np.ndarray  # orbit_distance(state, p, 1), refined from the frame's mu
     constraint_residual: np.ndarray
     newton_iters: np.ndarray  # entries of each frame's residual_history
     energy_budget_error: np.ndarray  # E-expansion identity residual per sample
@@ -276,7 +303,13 @@ def track_modulation(traj: TrajectoryRecord, p_init: float) -> ModulationTrack:
     second theta-derivative 2 Re<MA, z> = 2c ||A||^2 > 0 makes it a minimum
     along theta.  The distance
     ||(c - 1) A(p) + a + i b|| is summed directly, not as the cancelling
-    1 + Q - 2c; the h^1 distance comes from ``orbit_distance``.
+    1 + Q - 2c.
+
+    The h^1 distance is ``orbit_distance``'s refinement started at the
+    frame's mu and kept within one grid cell of it, where the h^1 optimum
+    lies near the orbit; the grid scan runs only where that refinement ends
+    on the cell's edge.  At p ~ 1e-7, where g = |h|^2 is flat to rounding
+    over the grid, the scan would land cells away from the optimum.
     """
     e_ref = traj.E[0]
     lam = traj.H[0] / traj.Q[0] if traj.Q[0] > 0 else 0.0
@@ -302,7 +335,8 @@ def track_modulation(traj: TrajectoryRecord, p_init: float) -> ModulationTrack:
             + np.sum((m_diag * frame.b) ** 2)
         )
         offset = (frame.c - 1.0) * ground_amplitudes(frame.p, m_diag.size) + frame.a + 1j * frame.b
-        dists = (weighted_norm(offset, 0.5), orbit_distance(state, frame.p, 1.0).distance)
+        dist_h1 = _orbit_distance(state, frame.p, 1.0, mu_seed=frame.mu).distance
+        dists = (weighted_norm(offset, 0.5), dist_h1)
         residual = np.max(np.abs(frame.constraint_residuals()))
         rows.append((frame.c, frame.p, frame.theta, frame.mu, *dists, residual, e_model - e_ref))
     *columns, budget = np.array(rows).T

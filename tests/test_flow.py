@@ -19,6 +19,7 @@ from conformalflow.flow import (
     vector_field_fast,
     vector_field_naive,
 )
+from conformalflow.kernel import weighted_field
 from conformalflow.lab import PerturbationSpec, generate_perturbation
 from conformalflow.linearized import build_ground_ops
 from conformalflow.observables import charge
@@ -219,9 +220,10 @@ def test_nan_mid_run_raises(monkeypatch):
 
 
 def test_step_counts_are_exact(monkeypatch):
-    correct = flow.vector_field_fast
+    # every field evaluation, the one integrate makes for H and lambda included
+    correct = flow.weighted_field
     calls, dense_steps = [], []
-    monkeypatch.setattr(flow, "vector_field_fast", lambda a: calls.append(None) or correct(a))
+    monkeypatch.setattr(flow, "weighted_field", lambda a: calls.append(None) or correct(a))
     dense_output = flow._DOP853.dense_output
 
     def counting_dense_output(self):
@@ -236,9 +238,9 @@ def test_step_counts_are_exact(monkeypatch):
     assert traj.oracle_checks == 0
     # t = 0.25 falls strictly inside one step; t = 0.5 is the last step end
     assert len(dense_steps) == 1
-    # one stepper for the whole run: the initial field, one probe to choose the
-    # first step, 12 per attempted step, and DOP853's 3 extra dense-output
-    # stages once per step that interpolates a sample
+    # one stepper for the whole run: the initial field (also H(alpha_0)), one
+    # probe to choose the first step, 12 per attempted step, and DOP853's 3
+    # extra dense-output stages once per step that interpolates a sample
     assert len(calls) == 2 + 12 * (traj.accepted + traj.rejected) + 3 * len(dense_steps)
     assert traj.rhs_evals == len(calls)
     assert 0 < traj.h_min <= traj.h_max <= flow.MAX_STEP
@@ -255,9 +257,10 @@ def test_dop853_coefficients_are_scipys():
 
 
 class ScipyDOP853:
-    """scipy's DOP853 behind the stepper interface ``integrate`` drives."""
+    """scipy's DOP853 behind the stepper interface ``integrate`` drives; it
+    evaluates the initial field itself and counts it, so f is unused."""
 
-    def __init__(self, fun, y, t_bound, rtol):
+    def __init__(self, fun, y, f, t_bound, rtol):
         self.solver = scipy.integrate.DOP853(
             lambda t, y: fun(y), 0.0, y, t_bound, max_step=flow.MAX_STEP, rtol=rtol, atol=flow.ABS_TOL
         )
@@ -342,14 +345,35 @@ def test_linearized_rhs_matches_full_flow():
     np.testing.assert_allclose(dbeta.imag / eps, db, atol=3e-5)
 
 
-def test_integrate_takes_energies_in_two_calls(monkeypatch):
-    # energy0 for lambda, then one stacked call for every later sample
+def test_integrate_takes_energies_in_one_stacked_call(monkeypatch):
+    # H(alpha_0) comes with the first field evaluation; one stacked call for
+    # every later sample
     correct = flow.energy_fast
     shapes = []
     monkeypatch.setattr(flow, "energy_fast", lambda a: shapes.append(np.shape(a)) or correct(a))
-    traj = integrate(random_state(32, 12), IntegratorConfig(t_end=2.0, sample_dt=0.25))
-    assert shapes == [(12,), (8, 12)]
-    np.testing.assert_array_equal(traj.H, [correct(state) for state in traj.states])
+    alpha0 = random_state(32, 12)
+    traj = integrate(alpha0, IntegratorConfig(t_end=2.0, sample_dt=0.25))
+    assert shapes == [(8, 12)]
+    np.testing.assert_array_equal(traj.H[1:], [correct(state) for state in traj.states[1:]])
+    assert traj.H[0] == np.vdot(alpha0, weighted_field(alpha0)).real
+    assert traj.H[0] == pytest.approx(correct(alpha0), rel=1e-15, abs=0)
+
+
+def test_stepper_starts_from_rhs_of_the_initial_state(monkeypatch):
+    # the f integrate hands the stepper is rhs(alpha_0), bitwise
+    starts = []
+
+    class Recording(flow._DOP853):
+        def __init__(self, fun, y, f, t_bound, rtol):
+            starts.append((fun, y.copy(), f.copy()))
+            super().__init__(fun, y, f, t_bound, rtol)
+
+    monkeypatch.setattr(flow, "_DOP853", Recording)
+    for alpha0 in (_lab_state(0.5, 1e-3, 20170623, 128), 0.3 * random_state(5, 12)):
+        integrate(alpha0, IntegratorConfig(t_end=0.5, sample_dt=0.25))
+        fun, y, f = starts.pop()
+        assert np.array_equal(y, alpha0)
+        assert np.array_equal(f, fun(y))
 
 
 def test_conservation_guard_trips_on_damping(monkeypatch):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conformalflow import kernel
 from conformalflow.flow import vector_field_fast, vector_field_naive
 from conformalflow.kernel import SCAN_CHUNK, _layer_blocks, weighted_field
 from conformalflow.observables import energy_fast
@@ -208,6 +209,17 @@ def test_field_is_su11_equivariant(n):
     derivative = ((field(alpha + v) - field(alpha - v)) / 2 - field(v)) / eps
     want = su11_generator(field(alpha))
     np.testing.assert_allclose(derivative, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("n", [SCAN_CHUNK + 2, 2 * SCAN_CHUNK + 3, 512, 1024])
+def test_split_block_gemm_is_the_whole_one_bitwise(monkeypatch, n):
+    # the rows k < SCAN_CHUNK / 2 of a split block drop only exact zero weights
+    alpha = random_state(120 + n, n)
+    monkeypatch.setattr(kernel, "_SPLIT_MIN_WIDTH", 0)
+    split = weighted_field(alpha)
+    monkeypatch.setattr(kernel, "_SPLIT_MIN_WIDTH", 2 * n + SCAN_CHUNK)
+    whole = weighted_field(alpha)
+    assert np.array_equal(split, whole)
 
 
 @pytest.mark.parametrize("n", [512, 2048])

@@ -316,20 +316,68 @@ def test_track_modulation_wide_sample_spacing(sample_dt):
 
 
 def test_track_modulation_searches_the_gauge_once_per_sample(monkeypatch):
-    # dist_h12 is read off the frame: orbit_distance serves dist_h1 on every
-    # sample and the first frame's seed scan, nothing else
-    calls = []
+    # dist_h12 is read off the frame and dist_h1 is refined from the frame's
+    # mu: the grid scan runs for the first frame's seed, and again only where
+    # a seeded refinement falls back to it
+    scans, seeds = [], []
+    scan, search = modulation._coarse_scan, modulation._orbit_distance
 
-    def counted(alpha, p, s):
-        calls.append(s)
-        return orbit_distance(alpha, p, s)
+    def counted_search(alpha, p, s, mu_seed=None):
+        seeds.append(mu_seed)
+        return search(alpha, p, s, mu_seed)
 
     n_modes, p0 = 32, 0.5
     alpha0 = ground_amplitudes(p0, n_modes) + perturbation(65, n_modes, 1e-3)
     traj = integrate(alpha0, IntegratorConfig(t_end=1.0, sample_dt=0.25))
-    monkeypatch.setattr(modulation, "orbit_distance", counted)
-    track_modulation(traj, p0)
-    assert calls == [0.0] + [1.0] * traj.times.size
+    monkeypatch.setattr(modulation, "_coarse_scan", lambda c: scans.append(None) or scan(c))
+    monkeypatch.setattr(modulation, "_orbit_distance", counted_search)
+    track = track_modulation(traj, p0)
+    assert seeds == [None] + list(track.mu)
+    # near A(0.5) the frame's mu lies in the h^1 optimum's grid cell: no fallback
+    assert len(scans) == 1
+
+
+def test_seeded_orbit_distance_falls_back_to_the_scan(monkeypatch):
+    # a seed several grid cells off ends on its bracket's edge; the search then
+    # scans once and is the unseeded one, bitwise
+    n_modes, p = 64, 0.5
+    alpha = gauge_apply(ground_amplitudes(p, n_modes), 0.4, 1.1)
+    alpha = alpha + perturbation(67, n_modes, 1e-3)
+    want = orbit_distance(alpha, p, 1.0)
+    scans = []
+    scan = modulation._coarse_scan
+    monkeypatch.setattr(modulation, "_coarse_scan", lambda c: scans.append(None) or scan(c))
+    span = 2.0 * np.pi / (8 * n_modes)
+    for cells in (-6, 5, 40):
+        scans.clear()
+        got = modulation._orbit_distance(alpha, p, 1.0, mu_seed=want.mu + cells * span)
+        assert (got.distance, got.theta, got.mu) == (want.distance, want.theta, want.mu)
+        assert len(scans) == 1
+    # seeded at the optimum itself it stays there and scans nothing
+    scans.clear()
+    near = modulation._orbit_distance(alpha, p, 1.0, mu_seed=want.mu)
+    assert not scans
+    assert near.distance == pytest.approx(want.distance, rel=1e-14, abs=0)
+    assert abs(near.mu - want.mu) < 1e-12
+
+
+def test_tracked_dist_h1_at_tiny_p_is_no_worse_than_the_scan():
+    # N = 512 from A(0): p(t) ~ 1e-7 leaves g = |h|^2 flat to rounding over
+    # the grid, so the scan's maximum lands cells away from the optimum and
+    # its refinement cannot leave that cell; seeded by the frame's mu, the
+    # tracked dist_h1 is the norm at its own gauge and never above the scan's
+    n_modes, p0 = 512, 0.0
+    alpha0 = ground_amplitudes(p0, n_modes) + perturbation(66, n_modes, 1e-3)
+    traj = integrate(alpha0, IntegratorConfig(t_end=1.0, sample_dt=0.25))
+    track = track_modulation(traj, p0)
+    scanned = np.array([orbit_distance(s, p, 1.0).distance for s, p in zip(traj.states, track.p)])
+    assert np.all(track.dist_h1 <= scanned)
+    assert np.any(track.dist_h1 < scanned)
+    for state, p, mu, dist in zip(traj.states, track.p, track.mu, track.dist_h1):
+        seeded = modulation._orbit_distance(state, p, 1.0, mu_seed=mu)
+        assert seeded.distance == dist
+        orbit_point = gauge_apply(ground_amplitudes(p, n_modes), seeded.theta, seeded.mu)
+        assert weighted_norm(state - orbit_point, 1.0) == pytest.approx(dist, rel=1e-12, abs=0)
 
 
 #: cells (p0, delta) of each N where the gauge search, not the frame, sets the
