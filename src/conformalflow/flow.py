@@ -163,6 +163,8 @@ class TrajectoryRecord:
 def integrate(alpha0: np.ndarray, cfg: IntegratorConfig) -> TrajectoryRecord:
     """Integrate d alpha/dt = -i F(alpha) to cfg.t_end with samples at sample_dt.
 
+    H(alpha_0) and lambda come from the field evaluation that starts the
+    stepper; ``energy_fast`` runs once, on the stack of later samples.
     The flow is time-reversible: t -> conj(alpha(T - t)) solves it too, so a
     backward run is a forward run from the conjugated end state.
     """

@@ -211,15 +211,17 @@ def test_field_is_su11_equivariant(n):
     np.testing.assert_allclose(derivative, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
 
 
-@pytest.mark.parametrize("n", [SCAN_CHUNK + 2, 2 * SCAN_CHUNK + 3, 512, 1024])
-def test_split_block_gemm_is_the_whole_one_bitwise(monkeypatch, n):
-    # the rows k < SCAN_CHUNK / 2 of a split block drop only exact zero weights
-    alpha = random_state(120 + n, n)
+@pytest.mark.parametrize("n", [SCAN_CHUNK + 2, 2 * SCAN_CHUNK + 3, 512, 599, 1024])
+def test_split_block_gemm_matches_the_whole_one(monkeypatch, n):
+    # the rows k < SCAN_CHUNK / 2 of a split block drop only exact zero weights:
+    # every entry agrees to rounding (bitwise at most sizes; at a few, such as
+    # N = 599, one entry of a decaying state can move by one rounding)
+    alpha = random_state(120 + n, n) * 0.95 ** np.arange(n)
     monkeypatch.setattr(kernel, "_SPLIT_MIN_WIDTH", 0)
     split = weighted_field(alpha)
     monkeypatch.setattr(kernel, "_SPLIT_MIN_WIDTH", 2 * n + SCAN_CHUNK)
     whole = weighted_field(alpha)
-    assert np.array_equal(split, whole)
+    np.testing.assert_allclose(split, whole, rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("n", [512, 2048])
