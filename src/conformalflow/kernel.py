@@ -39,8 +39,8 @@ Weight row k is zero past column k + 2, so a full block at least
 ``_SPLIT_MIN_WIDTH`` wide makes its rows k < b/2 in a second GEMM from the
 first b/2 + 2 stacked rows alone: a quarter fewer flops for one more numpy
 call, which pays only on wide blocks.  The GEMM drops only exact zeros, so
-the values agree to rounding: bitwise on most sizes, and on 10 of the sizes
-200 to 2099 one or two entries move by one rounding.
+the values agree to rounding: on OpenBLAS, bitwise at most sizes, and at 10
+of the sizes 200 to 2099 one or two entries move by one rounding.
 
 The energy walks the same layers one at a time (``observables.energy_fast``).
 """
