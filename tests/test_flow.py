@@ -73,7 +73,7 @@ def test_field_gauge_equivariance():
 )
 def test_field_gauge_covariance_property(n, seed, theta, mu):
     # F(e^{i theta + i mu n} alpha) = e^{i theta + i mu n} F(alpha): the
-    # co-rotating frame and the inline oracle both rest on it
+    # co-rotating frame rests on it
     alpha = random_state(seed, n)
     phase = np.exp(1j * (theta + mu * np.arange(n)))
     got = vector_field_fast(phase * alpha)
@@ -165,43 +165,13 @@ def test_backward_integration_returns():
     np.testing.assert_allclose(np.conj(back.states[-1]), alpha0, atol=1e-9)
 
 
-def test_oracle_check_runs_inline(monkeypatch):
-    monkeypatch.setattr(flow, "ORACLE_CHECK_STRIDE", 5)
-    alpha0 = random_state(24, 12)
-    cfg = IntegratorConfig(t_end=1.0, sample_dt=0.5)
-    traj = integrate(alpha0, cfg)  # raises FlowError on any fast/naive mismatch
-    assert traj.accepted >= 5
-    assert traj.oracle_checks == traj.accepted // 5
-    assert traj.oracle_max_rel_err <= 1e-10
-    telemetry = traj.telemetry()
-    assert telemetry["oracle_checks"] == traj.oracle_checks
-    assert telemetry["oracle_max_rel_err"] == traj.oracle_max_rel_err
-
-
 def test_telemetry_is_the_counters_after_the_series():
     # a record of the series alone holds the counters of a run that took no step
     record = TrajectoryRecord(*[np.empty(0)] * 5)
     telemetry = record.telemetry()
-    assert list(telemetry) == [
-        "accepted",
-        "rejected",
-        "rhs_evals",
-        "h_min",
-        "h_max",
-        "oracle_checks",
-        "oracle_max_rel_err",
-    ]
-    assert [telemetry[k] for k in ("accepted", "rejected", "rhs_evals", "oracle_checks")] == [0] * 4
-    assert all(math.isnan(telemetry[k]) for k in ("h_min", "h_max", "oracle_max_rel_err"))
-
-
-def test_oracle_check_catches_wrong_field(monkeypatch):
-    correct = flow.vector_field_fast
-    monkeypatch.setattr(flow, "vector_field_fast", lambda a: 1.001 * correct(a))
-    monkeypatch.setattr(flow, "ORACLE_CHECK_STRIDE", 1)
-    cfg = IntegratorConfig(t_end=1.0, sample_dt=0.5)
-    with pytest.raises(FlowError, match="mismatch"):
-        integrate(0.3 * random_state(26, 12), cfg)
+    assert list(telemetry) == ["accepted", "rejected", "rhs_evals", "h_min", "h_max"]
+    assert [telemetry[k] for k in ("accepted", "rejected", "rhs_evals")] == [0] * 3
+    assert all(math.isnan(telemetry[k]) for k in ("h_min", "h_max"))
 
 
 def test_nan_mid_run_raises(monkeypatch):
@@ -234,8 +204,6 @@ def test_step_counts_are_exact(monkeypatch):
     cfg = IntegratorConfig(t_end=0.5, sample_dt=0.25)
     traj = integrate(random_state(29, 16), cfg)
     assert traj.rejected > 0
-    # an inline oracle check would add field evaluations to the count below
-    assert traj.oracle_checks == 0
     # t = 0.25 falls strictly inside one step; t = 0.5 is the last step end
     assert len(dense_steps) == 1
     # one stepper for the whole run: the initial field (also H(alpha_0)), one
@@ -378,8 +346,6 @@ def test_stepper_starts_from_rhs_of_the_initial_state(monkeypatch):
 
 def test_conservation_guard_trips_on_damping(monkeypatch):
     # d beta/dt gains -gamma beta: Q and E decay like exp(-2 gamma t)
-    # (the inline oracle would see the damping as a field mismatch first)
-    monkeypatch.setattr(flow, "ORACLE_MAX_MODES", 0)
     correct = flow.vector_field_fast
     monkeypatch.setattr(flow, "vector_field_fast", lambda a: correct(a) - 1e-5j * a)
     cfg = IntegratorConfig(t_end=2.0, sample_dt=0.5)
