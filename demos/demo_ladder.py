@@ -11,16 +11,16 @@ import numpy as np
 from conformalflow import build_ground_ops, ladder_check, mu_ladder
 
 for p in (0.2, 0.5):
-    rep = ladder_check(build_ground_ops(p, 192), m_max=8)
+    rep = ladder_check(build_ground_ops(p, 192))
     print(f"p = {p}:")
     print(f"  commutation residuals: S {rep.commutation_residual_S:.2e}, "
           f"S* {rep.commutation_residual_Sstar:.2e}")
     print(f"  first eigenvector residual: {rep.v1_residual:.2e}, "
           f"angle(S* v1, A') = {rep.v1_shift_angle:.2e}")
-    print("  eigen residuals m = 1..8:",
+    print(f"  eigen residuals m = 1..{rep.eigen_residuals.size}:",
           np.array2string(rep.eigen_residuals, formatter={"all": "{:.1e}".format}))
 
-    mu = mu_ladder(build_ground_ops(p, 256), 4)
+    mu = mu_ladder(build_ground_ops(p, 256))
     print("  mu ladder residuals:",
           np.array2string(mu.residuals, formatter={"all": "{:.1e}".format}))
     c1 = mu.coefficients[1][0]

@@ -29,6 +29,6 @@ for p in (0.0, 0.3, 0.6):
 
 print("\nsingle-mode states:")
 for mode in (0, 1, 2):
-    rep = stability_spectrum(build_single_mode_ops(mode, 1.0, 64))
+    rep = stability_spectrum(build_single_mode_ops(mode, 64))
     print(f"  N_mode = {mode}: smallest Omega "
           f"{np.round(rep.omegas[:4], 6)}, stable = {not rep.unstable}")

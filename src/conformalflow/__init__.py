@@ -12,9 +12,9 @@ lab          seeded experiments, persistence, and the CLI entry point
 
 A run chooses its settings through ``IntegratorConfig`` and
 ``ExperimentConfig``.  Fixed tolerances, step and input bounds, iteration
-caps and seeds are upper-case module-level names; the residual contract and
-kernel verdicts of ``linearized`` and the verdicts of ``lab``'s commands stay
-inline.
+caps, the depths of the spectral checks and seeds are upper-case
+module-level names; the residual contract and kernel verdicts of
+``linearized`` and the verdicts of ``lab``'s commands stay inline.
 
 The package runs on numpy alone: importing it loads numpy and nothing else,
 ``linearized``'s eigen-solves go through ``numpy.linalg``, and ``flow`` steps

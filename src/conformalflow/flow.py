@@ -27,10 +27,10 @@ alpha = exp(-i lambda t) beta.
 Every field evaluation of a run is one ``vector_field_fast`` call.  The one
 at alpha_0 serves twice: it gives H(alpha_0) = Re <(n+1) alpha_0, F(alpha_0)>
 and so lambda, and the stepper's first derivative f_0 = rhs(alpha_0).
-At every step end ``integrate`` checks the O(N) conserved charges Q and E
-(equal in both frames) against their initial values and raises ``FlowError``
-past ``CONSERVATION_TOL``; after the run it takes H, Q and E of all samples
-after t = 0 in one stacked call each.
+At every step end and every sample ``integrate`` checks the O(N) conserved
+charges Q and E (equal in both frames) against their initial values and
+raises ``FlowError`` past ``CONSERVATION_TOL``; the samples' H, Q and E after
+t = 0 are taken after the run, in one stacked call each.
 
 The stepper is numpy only, so neither importing the package nor integrating
 loads scipy.
@@ -92,7 +92,7 @@ MIN_REL_TOL = 100 * np.finfo(float).eps
 ABS_TOL = 1e-12
 #: unbounded steps fail the invariant-manifold oracle (1.46e-11 > 1e-12 + p^N at N = 512)
 MAX_STEP = 1.0
-#: largest relative drift of Q or E at a step end.  Worst measured at rel_tol
+#: largest relative drift of Q or E at a step end or a sample.  Worst measured at rel_tol
 #: 1e-10: 8.5e-13 on the acceptance runs, 1.8e-15 on the invariant-manifold
 #: oracle, 5.2e-11 over the whole suite (a random N = 16 state).  That state
 #: drifts by about rel_tol, 5.8e-7 at rel_tol 1e-6, so a far-from-ground run
@@ -115,11 +115,10 @@ class IntegratorConfig:
         # at rel_tol >= 1 the error control rejects no step and only MAX_STEP sets h
         if not MIN_REL_TOL <= self.rel_tol < 1:
             raise ValueError(f"rel_tol must lie in [{MIN_REL_TOL:.3g}, 1), got {self.rel_tol}")
-        # every sample state is kept, so the sample count bounds the memory
-        if round(self.t_end / self.sample_dt) > MAX_SAMPLES:
-            raise ValueError(
-                f"t_end / sample_dt = {self.t_end / self.sample_dt:.3g} samples; at most {MAX_SAMPLES}"
-            )
+        # every sample state is kept, so the sample count (inf past the float range) bounds the memory
+        samples = self.t_end / self.sample_dt
+        if samples == math.inf or round(samples) > MAX_SAMPLES:
+            raise ValueError(f"t_end / sample_dt = {samples:.3g} samples; at most {MAX_SAMPLES}")
 
 
 @dataclass
@@ -191,7 +190,7 @@ def integrate(alpha0: np.ndarray, cfg: IntegratorConfig) -> TrajectoryRecord:
             h = float(solver.h)
             h_min, h_max = min(h_min, h), max(h_max, h)
             t = solver.t
-            _conservation_check(solver.y, t, charge0, higher0)
+            _conservation_check((t,), charge(solver.y), higher_charge(solver.y), charge0, higher0)
             if times[nxt] < t:
                 # the interpolant costs 3 more evaluations; build it only when needed
                 dense = solver.dense_output()
@@ -205,12 +204,14 @@ def integrate(alpha0: np.ndarray, cfg: IntegratorConfig) -> TrajectoryRecord:
     times = np.array(times)
     states = np.array(states) * np.exp(-1j * lam * times)[:, None]
     later = states[1:]
+    charges, highers = charge(later), higher_charge(later)
+    _conservation_check(times[1:], charges, highers, charge0, higher0)
     return TrajectoryRecord(
         times=times,
         states=states,
         H=np.append(energy0, energy_fast(later)),
-        Q=np.append(charge0, charge(later)),
-        E=np.append(higher0, higher_charge(later)),
+        Q=np.append(charge0, charges),
+        E=np.append(higher0, highers),
         accepted=solver.accepted,
         rejected=solver.rejected,
         rhs_evals=solver.nfev,
@@ -219,13 +220,15 @@ def integrate(alpha0: np.ndarray, cfg: IntegratorConfig) -> TrajectoryRecord:
     )
 
 
-def _conservation_check(y: np.ndarray, t: float, charge0: float, higher0: float) -> None:
-    """Raise FlowError when Q or E at y has drifted past CONSERVATION_TOL."""
-    for name, value, ref in (("Q", charge(y), charge0), ("E", higher_charge(y), higher0)):
-        drift = abs(value - ref) / max(ref, 1e-300)
-        # a NaN drift fails too
-        if not drift <= CONSERVATION_TOL:
-            raise FlowError(f"{name} drifted by {drift:.3e} (relative) at t = {t:.6g}")
+def _conservation_check(times, charges, highers, charge0: float, higher0: float) -> None:
+    """Raise FlowError at the first of ``times`` (one step end, or every sample)
+    where Q or E has drifted past CONSERVATION_TOL."""
+    for name, values, ref in (("Q", charges, charge0), ("E", highers, higher0)):
+        drift = np.atleast_1d(np.abs(values - ref) / max(ref, 1e-300))
+        failed = np.flatnonzero(~(drift <= CONSERVATION_TOL))  # a NaN drift fails too
+        if failed.size:
+            first = failed[0]
+            raise FlowError(f"{name} drifted by {drift[first]:.3e} (relative) at t = {times[first]:.6g}")
 
 
 # ---------------------------------------------------------------- DOP853

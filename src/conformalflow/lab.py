@@ -230,8 +230,8 @@ def run_spectrum_suite(n_modes: int) -> dict:
         }
         if p > 0:
             ladder = linearized.ladder_check(ops)
-            mu = linearized.mu_ladder(ops, 6)
-            comm = linearized.commutators(ops, 64)
+            mu = linearized.mu_ladder(ops)
+            comm = linearized.commutators(ops)
             report["ground"][p].update(
                 {
                     "ladder_max_residual": float(np.max(ladder.eigen_residuals)),
@@ -242,11 +242,11 @@ def run_spectrum_suite(n_modes: int) -> dict:
                 }
             )
             report["identities"][p] = {
-                "appendix": linearized.appendix_identities(p, 50),
+                "appendix": linearized.appendix_identities(p),
                 "mode_energy": linearized.mode_energy_relation(p),
             }
     for mode in SPECTRUM_SINGLE_MODES:
-        ops = linearized.build_single_mode_ops(mode, 1.0, n_modes)
+        ops = linearized.build_single_mode_ops(mode, n_modes)
         stab = linearized.stability_spectrum(ops)
         expected = _single_mode_omegas(mode, n_modes)
         report["single_mode"][mode] = {
@@ -353,9 +353,10 @@ def run_drift_study(cfg: ExperimentConfig) -> dict:
             traj = integrate(_perturbed_ground(cfg, seed), cfg.integrator)
             track = modulation.track_modulation(traj, cfg.p0)
         except ArithmeticError as exc:
-            # a failed member reports the counters of a record that took no step
-            no_steps = TrajectoryRecord(*[np.empty(0)] * 5).telemetry()
-            runs.append(asdict(DriftRunSummary(seed=seed, ok=False, error=str(exc))) | no_steps)
+            # a failed member: a no-step record's counters, null for each number not measured
+            failed = asdict(DriftRunSummary(seed=seed, ok=False, error=str(exc)))
+            failed |= TrajectoryRecord(*[np.empty(0)] * 5).telemetry()
+            runs.append({k: None if isinstance(v, float) and np.isnan(v) else v for k, v in failed.items()})
             continue
         drop = cfg.p0 - track.p
         denom = cfg.delta + np.sqrt(np.clip(drop, 0.0, None))

@@ -12,7 +12,8 @@ operator of ``ladder_check``; for a single-mode state L0 is diagonal and the
 coupling an anti-diagonal band.  This module builds the dense truncations and
 verifies the exactly-known spectra, the shift-operator ladder that locates
 the negative eigenvalues at the negative integers, the commutation
-relations, and the closed-form summation identities these facts rest on.
+relations, and the closed-form summation identities these facts rest on,
+each check at the fixed depth, a module constant, that the spectrum suite reads.
 
 ``_toeplitz_core`` evaluates the powers p^0 .. p^{2N} once and reads both
 terms of T as sliding windows of that table: raising p element-wise over the
@@ -112,15 +113,17 @@ _LEADING_MIN = 64
 LADDER_SEED = 0
 #: appendix_identities sums each infinite tail until its terms drop below this
 TAIL_EPS = 1e-22
-#: most tail terms appendix_identities may sum: it holds (n_max + 1) x kmax
-#: temporaries, a 10 MiB peak at n_max = 50 and kmax near this bound (p = 0.9948;
-#: p = 0.995 is refused); also the most modes mode_energy_relation may sum,
-#: which rejects p >= 0.9964
+#: most tail terms appendix_identities may sum: it holds (IDENTITY_ORDER + 1) x
+#: kmax temporaries, a 10 MiB peak at kmax near this bound (p = 0.9948; p = 0.995
+#: is refused); also the most modes mode_energy_relation may sum, which rejects
+#: p >= 0.9964
 MAX_TAIL_TERMS = 10_000
-#: largest n_max appendix_identities accepts: its work grows like n_max^2 kmax,
-#: and at this order with kmax near MAX_TAIL_TERMS a call takes about 0.3 s
-#: (12.4 MiB peak)
-MAX_IDENTITY_ORDER = 64
+#: depths of the spectrum checks: the identities' order, the commutators'
+#: leading block and the two ladders' depths (each check's docstring)
+IDENTITY_ORDER = 50
+COMMUTATOR_BLOCK = 64
+LADDER_DEPTH = 10
+MU_LADDER_DEPTH = 6
 
 
 @dataclass
@@ -201,8 +204,8 @@ def build_ground_ops(p: float, n_modes: int) -> OperatorPair:
     return OperatorPair(lplus, lminus, p)
 
 
-def build_single_mode_ops(mode: int, c: float, n_modes: int) -> OperatorPair:
-    """L+- for the single-mode state c delta_{n, mode}; requires N > 2 mode."""
+def build_single_mode_ops(mode: int, n_modes: int) -> OperatorPair:
+    """L+- (integer entries) for the unit single-mode state delta_{n, mode}; requires N > 2 mode."""
     if not _is_integer(mode) or mode < 0:
         raise ValueError(f"mode index must be nonnegative and an integer, got {mode!r}")
     _check_order(n_modes)
@@ -214,15 +217,10 @@ def build_single_mode_ops(mode: int, c: float, n_modes: int) -> OperatorPair:
     # crosses the diagonal at (mode, mode), where the two add
     i = np.arange(2 * mode + 1)
     band = np.minimum(i, 2 * mode - i) + 1.0
-    scale = float(c) ** 2
-    pair = []
-    for sign in (1.0, -1.0):
-        mat = np.zeros((n_modes, n_modes))
-        mat.flat[:: n_modes + 1] = scale * diagonal
-        mat[i, 2 * mode - i] = scale * (sign * band)
-        mat[mode, mode] = scale * (diagonal[mode] + sign * band[mode])
-        pair.append(mat)
-    return OperatorPair(*pair, None)
+    lplus, lminus = np.diag(diagonal), np.diag(diagonal)
+    lplus[i, 2 * mode - i] += band
+    lminus[i, 2 * mode - i] -= band
+    return OperatorPair(lplus, lminus, None)
 
 
 def _coupled_order(*mats: np.ndarray) -> int:
@@ -472,17 +470,18 @@ def _supersymmetric_eigenvalues(ops: OperatorPair, count: int) -> tuple[np.ndarr
     return vals, solved
 
 
-def commutators(ops: OperatorPair, inner: int) -> tuple[float, float]:
+def commutators(ops: OperatorPair) -> tuple[float, float]:
     """Max |entry| of [L+, L-] and [M^-1 L+, M^-1 L-] over the leading block.
 
-    The inner block (inner <= N/2) keeps truncation-tail contamination below
-    tolerance; the operators commute exactly in the untruncated system.
-    Each commutator reads only the leading ``inner`` rows and columns of its
-    operands, so only those of M^-1 L+- are scaled, entry for entry the
-    products of scaling the whole matrices.
+    The inner block, COMMUTATOR_BLOCK square and at most N/2, keeps
+    truncation-tail contamination below tolerance; the operators commute
+    exactly in the untruncated system.  Each commutator reads only the
+    leading rows and columns of its operands, so only those of M^-1 L+- are
+    scaled, entry for entry the products of scaling the whole matrices.
     """
-    if not 1 <= inner <= ops.n_modes // 2:
-        raise ValueError(f"inner block must lie in 1..N/2 = {ops.n_modes // 2}, got {inner}")
+    inner = COMMUTATOR_BLOCK
+    if ops.n_modes < 2 * inner:
+        raise ValueError(f"commutators need n_modes >= {2 * inner}, got {ops.n_modes}")
 
     def block(x_rows: np.ndarray, x_cols: np.ndarray, y_rows: np.ndarray, y_cols: np.ndarray) -> float:
         # the leading inner x inner block of [x, y]
@@ -498,17 +497,15 @@ def commutators(ops: OperatorPair, inner: int) -> tuple[float, float]:
 
 
 def _first_ladder_vector(p: float, n_modes: int) -> np.ndarray:
-    """Closed-form eigenvector of 2T - M for eigenvalue -1 (regular at p = 0)."""
+    """Closed-form eigenvector of 2T - M for eigenvalue -1 (regular at p = 0), N >= 3."""
     v = np.zeros(n_modes)
     v[0] = p * p
     coeff = 1.0 - p * p
     # entries (1-p^2)[n(1-p^2) - (1+p^2)] p^{n-2}; the n = 1 entry simplifies
     # to -2p(1-p^2), which is regular at p = 0
-    if n_modes > 1:
-        v[1] = -2.0 * p * coeff
-    if n_modes > 2:
-        m = np.arange(2, n_modes)
-        v[2:] = coeff * (m * (1.0 - p * p) - (1.0 + p * p)) * p ** (m - 2)
+    v[1] = -2.0 * p * coeff
+    m = np.arange(2, n_modes)
+    v[2:] = coeff * (m * (1.0 - p * p) - (1.0 + p * p)) * p ** (m - 2)
     return v
 
 
@@ -518,28 +515,26 @@ class LadderReport:
     commutation_residual_Sstar: float
     v1_residual: float
     v1_shift_angle: float  # angle between S* v1 and A'(p)
-    eigen_residuals: np.ndarray  # ||(2T - M) v_m + m v_m|| / ||v_m||, m = 1..m_max
+    eigen_residuals: np.ndarray  # ||(2T - M) v_m + m v_m|| / ||v_m||, m = 1..LADDER_DEPTH
 
 
-def ladder_check(ops: OperatorPair, m_max: int = 10) -> LadderReport:
+def ladder_check(ops: OperatorPair) -> LadderReport:
     """Verify the creation/annihilation structure of L0 = 2T(p) - M = (L+ + L-)/2.
 
     On vectors orthogonal to {A(p), M A(p)} the shift S and left-shift S*
     intertwine L0 with itself -+ I; iterating S on the closed-form first
-    eigenvector v1 generates eigenvalue -m for every m.  The m-th vector is
-    shifted m - 1 places, so m_max is at most N/2: beyond that the truncation
-    cuts into the shifted vectors (and past N they vanish).
+    eigenvector v1 generates eigenvalue -m for m = 1..LADDER_DEPTH.  The m-th
+    vector is shifted m - 1 places, so N < 2 LADDER_DEPTH is refused: the
+    truncation would cut into the shifted vectors (and past N they vanish).
 
     L0 is applied once, to the block X = [a, S a, S* a, v1, S v1, ..,
-    S^{m_max-1} v1], as L0 X = (L+ X + L- X)/2: no N x N L0 is formed.
+    S^{LADDER_DEPTH-1} v1], as L0 X = (L+ X + L- X)/2: no N x N L0 is formed.
     """
     if ops.p is None:
         raise ValueError("ladder_check is defined for ground-state operators")
-    p, n_modes = ops.p, ops.n_modes
-    if n_modes < 3:
-        raise ValueError(f"ladder_check needs n_modes >= 3, got {n_modes}")
-    if not 1 <= m_max <= n_modes // 2:
-        raise ValueError(f"m_max must lie in 1..N/2 = {n_modes // 2}, got {m_max}")
+    p, n_modes, m_max = ops.p, ops.n_modes, LADDER_DEPTH
+    if n_modes < 2 * m_max:
+        raise ValueError(f"ladder_check needs n_modes >= {2 * m_max}, got {n_modes}")
     ground = ground_amplitudes(p, n_modes)
     weighted = ops.M * ground
 
@@ -570,7 +565,7 @@ def ladder_check(ops: OperatorPair, m_max: int = 10) -> LadderReport:
     rhs2 = np.concatenate([(l0_a + a)[1:], [0.0]])  # S* (2T - M + I) a
     res2 = np.linalg.norm(image[:, 2] - rhs2) / norm_a
 
-    # neither vanishes at N >= 3: S* v1 has entries -2p(1-p^2) and
+    # neither vanishes: S* v1 has entries -2p(1-p^2) and
     # (1-p^2)(1-3p^2), A' has -2p and 1-3p^2 at n = 0, 1
     dground = ground_derivative(p, n_modes)
     star = np.concatenate([v1[1:], [0.0]])
@@ -592,12 +587,13 @@ class MuLadderReport:
     coefficients: list[np.ndarray]  # expansion of v^(m) over {M^j A}, x_m = 1
 
 
-def mu_ladder(ops: OperatorPair, m_max: int) -> MuLadderReport:
+def mu_ladder(ops: OperatorPair) -> MuLadderReport:
     """Eigenvectors of T(p) v = mu M v in the polynomial ladder span{M^j A}.
 
     v^(m) = sum_{j<=m} x_j M^j A, x_m = 1, is fixed by the eigen-condition
-    with mu_m = 1/(m+1): x_0 .. x_{m-1} come from a least-squares solve in
-    the ladder basis, and the residual is verified on the full truncation.
+    with mu_m = 1/(m+1), m <= MU_LADDER_DEPTH: x_0 .. x_{m-1} come from a
+    least-squares solve in the ladder basis, and the residual is verified on
+    the full truncation.
     The closed forms are x = [-(1+p^2)/(1-p^2), 1] for m = 1 and
     [2(1+p^2+p^4)/(1-p^2)^2, -3(1+p^2)/(1-p^2), 1] for m = 2.
 
@@ -606,9 +602,7 @@ def mu_ladder(ops: OperatorPair, m_max: int) -> MuLadderReport:
     """
     if ops.p is None:
         raise ValueError("mu_ladder is defined for ground-state operators")
-    if m_max < 0:
-        raise ValueError(f"m_max must be >= 0, got {m_max}")
-    n_modes, m_diag = ops.n_modes, ops.M
+    n_modes, m_diag, m_max = ops.n_modes, ops.M, MU_LADDER_DEPTH
     # column j is M^j A, j = 0 .. m_max + 1; the first m_max + 1 are the basis
     powers = np.empty((n_modes, m_max + 2))
     powers[:, 0] = ground_amplitudes(ops.p, n_modes)
@@ -634,25 +628,24 @@ def mu_ladder(ops: OperatorPair, m_max: int) -> MuLadderReport:
     return MuLadderReport(mus, residuals, coeff_list)
 
 
-def appendix_identities(p: float, n_max: int) -> dict[str, float]:
-    """Max relative error of each closed-form summation identity vs direct sums.
+def appendix_identities(p: float) -> dict[str, float]:
+    """Max relative error of each closed-form summation identity vs direct
+    sums, over the orders n, j = 0..n_max = IDENTITY_ORDER.
 
     Each kernel row (n, j) is summed from its first term, k0 = max(0, j - n),
     for span = ceil(log TAIL_EPS / log p^2) + 2 terms: its terms fall by a
     factor p^2 each, so the last is p^2 TAIL_EPS of the first.  The folded
     sums run over k = 1..kmax - 1, kmax = max(200, ceil(log TAIL_EPS / log p)
     + 2 n_max + 4); a p so close to 1 that kmax exceeds MAX_TAIL_TERMS raises
-    ``ValueError``, as does an n_max that is not an integer in
-    0..MAX_IDENTITY_ORDER.
+    ``ValueError``.
     Keys: geometric_sum, geometric_weighted, kernel_row_le, kernel_row_ge,
     kernel_total, folded_sum, folded_weighted.  kernel_total is the largest
     absolute error of an exact integer identity, which does not depend on p,
-    so it must be 0; it is summed once per n_max (``_kernel_total_error``).
+    so it must be 0; it is summed once (``_kernel_total_error``).
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
-    if not _is_integer(n_max) or not 0 <= n_max <= MAX_IDENTITY_ORDER:
-        raise ValueError(f"n_max must be an integer in 0..{MAX_IDENTITY_ORDER}, got {n_max!r}")
+    n_max = IDENTITY_ORDER
     kmax = max(200, int(np.ceil(np.log(TAIL_EPS) / np.log(p))) + 2 * n_max + 4)
     if kmax > MAX_TAIL_TERMS:
         raise ValueError(f"tails of {kmax} terms at p = {p}; at most {MAX_TAIL_TERMS}")
@@ -701,25 +694,25 @@ def appendix_identities(p: float, n_max: int) -> dict[str, float]:
         "geometric_weighted": float(np.max(geometric_weighted)),
         "kernel_row_le": float(np.max(kernel_rel[np.tril_indices(n_max + 1)])),
         "kernel_row_ge": float(np.max(kernel_rel[np.triu_indices(n_max + 1)])),
-        "kernel_total": float(_kernel_total_error(n_max)),
+        "kernel_total": float(_kernel_total_error()),
         "folded_sum": float(np.max(folded_sum)),
         "folded_weighted": float(np.max(folded_weighted)),
     }
 
 
 @functools.cache
-def _kernel_total_error(n_max: int) -> int:
+def _kernel_total_error() -> int:
     """Largest absolute error of the exact integer identity
-    sum_{k=0}^{m+j} (min(m, k, m+j-k) + 1) = (1+j)(1+m) over 0 <= m <= j <= n_max.
+    sum_{k=0}^{m+j} (min(m, k, m+j-k) + 1) = (1+j)(1+m) over
+    0 <= m <= j <= n_max = IDENTITY_ORDER.
 
-    It does not depend on p, so each n_max is summed once (the cache holds at
-    most MAX_IDENTITY_ORDER + 1 integers).  One pass per m over the (j, k)
-    grid, the summand clipped at 0 past k = m + j.
+    It does not depend on p, so it is summed once.  One pass per m over the
+    (j, k) grid, the summand clipped at 0 past k = m + j.
     """
-    k = np.arange(2 * n_max + 1, dtype=np.int32)
-    rows = np.arange(n_max + 1, dtype=np.int32)[:, None]
+    k = np.arange(2 * IDENTITY_ORDER + 1, dtype=np.int32)
+    rows = np.arange(IDENTITY_ORDER + 1, dtype=np.int32)[:, None]
     worst = 0
-    for m in range(n_max + 1):
+    for m in range(IDENTITY_ORDER + 1):
         j = rows[m:]
         totals = np.sum(np.maximum(np.minimum(m, np.minimum(k, m + j - k)) + 1, 0), axis=1)
         worst = max(worst, int(np.max(np.abs(totals - (1 + j[:, 0]) * (1 + m)))))

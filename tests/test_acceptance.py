@@ -151,7 +151,7 @@ def test_criterion_06_single_mode_spectra():
     worst = 0.0
     counts_ok = True
     for mode in (0, 1, 2):
-        ops = cf.build_single_mode_ops(mode, 1.0, n_modes)
+        ops = cf.build_single_mode_ops(mode, n_modes)
         rep = cf.stability_spectrum(ops)
         block = [2.0 * (mode - n) / (2 * mode + 1 - n) for n in range(mode)]
         tail = [(n - 2 * mode - 1) / (n + 1.0) for n in range(2 * mode + 2, n_modes)]
@@ -180,7 +180,7 @@ def test_criterion_06_single_mode_spectra():
 
 
 def test_criterion_07_commutators():
-    c1, c2 = cf.commutators(cf.build_ground_ops(0.5, 128), 64)
+    c1, c2 = cf.commutators(cf.build_ground_ops(0.5, 128))
     ok = c1 <= 1e-8 and c2 <= 1e-8
     report(7, "commutators", ok, f"[L+, L-] {c1:.2e}, weighted {c2:.2e}")
     assert ok
@@ -189,7 +189,7 @@ def test_criterion_07_commutators():
 def test_criterion_08_ladder_structure():
     worst_res = worst_angle = 0.0
     for p in (0.1, 0.3, 0.6):
-        rep = cf.ladder_check(cf.build_ground_ops(p, 192), m_max=10)
+        rep = cf.ladder_check(cf.build_ground_ops(p, 192))
         worst_res = max(worst_res, float(np.max(rep.eigen_residuals)))
         worst_angle = max(worst_angle, rep.v1_shift_angle)
     ok = worst_res <= 1e-9 and worst_angle <= 1e-9
@@ -205,7 +205,7 @@ def test_criterion_08_ladder_structure():
 def test_criterion_09_appendix_identities():
     worst = 0.0
     for p in (0.3, 0.5, 0.7):
-        worst = max(worst, max(cf.appendix_identities(p, 50).values()))
+        worst = max(worst, max(cf.appendix_identities(p).values()))
     ok = worst <= 1e-12
     report(9, "appendix-identities", ok, f"max relative error {worst:.2e}")
     assert ok

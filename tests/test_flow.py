@@ -256,22 +256,30 @@ def _lab_state(p0, delta, seed, n):
     return base + generate_perturbation(PerturbationSpec(delta=delta), seed, n)
 
 
+#: the "dense" case of test_stepper_is_bitwise_scipys: at rel_tol 1e-6 its
+#: samples drift past CONSERVATION_TOL (Q: 1.28e-6 at t = 2.3, 4.4e-6 at t = 2.6)
+DENSE_CASE = (0.3 * random_state(5, 12), IntegratorConfig(rel_tol=1e-6, t_end=3.0, sample_dt=0.1))
+
+
 @pytest.mark.parametrize(
-    "alpha0, cfg",
+    "alpha0, cfg, conservation_tol",
     [
         # rejected steps, a sample inside a step and one on the last step end
-        (random_state(29, 16), IntegratorConfig(t_end=0.5, sample_dt=0.25)),
-        # many samples inside each step, at a loose tolerance
-        (0.3 * random_state(5, 12), IntegratorConfig(rel_tol=1e-6, t_end=3.0, sample_dt=0.1)),
+        (random_state(29, 16), IntegratorConfig(t_end=0.5, sample_dt=0.25), None),
+        # many samples inside each step, at a loose tolerance; the guard is
+        # raised above its sample drift, since this case pins the stepper
+        (*DENSE_CASE, 1e-5),
         # near A(p), as simulate and the track workload run
-        (_lab_state(0.5, 1e-3, 20170623, 128), IntegratorConfig(t_end=1.0, sample_dt=0.1)),
-        (_lab_state(0.3, 1e-4, 1608072270, 48), IntegratorConfig(t_end=10.0, sample_dt=0.5)),
+        (_lab_state(0.5, 1e-3, 20170623, 128), IntegratorConfig(t_end=1.0, sample_dt=0.1), None),
+        (_lab_state(0.3, 1e-4, 1608072270, 48), IntegratorConfig(t_end=10.0, sample_dt=0.5), None),
         # the exact fixed point A(0) (--p0 0 --delta 0): zero field, first step 1e-6
-        (_lab_state(0.0, 0.0, 1, 64), IntegratorConfig(t_end=1.0, sample_dt=0.25)),
+        (_lab_state(0.0, 0.0, 1, 64), IntegratorConfig(t_end=1.0, sample_dt=0.25), None),
     ],
     ids=["rejections", "dense", "track-like", "drift-like", "fixed-point"],
 )
-def test_stepper_is_bitwise_scipys(monkeypatch, alpha0, cfg):
+def test_stepper_is_bitwise_scipys(monkeypatch, alpha0, cfg, conservation_tol):
+    if conservation_tol is not None:
+        monkeypatch.setattr(flow, "CONSERVATION_TOL", conservation_tol)
     ours = integrate(alpha0, cfg)
     monkeypatch.setattr(flow, "_DOP853", ScipyDOP853)
     theirs = integrate(alpha0, cfg)
@@ -356,3 +364,10 @@ def test_conservation_guard_trips_on_damping(monkeypatch):
     monkeypatch.setattr(flow, "vector_field_fast", lambda a: correct(a) - 1e-9j * a)
     traj = integrate(0.3 * random_state(33, 12), cfg)
     assert 1e-9 < traj.max_relative_drift()["Q"] < flow.CONSERVATION_TOL
+
+
+def test_conservation_guard_judges_the_samples():
+    # every step end of the dense case stays within CONSERVATION_TOL (worst Q
+    # drift 5.0e-7), but a dense-output sample between two of them does not
+    with pytest.raises(FlowError, match=r"^Q drifted by 1\.282e-06 \(relative\) at t = 2\.3$"):
+        integrate(*DENSE_CASE)

@@ -223,8 +223,8 @@ def test_cli_spectrum_exits_three_on_identity_nan(monkeypatch, capsys):
     # a NaN in the last key: Python's max(0.0, nan) is 0.0 and would pass it
     identities = lab.linearized.appendix_identities
 
-    def last_key_nan(p, n_max):
-        return {**identities(p, n_max), "folded_weighted": float("nan")}
+    def last_key_nan(p):
+        return {**identities(p), "folded_weighted": float("nan")}
 
     monkeypatch.setattr(lab.linearized, "appendix_identities", last_key_nan)
     assert main(["spectrum", "--n", "128"]) == 3
@@ -235,7 +235,7 @@ def test_cli_spectrum_exits_three_on_identity_nan(monkeypatch, capsys):
 @pytest.mark.parametrize("comm", [(1e-16, float("nan")), (float("nan"), 1e-16)])
 def test_cli_spectrum_exits_three_on_commutator_nan(comm, monkeypatch, capsys):
     # a NaN in either commutator: Python's max(1e-16, nan) is 1e-16 and would pass it
-    monkeypatch.setattr(lab.linearized, "commutators", lambda ops, inner: comm)
+    monkeypatch.setattr(lab.linearized, "commutators", lambda ops: comm)
     assert main(["spectrum", "--n", "128"]) == 3
     err = capsys.readouterr().err
     assert err == "spectrum outside its bounds: ground 0.3 commutator_max, ground 0.6 commutator_max\n"
@@ -455,13 +455,13 @@ def test_cli_spectrum_judges_the_mu_coefficients(m, index, tmp_path, monkeypatch
     # their signed closed forms: a flipped sign at p = 0.3 exits 3 and is named
     mu_ladder = linearized.mu_ladder
 
-    def corrupted(ops, m_max):
-        report = mu_ladder(ops, m_max)
+    def corrupted(ops):
+        report = mu_ladder(ops)
         if ops.p == 0.3:
             report.coefficients[m][index] *= -1.0
         return report
 
-    assert lab._mu_coefficient_error(0.3, mu_ladder(linearized.build_ground_ops(0.3, 128), 2).coefficients) <= 1e-14
+    assert lab._mu_coefficient_error(0.3, mu_ladder(linearized.build_ground_ops(0.3, 128)).coefficients) <= 1e-14
     monkeypatch.setattr(linearized, "mu_ladder", corrupted)
     assert main(["spectrum", "--out", str(tmp_path)]) == 3
     report = json.loads((tmp_path / "spectrum.json").read_text())
@@ -500,6 +500,8 @@ def _refuse_constant(name):
         ["simulate", "--n", "16", "--t-end", "1"],
         ["drift-study", "--n", "8", "--ensemble", "1", "--t-end", "0.5"],
         ["drift-study", "--n", "8", "--p0", "0", "--ensemble", "1", "--t-end", "0.5"],
+        # one member of six fails (NoConvergence at sample 0), and the run succeeds
+        ["drift-study", "--n", "8", "--p0", "0.5", "--delta", "1", "--ensemble", "6", "--t-end", "5"],
         ["spectrum", "--n", "16"],
         ["inequality"],
     ],
@@ -511,6 +513,34 @@ def test_cli_json_is_strict(argv, tmp_path):
     written = list(tmp_path.glob("*.json"))
     assert len(written) == 1
     json.loads(written[0].read_text(), parse_constant=_refuse_constant)
+
+
+#: the commands whose float flags test_cli_float_flags_end_in_an_exit_code
+#: sweeps, and the values each flag takes
+EDGE_COMMANDS = (
+    ["simulate", "--n", "8"],
+    ["drift-study", "--n", "8", "--ensemble", "1", "--t-end", "1"],
+    ["decompose", "--n", "8"],
+)
+EDGE_FLOATS = ("nan", "inf", "-inf", "1e308", "-1e308", "0", "-0.0", "5e-324")
+
+
+def test_cli_float_flags_end_in_an_exit_code():
+    # no value of a float flag ends in a traceback: the run completes (0), is
+    # refused (2) or fails numerically (3); at t_end = 1e308 the sample count
+    # t_end / sample_dt overflows to inf
+    outcomes = {}
+    for argv in EDGE_COMMANDS:
+        for flag in (f for f in lab._COMMANDS[argv[0]] if lab._SETTINGS[f][1] is float):
+            for value in EDGE_FLOATS:
+                case = [*argv, f"--{flag}={value}"]
+                try:
+                    outcomes[" ".join(case)] = main(case)
+                except Exception as exc:
+                    outcomes[" ".join(case)] = repr(exc)
+    assert len(outcomes) == 80
+    assert {case: code for case, code in outcomes.items() if code not in (0, 2, 3)} == {}
+    assert outcomes["simulate --n 8 --t-end=1e308"] == 2
 
 
 def test_cli_decompose(capsys):
@@ -624,7 +654,11 @@ def test_cli_drift_study_exits_three_when_every_member_fails(tmp_path, monkeypat
     no_steps = TrajectoryRecord(*[np.empty(0)] * 5).telemetry()
     assert list(record)[: -len(no_steps)] == [f.name for f in fields(lab.DriftRunSummary)]
     counters = {name: record[name] for name in list(record)[-len(no_steps) :]}
-    assert json.dumps(counters) == json.dumps(no_steps)
+    # null for every number the member did not measure: its summary's floats,
+    # and the step sizes
+    assert counters == no_steps | {"h_min": None, "h_max": None}
+    unmeasured = [f.name for f in fields(lab.DriftRunSummary) if f.type == "float"]
+    assert len(unmeasured) == 6 and all(record[name] is None for name in unmeasured)
     assert capsys.readouterr().err == "drift-study outside its bounds: n_failed\n"
 
 

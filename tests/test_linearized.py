@@ -10,7 +10,10 @@ import scipy.linalg
 from conformalflow import linearized
 from conformalflow.lab import main
 from conformalflow.linearized import (
-    MAX_IDENTITY_ORDER,
+    COMMUTATOR_BLOCK,
+    IDENTITY_ORDER,
+    LADDER_DEPTH,
+    MU_LADDER_DEPTH,
     TAIL_TOL,
     OperatorPair,
     _coupled_order,
@@ -260,9 +263,9 @@ SUITE_OPERATORS = {
     "ground-0.0": lambda n: build_ground_ops(0.0, n),
     "ground-0.3": lambda n: build_ground_ops(0.3, n),
     "ground-0.6": lambda n: build_ground_ops(0.6, n),
-    "mode-0": lambda n: build_single_mode_ops(0, 1.0, n),
-    "mode-1": lambda n: build_single_mode_ops(1, 1.0, n),
-    "mode-2": lambda n: build_single_mode_ops(2, 1.0, n),
+    "mode-0": lambda n: build_single_mode_ops(0, n),
+    "mode-1": lambda n: build_single_mode_ops(1, n),
+    "mode-2": lambda n: build_single_mode_ops(2, n),
 }
 #: (p, N) of the ground pairs whose truncation breaks L0 A = M A beyond the
 #: structure tolerance (the residual grows like p^N): they take the general route
@@ -682,30 +685,24 @@ def test_stability_indefinite_minus_falls_back(bump, n_modes):
 
 
 def test_single_mode_zero_structure():
-    # N_mode = 0 at c = 1: L+ = diag(2, 0, -1, ...), L- = diag(0, 0, -1, ...)
-    ops = build_single_mode_ops(0, 1.0, 8)
+    # N_mode = 0: L+ = diag(2, 0, -1, ...), L- = diag(0, 0, -1, ...)
+    ops = build_single_mode_ops(0, 8)
     np.testing.assert_allclose(ops.Lplus, np.diag([2.0, 0, -1, -2, -3, -4, -5, -6]))
     np.testing.assert_allclose(ops.Lminus, np.diag([0.0, 0, -1, -2, -3, -4, -5, -6]))
 
 
-def test_single_mode_scaling_with_c():
-    ops1 = build_single_mode_ops(1, 1.0, 12)
-    ops2 = build_single_mode_ops(1, 2.0, 12)
-    np.testing.assert_allclose(ops2.Lplus, 4.0 * ops1.Lplus)
-
-
 def test_single_mode_requires_window():
     with pytest.raises(ValueError):
-        build_single_mode_ops(4, 1.0, 8)
+        build_single_mode_ops(4, 8)
 
 
 def test_operator_pair_state_parameter():
     assert build_ground_ops(0.4, 64).p == 0.4
-    assert build_single_mode_ops(2, 1.5, 16).p is None
+    assert build_single_mode_ops(2, 16).p is None
     with pytest.raises(ValueError):
         build_ground_ops(1.0, 16)
     with pytest.raises(ValueError, match="mode index must be nonnegative"):
-        build_single_mode_ops(-1, 1.0, 16)
+        build_single_mode_ops(-1, 16)
 
 
 def test_operator_pair_weight_follows_the_order():
@@ -713,7 +710,7 @@ def test_operator_pair_weight_follows_the_order():
     assert [field.name for field in dataclasses.fields(OperatorPair)] == ["Lplus", "Lminus", "p"]
     n_modes = 12
     hand = OperatorPair(np.eye(n_modes), -np.eye(n_modes), None)
-    for ops in (build_ground_ops(0.0, n_modes), build_single_mode_ops(1, 1.0, n_modes), hand):
+    for ops in (build_ground_ops(0.0, n_modes), build_single_mode_ops(1, n_modes), hand):
         assert np.array_equal(ops.M, np.arange(1.0, n_modes + 1))
         assert ops.n_modes == n_modes
     with pytest.raises(TypeError):
@@ -726,8 +723,8 @@ def test_builders_refuse_degenerate_orders(n_modes):
     for build in (
         lambda: build_ground_ops(0.0, n_modes),
         lambda: build_ground_ops(0.5, n_modes),
-        lambda: build_single_mode_ops(1, 1.0, n_modes),
-        lambda: build_single_mode_ops(0, 1.0, n_modes),
+        lambda: build_single_mode_ops(1, n_modes),
+        lambda: build_single_mode_ops(0, n_modes),
     ):
         with pytest.raises(ValueError, match="n_modes must be an integer >= 1"):
             build()
@@ -736,7 +733,7 @@ def test_builders_refuse_degenerate_orders(n_modes):
 @pytest.mark.parametrize("n_modes", [True, False, np.True_])
 def test_builders_refuse_boolean_orders(n_modes):
     # a bool is an int in Python; True must not pass as an order of 1
-    for build in (lambda: build_ground_ops(0.3, n_modes), lambda: build_single_mode_ops(0, 1.0, n_modes)):
+    for build in (lambda: build_ground_ops(0.3, n_modes), lambda: build_single_mode_ops(0, n_modes)):
         with pytest.raises(ValueError, match="n_modes must be an integer >= 1"):
             build()
 
@@ -744,25 +741,25 @@ def test_builders_refuse_boolean_orders(n_modes):
 @pytest.mark.parametrize("mode", [1.5, 2.0, True, False, "1", None, -1])
 def test_single_mode_builder_refuses_non_integer_modes(mode):
     with pytest.raises(ValueError, match=r"mode index must be nonnegative and an integer, got "):
-        build_single_mode_ops(mode, 1.0, 16)
+        build_single_mode_ops(mode, 16)
 
 
 def test_single_mode_builder_accepts_numpy_integer_modes():
-    want = build_single_mode_ops(2, 1.0, 16)
-    got = build_single_mode_ops(np.int64(2), 1.0, 16)
+    want = build_single_mode_ops(2, 16)
+    got = build_single_mode_ops(np.int64(2), 16)
     assert np.array_equal(got.Lplus, want.Lplus) and np.array_equal(got.Lminus, want.Lminus)
 
 
 def test_builders_accept_the_smallest_orders():
     assert build_ground_ops(0.0, 1).Lplus.shape == (1, 1)
-    assert build_single_mode_ops(0, 1.0, 1).Lminus.shape == (1, 1)
+    assert build_single_mode_ops(0, 1).Lminus.shape == (1, 1)
     assert np.array_equal(build_ground_ops(0.0, np.int64(4)).M, [1.0, 2.0, 3.0, 4.0])
 
 
 @pytest.mark.parametrize("mode", [0, 1, 2])
 def test_single_mode_frequencies_closed_form(mode):
     n_modes = 64
-    ops = build_single_mode_ops(mode, 1.0, n_modes)
+    ops = build_single_mode_ops(mode, n_modes)
     report = stability_spectrum(ops)
     assert not report.unstable
     block = [2.0 * (mode - n) / (2 * mode + 1 - n) for n in range(mode)]
@@ -778,7 +775,7 @@ def test_single_mode_zero_count(mode):
     # N zeros from the coupled pairs, one from the central mode, one from the
     # n = 2N + 1 tail entry: N + 2 zero eigenvalues of P in total
     n_modes = 48
-    report = stability_spectrum(build_single_mode_ops(mode, 1.0, n_modes))
+    report = stability_spectrum(build_single_mode_ops(mode, n_modes))
     scale = max(float(np.max(np.abs(report.p_eigenvalues))), 1.0)
     zeros = int(np.sum(np.abs(report.p_eigenvalues) <= 1e-8 * scale))
     assert zeros == mode + 2
@@ -790,7 +787,7 @@ def test_single_mode_signature_counts():
     # zero eigenvalues with the rest negative
     for mode in (0, 1, 2):
         n_modes = 40
-        ops = build_single_mode_ops(mode, 1.0, n_modes)
+        ops = build_single_mode_ops(mode, n_modes)
         for mat, pos_want, zeros_want in (
             (ops.Lplus, mode + 1, mode + 1),
             (ops.Lminus, mode, mode + 2),
@@ -805,7 +802,7 @@ def test_single_mode_signature_counts():
 @pytest.mark.parametrize("p", [0.3, 0.6])
 def test_commutators_bitwise_whole_matrix_scaling(p, n_modes):
     # reference: M^-1 L+- scaled whole, then the inner blocks of the products read
-    inner = 64
+    inner = COMMUTATOR_BLOCK
     ops = build_ground_ops(p, n_modes)
 
     def block(x, y):
@@ -813,49 +810,43 @@ def test_commutators_bitwise_whole_matrix_scaling(p, n_modes):
 
     minv = 1.0 / ops.M
     want = (block(ops.Lplus, ops.Lminus), block(minv[:, None] * ops.Lplus, minv[:, None] * ops.Lminus))
-    assert np.array_equal(commutators(ops, inner), want)
+    assert np.array_equal(commutators(ops), want)
 
 
 def test_commutators_vanish_on_inner_block():
     ops = build_ground_ops(0.5, 128)
-    c1, c2 = commutators(ops, 64)
+    c1, c2 = commutators(ops)
     assert c1 <= 1e-8
     assert c2 <= 1e-8
-    with pytest.raises(ValueError):
-        commutators(ops, 100)
 
 
 @short_truncation
 @pytest.mark.parametrize("p", [0.0, 0.3])
-def test_ladder_check_requires_three_modes(p):
-    # at N = 2 and p = 0 v1 = (0, 0) and its residual was 0/0
-    for n_modes in (1, 2):
-        with pytest.raises(ValueError, match="n_modes >= 3"):
-            ladder_check(build_ground_ops(p, n_modes), 1)
-    report = ladder_check(build_ground_ops(p, 3), 1)
+def test_ladder_check_and_commutators_bound_the_truncation(p):
+    # ladder_check shifts its deepest vector LADDER_DEPTH - 1 places and the
+    # commutators read a COMMUTATOR_BLOCK block, each within N/2
+    assert (LADDER_DEPTH, COMMUTATOR_BLOCK) == (10, 64)
+    with pytest.raises(ValueError, match="ladder_check needs n_modes >= 20, got 19"):
+        ladder_check(build_ground_ops(p, 19))
+    report = ladder_check(build_ground_ops(p, 20))
+    assert report.eigen_residuals.shape == (LADDER_DEPTH,)
     assert np.all(np.isfinite(report.eigen_residuals))
     assert np.isfinite(report.v1_shift_angle)
+    with pytest.raises(ValueError, match="commutators need n_modes >= 128, got 127"):
+        commutators(build_ground_ops(p, 127))
+    assert max(commutators(build_ground_ops(p, 128))) <= 1e-8
 
 
 @short_truncation
 def test_suite_helpers_reject_out_of_range_orders():
-    # each would otherwise end in NaN residuals, empty arrays or numpy's
-    # zero-size error
-    ops = build_ground_ops(0.3, 64)
+    # each would otherwise end in NaN residuals or read a block past N/2
     for call, match in (
-        (lambda: ladder_check(build_ground_ops(0.3, 4)), "m_max must lie in 1..N/2"),
-        (lambda: ladder_check(ops, m_max=33), "m_max must lie in 1..N/2"),
-        (lambda: ladder_check(ops, m_max=0), "m_max must lie in 1..N/2"),
-        (lambda: mu_ladder(ops, -1), "m_max must be >= 0"),
-        (lambda: commutators(build_ground_ops(0.5, 128), 0), "inner block must lie in 1..N/2"),
+        (lambda: ladder_check(build_ground_ops(0.3, 4)), "ladder_check needs n_modes >= 20"),
+        (lambda: commutators(build_ground_ops(0.3, 16)), "commutators need n_modes >= 128"),
     ):
         with pytest.raises(ValueError, match=match) as err:
             call()
         assert "\n" not in str(err.value)
-    # the bounds themselves are accepted
-    assert ladder_check(ops, m_max=32).eigen_residuals.shape == (32,)
-    assert mu_ladder(ops, 0).residuals.shape == (1,)
-    assert commutators(build_ground_ops(0.5, 128), 1)[0] <= 1e-8
 
 
 @short_truncation
@@ -878,17 +869,16 @@ def test_power_table_is_bitwise_elementwise_power(p, n_modes):
 @pytest.mark.parametrize("n_modes", [8, 16, 128, 512])
 @pytest.mark.parametrize("mode", [0, 1, 2])
 def test_single_mode_assembly_is_bitwise_diag_construction(mode, n_modes):
-    # reference: c^2 (diag + band) and c^2 (diag - band), each term a dense N x N array
+    # reference: diag + band and diag - band, each term a dense N x N array
     n = np.arange(n_modes)
     symmetric = np.diag(2.0 * np.minimum(n, mode) + 1.0 - n)
     i = np.arange(2 * mode + 1)
     coupling = np.zeros((n_modes, n_modes))
     coupling[i, 2 * mode - i] = np.minimum(i, 2 * mode - i) + 1.0
-    for c in (1.0, 0.7, -1.3):
-        ops = build_single_mode_ops(mode, c, n_modes)
-        assert np.array_equal(ops.Lplus, c**2 * (symmetric + coupling))
-        assert np.array_equal(ops.Lminus, c**2 * (symmetric - coupling))
-        assert np.array_equal(ops.M, n + 1.0)
+    ops = build_single_mode_ops(mode, n_modes)
+    assert np.array_equal(ops.Lplus, symmetric + coupling)
+    assert np.array_equal(ops.Lminus, symmetric - coupling)
+    assert np.array_equal(ops.M, n + 1.0)
 
 
 def test_toeplitz_core_entries():
@@ -916,8 +906,8 @@ def test_ladder_first_vector_at_p_zero():
 
 @pytest.mark.parametrize("p", [0.2, 0.5])
 def test_mu_ladder(p):
-    report = mu_ladder(build_ground_ops(p, 256), 8)
-    np.testing.assert_allclose(report.mus, 1.0 / (np.arange(9) + 1.0))
+    report = mu_ladder(build_ground_ops(p, 256))
+    np.testing.assert_allclose(report.mus, 1.0 / (np.arange(MU_LADDER_DEPTH + 1) + 1.0))
     # the {M^j A} basis is badly conditioned at high m and small p
     assert np.max(report.residuals) <= 1e-8
     # m = 1: v = MA - (1+p^2)/(1-p^2) A
@@ -929,7 +919,7 @@ def test_mu_ladder(p):
 def test_mu_ladder_second_vector_coefficients():
     # m = 2: v = M^2 A - 3(1+p^2)/(1-p^2) MA + 2(1+p^2+p^4)/(1-p^2)^2 A
     p = 0.4
-    report = mu_ladder(build_ground_ops(p, 256), 3)
+    report = mu_ladder(build_ground_ops(p, 256))
     c0, c1, c2 = report.coefficients[2]
     assert c2 == 1.0
     assert c1 == pytest.approx(-3 * (1 + p * p) / (1 - p * p), rel=1e-8)
@@ -956,16 +946,16 @@ def test_ladder_block_matches_per_vector_reference(target):
     # first ``target`` coordinates, orthogonal there to v^1 .. v^{target-1},
     # breaks the eigen-relation of v^target alone: later vectors vanish on u's
     # support.  Only that entry moves, to the per-vector reference's value
-    p, n_modes, m_max = 0.6, 128, 10
+    p, n_modes, m_max = 0.6, 128, LADDER_DEPTH
     ops = build_ground_ops(p, n_modes)
-    before = ladder_check(ops, m_max).eigen_residuals
+    before = ladder_check(ops).eigen_residuals
     v1 = linearized._first_ladder_vector(p, n_modes)
     vecs = [np.concatenate([np.zeros(m), v1[: n_modes - m]]) for m in range(m_max)]
     head = np.stack([v[:target] for v in vecs[: target - 1]] + [np.zeros(target)])
     u = np.zeros(n_modes)
     u[:target] = np.linalg.svd(head)[2][-1]  # the null direction of the earlier vectors
     bumped = _bumped(ops, u, 1e-3)
-    after = ladder_check(bumped, m_max).eigen_residuals
+    after = ladder_check(bumped).eigen_residuals
     others = np.arange(m_max) != target - 1
     assert np.max(np.abs(after[others] - before[others])) <= 1e-13
     want = _ladder_residual_reference(bumped, vecs[target - 1], target)
@@ -1024,8 +1014,8 @@ def test_mu_ladder_matches_formed_t_reference(p, n_modes):
     # 6 kappa_m eps); the m = 1 and m = 2 coefficients the spectrum verdict
     # reads stay within 1e-13
     ops = build_ground_ops(p, n_modes)
-    report = mu_ladder(ops, 6)
-    coeffs, residuals, conds = _mu_ladder_formed_reference(ops, 6)
+    report = mu_ladder(ops)
+    coeffs, residuals, conds = _mu_ladder_formed_reference(ops, MU_LADDER_DEPTH)
     for m, got in enumerate(report.coefficients):
         rtol = 1e-13 if m <= 2 else 1e-14 * conds[m]
         np.testing.assert_allclose(got, coeffs[: m + 1, m], rtol=rtol, atol=0.0)
@@ -1037,7 +1027,7 @@ def test_mu_ladder_forms_no_square_matrix():
     ops = build_ground_ops(0.6, 512)
     tracemalloc.start()
     try:
-        mu_ladder(ops, 6)
+        mu_ladder(ops)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1045,23 +1035,24 @@ def test_mu_ladder_forms_no_square_matrix():
 
 
 def test_mu_ladder_block_matches_per_vector_reference():
-    # a bump along u, orthogonal to A, MA, .., M^{m_max-1} A, leaves every
-    # least-squares problem but the last one as it was: only v^(m_max)'s
-    # residual moves, to the per-vector reference's value
-    p, n_modes, m_max = 0.5, 128, 3
+    # a bump along u, orthogonal to A, MA, .., M^{target-1} A, leaves every
+    # least-squares problem below m = target as it was, and v^(target)'s
+    # residual moves to the per-vector reference's value (the deeper ones
+    # move too)
+    p, n_modes, target = 0.5, 128, 3
     ops = build_ground_ops(p, n_modes)
-    before = mu_ladder(ops, m_max).residuals
-    powers = ground_amplitudes(p, n_modes)[:, None] * ops.M[:, None] ** np.arange(m_max + 1)
-    q, _ = np.linalg.qr(powers[:, :m_max])
-    u = powers[:, m_max] - q @ (q.T @ powers[:, m_max])
+    before = mu_ladder(ops).residuals
+    powers = ground_amplitudes(p, n_modes)[:, None] * ops.M[:, None] ** np.arange(target + 1)
+    q, _ = np.linalg.qr(powers[:, :target])
+    u = powers[:, target] - q @ (q.T @ powers[:, target])
     u -= q @ (q.T @ u)
     u /= np.linalg.norm(u)
     bumped = _bumped(ops, u, 1e-3)
-    after = mu_ladder(bumped, m_max).residuals
-    assert np.max(np.abs(after[:m_max] - before[:m_max])) <= 1e-12
-    want = _mu_residual_reference(bumped, m_max)
+    after = mu_ladder(bumped).residuals
+    assert np.max(np.abs(after[:target] - before[:target])) <= 1e-12
+    want = _mu_residual_reference(bumped, target)
     assert want > 1e-6
-    assert after[m_max] == pytest.approx(want, rel=1e-10, abs=0.0)
+    assert after[target] == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
 def test_solvability_inner_product():
@@ -1074,15 +1065,15 @@ def test_solvability_inner_product():
 
 
 def test_ladder_checks_require_ground_state():
-    ops = build_single_mode_ops(0, 1.0, 16)
-    for call in (ladder_check, lambda pair: mu_ladder(pair, 2)):
+    ops = build_single_mode_ops(0, 16)
+    for call in (ladder_check, mu_ladder):
         with pytest.raises(ValueError, match="defined for ground-state operators"):
             call(ops)
 
 
 @pytest.mark.parametrize("p", [0.3, 0.5, 0.7])
 def test_appendix_identities(p):
-    report = appendix_identities(p, 50)
+    report = appendix_identities(p)
     assert max(report.values()) <= 1e-12
     assert report["kernel_total"] == 0.0  # exact integer identity
 
@@ -1149,11 +1140,10 @@ def _appendix_identities_loop(p, n_max, tail_eps=1e-22):
     return worst
 
 
-@pytest.mark.parametrize("n_max", [0, 1, 50, MAX_IDENTITY_ORDER])
 @pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99])
-def test_appendix_identities_match_reference_loop(p, n_max):
-    report = appendix_identities(p, n_max)
-    want = _appendix_identities_loop(p, n_max)
+def test_appendix_identities_match_reference_loop(p):
+    report = appendix_identities(p)
+    want = _appendix_identities_loop(p, IDENTITY_ORDER)
     assert list(report) == list(want)
     for key, value in want.items():
         assert abs(report[key] - value) <= 1e-15, key
@@ -1165,63 +1155,50 @@ def test_appendix_identities_tail_bound():
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="tails of"):
-            appendix_identities(0.9999, 50)
+            appendix_identities(0.9999)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
     # below the bound the values are unchanged (0.99 sums 5144 tail terms)
     for p in (0.3, 0.6, 0.99):
-        report = appendix_identities(p, 50)
-        for key, value in _appendix_identities_loop(p, 50).items():
+        report = appendix_identities(p)
+        for key, value in _appendix_identities_loop(p, IDENTITY_ORDER).items():
             assert abs(report[key] - value) <= 1e-15, (p, key)
 
 
-@pytest.mark.parametrize(("n_max", "limit_mib"), [(50, 10.5), (MAX_IDENTITY_ORDER, 13.0)])
-def test_appendix_identities_peak_near_tail_bound(n_max, limit_mib):
+def test_appendix_identities_peak_near_tail_bound():
     # p = 0.9948 is about the largest p whose kmax fits MAX_TAIL_TERMS; the
-    # (n_max + 1) x kmax temporaries of the folded sums set the peak (9.8 and
-    # 12.4 MiB measured), the kernel rows hold (n_max + 1) x span, about half
+    # (IDENTITY_ORDER + 1) x kmax temporaries of the folded sums set the peak
+    # (9.8 MiB measured), the kernel rows hold (IDENTITY_ORDER + 1) x span,
+    # about half
     tracemalloc.start()
     try:
-        appendix_identities(0.9948, n_max)
+        appendix_identities(0.9948)
         peak = tracemalloc.get_traced_memory()[1]
         # p = 0.995 is refused before any temporary
         tracemalloc.reset_peak()
         with pytest.raises(ValueError, match="tails of"):
-            appendix_identities(0.995, n_max)
+            appendix_identities(0.995)
         refused_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= limit_mib * 2**20
+    assert peak <= 10.5 * 2**20
     assert refused_peak < 2**20
 
 
 @pytest.mark.parametrize("p", [0.0, 1.0, -0.5])
 def test_appendix_identities_refuses_p_outside_the_open_interval(p):
     with pytest.raises(ValueError, match=r"p must lie in \(0, 1\)"):
-        appendix_identities(p, 50)
-
-
-@pytest.mark.parametrize("n_max", [-1, 1.5, MAX_IDENTITY_ORDER + 1, True])
-def test_appendix_identities_order_bound(n_max):
-    # refused before any (n_max + 1) x kmax temporary is allocated
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match="n_max must be an integer"):
-            appendix_identities(0.3, n_max)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**16
+        appendix_identities(p)
 
 
 def test_kernel_total_is_summed_once_per_order():
-    # the exact integer identity does not depend on p: a second p at the same
-    # n_max reads its error from the cache
+    # the exact integer identity does not depend on p: a second p reads its
+    # error from the cache
     linearized._kernel_total_error.cache_clear()
-    assert appendix_identities(0.3, 20)["kernel_total"] == 0.0
-    assert appendix_identities(0.6, 20)["kernel_total"] == 0.0
+    assert appendix_identities(0.3)["kernel_total"] == 0.0
+    assert appendix_identities(0.6)["kernel_total"] == 0.0
     info = linearized._kernel_total_error.cache_info()
     assert (info.hits, info.misses) == (1, 1)
 
